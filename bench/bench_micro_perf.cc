@@ -270,8 +270,8 @@ void BM_EngineSparseObserved(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSparseObserved)->Arg(512)->Arg(2048);
 
-/// A minimal native batch consumer: counts events straight off the
-/// SlotEvent records, never replaying the fine-grained hooks.  The delta
+/// A minimal batch consumer: counts events straight off the SlotEvent
+/// records.  The delta
 /// against BM_EngineSparseFlowOnly is the floor cost of batched
 /// observation itself (ring append + two virtual calls per slot), with
 /// no sink work on top.

@@ -29,36 +29,9 @@ class AdaptiveEngine final : public EngineBackend {
     OTSCHED_CHECK(layers_ >= 1);
     record_full_ = context.options.record == RecordMode::kFull;
     capacity_ = m_;
-    if (sequencer_.active()) {
-      OTSCHED_CHECK(scheduler.supports_fluctuating_capacity(),
-                    "scheduler '" << scheduler.name()
-                                  << "' does not support a fluctuating "
-                                     "per-slot capacity (fault model "
-                                  << ToString(context.options.faults.model)
-                                  << ")");
-    }
-    if (job_faults_.active()) {
-      OTSCHED_CHECK(context.options.record == RecordMode::kFlowOnly,
-                    "job faults (model "
-                        << ToString(context.options.job_faults.model)
-                        << ") require RecordMode::kFlowOnly: re-executed "
-                           "subjobs are unrepresentable in a materialized "
-                           "Schedule");
-      OTSCHED_CHECK(scheduler.supports_fluctuating_capacity(),
-                    "scheduler '" << scheduler.name()
-                                  << "' does not support job faults "
-                                     "(job-fault model "
-                                  << ToString(context.options.job_faults.model)
-                                  << "): rollbacks invalidate precomputed "
-                                     "window plans");
-      OTSCHED_CHECK(scheduler.supports_job_rollback(),
-                    "scheduler '" << scheduler.name()
-                                  << "' does not support job faults "
-                                     "(job-fault model "
-                                  << ToString(context.options.job_faults.model)
-                                  << "): its internal queues would dispatch "
-                                     "rolled-back subjobs");
-    }
+    const std::string unsupported =
+        RunSupportError(scheduler, context.options);
+    OTSCHED_CHECK(unsupported.empty(), unsupported);
     const bool faulted = sequencer_.active() || job_faults_.active();
     const Time horizon_override = context.options.max_horizon > 0
                                       ? context.options.max_horizon
@@ -156,6 +129,8 @@ class AdaptiveEngine final : public EngineBackend {
   bool time_picks_ = false;          // observer wants pick_seconds?
   BudgetSequencer sequencer_;        // per-slot capacity source
   int capacity_ = 1;                 // current slot's budget, m_t <= m
+  std::int64_t faulted_slots_ = 0;      // visited slots with capacity < m
+  std::int64_t capacity_shortfall_ = 0; // sum of (m - capacity) over them
   JobFaultSequencer job_faults_;     // per-(slot, job) crash/commit source
   std::int64_t committed_total_ = 0; // engine-wide committed frontier
   std::int64_t job_rollbacks_ = 0;
@@ -268,6 +243,10 @@ void AdaptiveEngine::step_slot(const SchedulerView& view) {
       capacity_ = cap;
       if (emitter_.active()) emitter_.capacity_change(slot_, capacity_);
     }
+    if (capacity_ < m_) {
+      ++faulted_slots_;
+      capacity_shortfall_ += m_ - capacity_;
+    }
   }
 
   if (job_faults_.active()) {
@@ -305,10 +284,9 @@ void AdaptiveEngine::step_slot(const SchedulerView& view) {
                                     << ")");
   if (emitter_.active()) {
     // The pre-execution flush: nothing has mutated the ready sets the
-    // scheduler saw, so the state at delivery matches the historical
-    // per-pick hook (which fired here, before the validate/execute
-    // loop below); an invalid pick aborts in that loop, so observers
-    // never outlive one.
+    // scheduler saw, so observers see exactly that state; an invalid
+    // pick aborts in the validate/execute loop below, so observers never
+    // outlive one.
     std::int64_t ready_width = 0;
     for (const JobId id : alive_) {
       ready_width += static_cast<std::int64_t>(ready(id).size());
@@ -465,6 +443,8 @@ AdaptiveAdversaryResult AdaptiveEngine::finalize() {
         static_cast<std::int64_t>(m_) * last_busy_slot_ - executed_total_ -
         wasted_subjob_slots_;
     summary.stats.busy_slots = busy_slots_;
+    summary.stats.faulted_slots = faulted_slots_;
+    summary.stats.capacity_shortfall = capacity_shortfall_;
     summary.stats.job_rollbacks = job_rollbacks_;
     summary.stats.wasted_subjob_slots = wasted_subjob_slots_;
     summary.stats.checkpoints = checkpoints_;

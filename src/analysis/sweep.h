@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -18,20 +17,6 @@
 #include "sim/batch_runner.h"
 
 namespace otsched {
-
-/// RunSweep was folded into BatchRunner (the RunContext-era batch
-/// surface).  Spell it `BatchRunner(workers).Map<R>(n, cell)`; this
-/// poisoned stub exists only so stale call sites get the rename in
-/// their compile error instead of an unexplained lookup failure.
-template <typename R>
-std::vector<R> RunSweep(std::size_t /*n*/,
-                        const std::function<R(std::size_t)>& /*cell*/,
-                        std::size_t /*workers*/ = 0) {
-  static_assert(sizeof(R) == 0,
-                "RunSweep was renamed: construct BatchRunner(workers) and "
-                "call .Map<R>(n, cell) (sim/batch_runner.h)");
-  return {};
-}
 
 /// Aggregates per-seed doubles into mean / min / max.
 struct SeedAggregate {

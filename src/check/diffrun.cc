@@ -303,16 +303,16 @@ std::vector<OracleResult> RunPolicyCase(const PolicyCaseConfig& cfg,
     results.push_back(CheckRecordModeOracle(run, flow_only));
   }
 
-  const FaultSpec faults = FuzzFaultSpec(cfg);
-  if (faults.active() && scheduler->supports_fluctuating_capacity()) {
+  SimOptions faulted_options;
+  faulted_options.faults = FuzzFaultSpec(cfg);
+  if (faulted_options.faults.active() &&
+      RunSupportError(*scheduler, faulted_options).empty()) {
     // Fault dimension: rerun the case under a fluctuating budget on BOTH
     // engines.  The faulted schedule must stay feasible (axioms (1)-(4)
     // hold on a degraded machine too) and the engines must agree
     // bit-for-bit — the counter-based fault models make the streams a
     // pure function of (seed, slot), so any divergence convicts the
     // capacity plumbing, not the model.
-    SimOptions faulted_options;
-    faulted_options.faults = faults;
     std::unique_ptr<Scheduler> faulted_scheduler =
         cfg.spec->needs_semi_batched
             ? cfg.spec->make_semi_batched(cfg.known_opt)
@@ -332,8 +332,11 @@ std::vector<OracleResult> RunPolicyCase(const PolicyCaseConfig& cfg,
         CheckFaultedEquivalenceOracle(faulted, faulted_reference));
   }
 
-  if (cfg.job_faults && scheduler->supports_fluctuating_capacity() &&
-      scheduler->supports_job_rollback()) {
+  RunContext faulted_context;
+  faulted_context.options = FlowOnlyOptions();
+  faulted_context.options.job_faults = FuzzActiveJobFaultSpec(cfg);
+  if (cfg.job_faults &&
+      RunSupportError(*scheduler, faulted_context.options).empty()) {
     // Job-fault dimension (sim/job_faults.h), two legs:
     //
     // (a) kNoLostWorkWhenHealthy: a flow-only rerun with the fault
@@ -358,9 +361,6 @@ std::vector<OracleResult> RunPolicyCase(const PolicyCaseConfig& cfg,
     // (b) committed feasibility: an actively crashing run, streamed, must
     //     satisfy the Section 3 axioms over the work that SURVIVED and
     //     reconcile executes == total work + wasted slots exactly.
-    RunContext faulted_context;
-    faulted_context.options = FlowOnlyOptions();
-    faulted_context.options.job_faults = FuzzActiveJobFaultSpec(cfg);
     EventTrace faulted_trace;
     StreamingTraceObserver faulted_tracer(faulted_trace);
     faulted_context.observer = &faulted_tracer;

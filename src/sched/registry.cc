@@ -149,29 +149,6 @@ const PolicySpec* FindPolicy(std::string_view name) {
   return nullptr;
 }
 
-const char* LegacyPolicyAlias(std::string_view name) {
-  // The PR-3 spellings, retired when the registry names stabilized.
-  // Kept only so drivers can answer "unknown policy 'fifo'" with the
-  // rename instead of a bare failure.
-  struct Rename {
-    const char* legacy;
-    const char* current;
-  };
-  static constexpr Rename kRenames[] = {
-      {"fifo", "fifo/first-ready"},
-      {"fifo-random", "fifo/random"},
-      {"fifo-lpf", "fifo/lpf-height"},
-      {"equi", "round-robin-equi"},
-      {"srpt", "remaining-work/smallest"},
-      {"alg-a", "alg-a/general"},
-      {"alg-a-semibatched", "alg-a/semi-batched"},
-  };
-  for (const Rename& rename : kRenames) {
-    if (name == rename.legacy) return rename.current;
-  }
-  return nullptr;
-}
-
 std::unique_ptr<Scheduler> MakePolicy(std::string_view name,
                                       std::uint64_t seed, Time known_opt) {
   const PolicySpec* spec = FindPolicy(name);

@@ -28,12 +28,10 @@ inline constexpr double kTheorem57Ceiling = 1548.0;
 
 struct PolicySpec {
   /// Stable registry name (matches Scheduler::name() where possible).
-  /// The ONLY accepted spelling: the PR-3 legacy aliases were removed;
-  /// LegacyPolicyAlias() maps old spellings to their new names so CLIs
-  /// can point users at the rename.
+  /// The ONLY accepted spelling.
   std::string name;
 
-  /// One-line summary for `otsched --list-policies`.
+  /// One-line summary for `otsched list-policies`.
   std::string description;
 
   /// Builds a fresh scheduler; `seed` feeds randomized tie-breaking so the
@@ -63,16 +61,8 @@ struct PolicySpec {
 /// Every policy in src/sched plus the Section 5 algorithms in src/core.
 const std::vector<PolicySpec>& AllPolicies();
 
-/// Looks up a spec by registry name; nullptr if unknown.  Legacy
-/// spellings are NOT accepted — resolve them via LegacyPolicyAlias to
-/// tell the user the new name.
+/// Looks up a spec by registry name; nullptr if unknown.
 const PolicySpec* FindPolicy(std::string_view name);
-
-/// Maps a removed legacy policy spelling (e.g. "fifo", "srpt", "alg-a")
-/// to its current registry name, or nullptr if `name` was never an
-/// alias.  Exists solely for diagnostics: drivers seeing an unknown
-/// policy print "renamed to X" and exit non-zero.
-const char* LegacyPolicyAlias(std::string_view name);
 
 /// Builds a scheduler by registry name.  Returns nullptr for unknown
 /// names so CLIs can print their own diagnostic.  For semi-batched

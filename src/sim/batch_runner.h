@@ -156,7 +156,7 @@ class BatchRunner {
   /// one run surface (bare SimOptions convert implicitly; the old
   /// SimOptions overloads were folded away) and must not carry an
   /// observer: cells run concurrently and a single borrowed observer
-  /// would see interleaved hook streams.
+  /// would see interleaved event streams.
   template <typename MakeScheduler>
   std::vector<SimResult> RunSimulations(
       std::span<const std::pair<const Instance*, int>> cells,

@@ -24,55 +24,17 @@ SimDriver::SimDriver(int m, Scheduler& scheduler, const RunContext& context)
           : options.clairvoyance == ClairvoyanceOverride::kAllow;
   record_full_ = options.record == RecordMode::kFull;
   capacity_ = m_;
-  if (sequencer_.active()) {
-    OTSCHED_CHECK(scheduler.supports_fluctuating_capacity(),
-                  "scheduler '" << scheduler.name()
-                                << "' does not support a fluctuating "
-                                   "per-slot capacity (fault model "
-                                << ToString(options.faults.model) << ")");
-  }
-  if (job_faults_.active()) {
-    OTSCHED_CHECK(options.record == RecordMode::kFlowOnly,
-                  "job faults (model "
-                      << ToString(options.job_faults.model)
-                      << ") require RecordMode::kFlowOnly: re-executed "
-                         "subjobs are unrepresentable in a materialized "
-                         "Schedule");
-    OTSCHED_CHECK(scheduler.supports_fluctuating_capacity(),
-                  "scheduler '" << scheduler.name()
-                                << "' does not support job faults (job-fault "
-                                   "model "
-                                << ToString(options.job_faults.model)
-                                << "): rollbacks invalidate precomputed "
-                                   "window plans");
-    OTSCHED_CHECK(scheduler.supports_job_rollback(),
-                  "scheduler '" << scheduler.name()
-                                << "' does not support job faults (job-fault "
-                                   "model "
-                                << ToString(options.job_faults.model)
-                                << "): its internal queues would dispatch "
-                                   "rolled-back subjobs");
-  }
+  const std::string unsupported = RunSupportError(scheduler, options);
+  OTSCHED_CHECK(unsupported.empty(), unsupported);
   options_horizon_ = options.max_horizon;
 }
 
 Time SimDriver::horizon_bound() const {
   if (options_horizon_ > 0) return options_horizon_;
-  // Any policy that executes at least one ready subjob whenever one
-  // exists finishes well within this bound; schedulers that stall
-  // (e.g. a broken Algorithm A window plan) hit the check instead of
-  // hanging the process.  Recomputed from the running aggregates so a
-  // stream's bound grows with its submissions.
-  if (sequencer_.active() || job_faults_.active()) {
-    // Faulted slots can run far below m (or at zero), and job faults
-    // re-execute rolled-back work: leave room for the outage/re-execution
-    // time before declaring a scheduler stalled.  Crash rates are capped
-    // at 0.9, so 64x work is generous; a job-fault spec that crashes
-    // faster than its checkpoint policy commits (livelock) hits this
-    // bound loudly, which is the intended stall detection.
-    return max_release_ + 64 * total_work_ + max_span_ + 65536;
-  }
-  return max_release_ + 4 * total_work_ + max_span_ + 1024;
+  // Recomputed from the running aggregates so a stream's bound grows
+  // with its submissions.
+  return AutoHorizon(max_release_, total_work_, max_span_,
+                     sequencer_.active() || job_faults_.active());
 }
 
 const Dag& SimDriver::dag(JobId id) const {

@@ -21,6 +21,31 @@ bool SchedulerView::clairvoyant_allowed() const {
   return backend_.clairvoyant_allowed();
 }
 
+std::string RunSupportError(const Scheduler& scheduler,
+                            const SimOptions& options) {
+  if (options.faults.active() && !scheduler.supports_fluctuating_capacity()) {
+    return "policy '" + scheduler.name() +
+           "' does not support fluctuating capacity (fault model " +
+           ToString(options.faults.model) +
+           "): its window plans assume a fixed m";
+  }
+  if (!options.job_faults.active()) return "";
+  const std::string model = ToString(options.job_faults.model);
+  if (options.record != RecordMode::kFlowOnly) {
+    return "job faults (model " + model +
+           ") require --record flow (RecordMode::kFlowOnly): re-executed "
+           "subjobs cannot be materialized in a schedule";
+  }
+  if (!scheduler.supports_fluctuating_capacity() ||
+      !scheduler.supports_job_rollback()) {
+    return "policy '" + scheduler.name() +
+           "' does not support job faults (model " + model +
+           "): it carries window plans or queued subjobs across slots, "
+           "which a rollback invalidates";
+  }
+  return "";
+}
+
 const Schedule& SimResult::full_schedule() const {
   OTSCHED_CHECK(schedule.has_value(),
                 "full_schedule() on a flow-only run (RecordMode::kFlowOnly "

@@ -224,6 +224,29 @@ class Scheduler {
 // SimOptions / ClairvoyanceOverride / RunObserver / RunContext live in
 // sim/observer.h (included above): the run API is one header.
 
+/// The one run-capability gate: "" when `scheduler` can run under
+/// `options`, else a one-line reason.  Processor faults need a policy
+/// that re-reads the per-slot capacity; job faults need flow-only
+/// recording and a policy that re-reads ready sets every slot.  Every
+/// engine CHECKs it; drivers (CLI, fuzzer) ask it first and refuse
+/// up front.
+std::string RunSupportError(const Scheduler& scheduler,
+                            const SimOptions& options);
+
+/// The auto horizon (SimOptions::max_horizon == 0) of a fixed-instance
+/// run.  Any policy that executes at least one ready subjob whenever one
+/// exists finishes well within it; schedulers that stall (e.g. a broken
+/// Algorithm A window plan) hit the engine's check instead of hanging.
+/// Faulted runs can serve far below m and re-execute rolled-back work,
+/// so they get 64x work (crash rates are capped at 0.9); a job-fault
+/// spec that crashes faster than its checkpoint policy commits
+/// (livelock) still hits the bound, which is the intended detection.
+inline Time AutoHorizon(Time max_release, std::int64_t total_work,
+                        Time max_span, bool faulted) {
+  return faulted ? max_release + 64 * total_work + max_span + 65536
+                 : max_release + 4 * total_work + max_span + 1024;
+}
+
 struct SimStats {
   Time horizon = 0;
   std::int64_t executed_subjobs = 0;
@@ -257,7 +280,8 @@ struct SimResult {
 };
 
 /// Runs `scheduler` on `instance` with m processors to completion,
-/// firing `context.observer`'s hooks (if any) as the run progresses.
+/// streaming SlotEvent batches to `context.observer` (if any) as the run
+/// progresses.
 /// The ONLY entry point: bare SimOptions (and nothing at all) convert
 /// into a RunContext, so observer-less call sites need no overload.
 SimResult Simulate(const Instance& instance, int m, Scheduler& scheduler,

@@ -5,9 +5,9 @@
 // with a full pass every slot.  It exists ONLY as the comparison oracle
 // for the engine-equivalence gate (tests/engine_equivalence_test.cc) and
 // the before/after rows of bench_micro_perf; production callers go
-// through Simulate().  It fires the same RunObserver hooks as the
+// through Simulate().  It delivers the same SlotEvent stream as the
 // incremental engine (sim/observer.h) so the gate can also prove the two
-// hook streams identical.  Delete this file once the gate has soaked and
+// streams identical.  Delete this file once the gate has soaked and
 // the equivalence corpus is considered exhaustive.
 #include <algorithm>
 
@@ -38,45 +38,15 @@ class ReferenceEngine final : public EngineBackend {
             : options.clairvoyance == ClairvoyanceOverride::kAllow;
     record_full_ = options.record == RecordMode::kFull;
     capacity_ = m_;
-    if (sequencer_.active()) {
-      OTSCHED_CHECK(scheduler.supports_fluctuating_capacity(),
-                    "scheduler '" << scheduler.name()
-                                  << "' does not support a fluctuating "
-                                     "per-slot capacity (fault model "
-                                  << ToString(options.faults.model) << ")");
-    }
-    if (job_faults_.active()) {
-      OTSCHED_CHECK(options.record == RecordMode::kFlowOnly,
-                    "job faults (model "
-                        << ToString(options.job_faults.model)
-                        << ") require RecordMode::kFlowOnly: re-executed "
-                           "subjobs are unrepresentable in a materialized "
-                           "Schedule");
-      OTSCHED_CHECK(scheduler.supports_fluctuating_capacity(),
-                    "scheduler '" << scheduler.name()
-                                  << "' does not support job faults "
-                                     "(job-fault model "
-                                  << ToString(options.job_faults.model)
-                                  << "): rollbacks invalidate precomputed "
-                                     "window plans");
-      OTSCHED_CHECK(scheduler.supports_job_rollback(),
-                    "scheduler '" << scheduler.name()
-                                  << "' does not support job faults "
-                                     "(job-fault model "
-                                  << ToString(options.job_faults.model)
-                                  << "): its internal queues would dispatch "
-                                     "rolled-back subjobs");
-    }
-    max_horizon_ = options.max_horizon;
-    if (max_horizon_ == 0) {
-      max_horizon_ = instance.max_release() + 4 * instance.total_work() +
-                     instance.max_span() + 1024;
-      if (sequencer_.active() || job_faults_.active()) {
-        // Mirror the incremental engine's fault allowance exactly.
-        max_horizon_ = instance.max_release() + 64 * instance.total_work() +
-                       instance.max_span() + 65536;
-      }
-    }
+    const std::string unsupported = RunSupportError(scheduler, options);
+    OTSCHED_CHECK(unsupported.empty(), unsupported);
+    max_horizon_ = options.max_horizon > 0
+                       ? options.max_horizon
+                       : AutoHorizon(instance.max_release(),
+                                     instance.total_work(),
+                                     instance.max_span(),
+                                     sequencer_.active() ||
+                                         job_faults_.active());
   }
 
   SimResult run();

@@ -2,41 +2,34 @@
 //
 // A RunObserver is the streaming counterpart of the post-hoc SimResult.
 // Engines deliver the run as BATCHES of fixed-size POD SlotEvent records
-// (one or two `on_slot_batch` calls per visited slot); the fine-grained
-// hooks below are REPLAYED from those batches by the default
-// `on_slot_batch` implementation, in the fixed per-slot order
+// through one hook, `on_slot_batch` (one or two calls per visited slot).
+// The stream carries the paper's per-slot protocol in a fixed order:
 //
 //   on_run_begin                          (once, before the first slot)
-//   on_slot_begin -> on_arrival* -> on_capacity_change?
-//                 -> on_pick -> on_execute* -> on_complete*
+//   kSlotBegin -> kArrival* -> kCapacityChange? -> kRollback*
+//              -> kPickBegin -> kExecute* -> kCheckpoint* -> kComplete*
 //   on_finish                             (once, after flows are computed)
 //
-// with the per-slot ordering guarantees the event trace relies on:
-// arrivals fire before the slot's pick, executes fire in placement order,
-// completes fire after every execute of the slot in ascending job id —
-// exactly the order DeriveTrace reconstructs post-hoc, so a streaming
-// trace sink and the derived trace are interchangeable (and cross-checked
-// as an oracle by the differential fuzz harness).
+// Arrivals precede the slot's pick, executes follow it in placement
+// order, and completes follow every execute of the slot in ascending job
+// id — exactly the order DeriveTrace reconstructs post-hoc, so a
+// streaming trace sink and the derived trace are interchangeable (and
+// cross-checked as an oracle by the differential fuzz harness).
 //
 // Batch flush points (identical in every engine; see
-// docs/OBSERVABILITY.md "Batched delivery"):
+// docs/OBSERVABILITY.md "The event stream"):
 //   1. pre-execution — after the slot's pick is validated and appended,
 //      before anything executes.  The engine state at this flush is
-//      exactly what the scheduler saw, so a replayed `on_pick` observes
-//      the same backend the per-pick contract promised.
-//   2. end-of-slot — only if completion events are pending.
+//      exactly what the scheduler saw.
+//   2. end-of-slot — only if checkpoint or completion records are pending.
 //   3. buffer-full — whenever appending would exceed the ring capacity
 //      (RunContext::batch_capacity).  A pick block (kPickBegin plus its
 //      kExecute records) is never split across batches.
-// Batches never span slots.  One contract change versus the historical
-// per-pick delivery: a replayed `on_slot_begin` observes POST-arrival
-// engine state (delivery is deferred to the first flush), where the
-// per-pick engine called it pre-arrival.  No shipped observer reads
-// engine state in `on_slot_begin`.
+// Batches never span slots.
 //
 // Observers are engine-side instrumentation, not policies: hooks receive
 // the full EngineBackend and are not subject to the clairvoyance gate.
-// A null observer costs one predictable branch per hook site; with no
+// A null observer costs one predictable branch per emit site; with no
 // observer attached the engine is bit-identical to the uninstrumented
 // one (enforced by tests/engine_equivalence_test.cc).
 #pragma once
@@ -100,10 +93,8 @@ struct SimOptions {
   /// (sim/job_faults.h).  The default kNone never crashes a job and
   /// leaves the engines bit-identical to the monotone-progress ones (the
   /// kNoLostWorkWhenHealthy contract).  An active spec requires
-  /// RecordMode::kFlowOnly — re-execution is unrepresentable in the
-  /// materialized Schedule — and a scheduler that
-  /// supports_fluctuating_capacity() (window planners would replay stale
-  /// picks over rolled-back state).
+  /// RecordMode::kFlowOnly and a scheduler that survives rollbacks; see
+  /// RunSupportError (sim/engine.h).
   JobFaultSpec job_faults;
 };
 
@@ -153,9 +144,9 @@ struct SlotEvent {
 /// Default size of the per-run event ring (RunContext::batch_capacity).
 inline constexpr std::size_t kDefaultSlotBatchCapacity = 256;
 
-/// Streaming hooks fired by every engine (Simulate, ReferenceSimulate,
-/// and the advsim adaptive engine).  All hooks default to no-ops so sinks
-/// override only what they consume.
+/// The observer surface of every engine (Simulate, ReferenceSimulate,
+/// and the advsim adaptive engine).  `on_slot_batch` is the one event
+/// hook every sink implements; the run markers default to no-ops.
 class RunObserver {
  public:
   virtual ~RunObserver() = default;
@@ -163,96 +154,22 @@ class RunObserver {
   /// Once, after schedulers are reset and before the first slot.
   virtual void on_run_begin(const EngineBackend& engine) { (void)engine; }
 
-  /// Start of a visited slot, before its arrivals are delivered.  Slots
-  /// fast-forwarded over (nothing alive, no pending arrival due) are not
-  /// visited and fire no hooks.
-  virtual void on_slot_begin(Time slot, const EngineBackend& engine) {
-    (void)slot;
-    (void)engine;
-  }
-
-  /// A job became schedulable (slot == release + 1), after the engine
-  /// published its roots and notified the scheduler.
-  virtual void on_arrival(Time slot, JobId job) {
-    (void)slot;
-    (void)job;
-  }
-
-  /// The slot's effective capacity changed relative to the previously
-  /// visited slot (fault injection; sim/faults.h).  Fired after the
-  /// slot's arrivals and before its pick, and only when the value
-  /// actually changes — fault-free runs never fire it.
-  virtual void on_capacity_change(Time slot, int capacity) {
-    (void)slot;
-    (void)capacity;
-  }
-
-  /// The scheduler's (already validated) picks for the slot, before they
-  /// execute.  `engine` reflects the state the scheduler saw;
-  /// `pick_seconds` is the wall-clock cost of the pick() call.
-  virtual void on_pick(Time slot, const EngineBackend& engine,
-                       std::span<const SubjobRef> picks,
-                       double pick_seconds) {
-    (void)slot;
-    (void)engine;
-    (void)picks;
-    (void)pick_seconds;
-  }
-
-  /// One subjob executed, in placement order within the slot.
-  virtual void on_execute(Time slot, SubjobRef ref) {
-    (void)slot;
-    (void)ref;
-  }
-
-  /// A job ran its last subjob this slot.  Fired after every on_execute
-  /// of the slot, in ascending job id.
-  virtual void on_complete(Time slot, JobId job) {
-    (void)slot;
-    (void)job;
-  }
-
-  /// `job` crashed and rolled back to its last checkpoint, losing
-  /// `wasted` volatile subjobs (job faults; sim/job_faults.h).  Fired in
-  /// the pre-pick region, after any capacity change.  `frontier` is the
-  /// engine-wide committed subjob count (unchanged by rollbacks).
-  virtual void on_rollback(Time slot, JobId job, std::int64_t wasted,
-                           std::int64_t frontier) {
-    (void)slot;
-    (void)job;
-    (void)wasted;
-    (void)frontier;
-  }
-
-  /// `job` committed `committed` volatile subjobs — an interval-policy
-  /// checkpoint or the implicit commit when a job finishes.  `frontier`
-  /// is the engine-wide committed subjob count after the commit.
-  virtual void on_checkpoint(Time slot, JobId job, std::int64_t committed,
-                             std::int64_t frontier) {
-    (void)slot;
-    (void)job;
-    (void)committed;
-    (void)frontier;
-  }
+  /// A batch of SlotEvent records, delivered in stream order at the
+  /// flush points documented in the header comment.  `engine` reflects
+  /// the state at the flush (pre-execution for the batch carrying the
+  /// slot's pick block).  Slots fast-forwarded over (nothing alive, no
+  /// pending arrival due) are not visited and carry no records.
+  virtual void on_slot_batch(const EngineBackend& engine,
+                             std::span<const SlotEvent> events) = 0;
 
   /// Once, with the finished result (flows and stats computed).
   virtual void on_finish(const SimResult& result) { (void)result; }
 
-  /// Whether this sink consumes `pick_seconds`.  Engines query it once
-  /// per run and skip the two clock reads per slot when no attached
-  /// observer wants the timing (the kPickBegin record then carries 0).
-  /// Defaults to true — opting out is a sink-side optimization.
+  /// Whether this sink consumes kPickBegin's `seconds`.  Engines query it
+  /// once per run and skip the two clock reads per slot when no attached
+  /// observer wants the timing (the record then carries 0).  Defaults to
+  /// true — opting out is a sink-side optimization.
   virtual bool wants_pick_timing() const { return true; }
-
-  /// A batch of SlotEvent records, delivered in stream order at the
-  /// flush points documented in the header comment.  `engine` reflects
-  /// the state at the flush (pre-execution for the batch carrying the
-  /// slot's pick block).  The default implementation replays the batch
-  /// through the fine-grained hooks above, so existing observers work
-  /// unchanged; hot sinks override this and consume the records
-  /// directly (two virtual calls per slot instead of O(events)).
-  virtual void on_slot_batch(const EngineBackend& engine,
-                             std::span<const SlotEvent> events);
 };
 
 /// Fans every hook out to a list of borrowed observers, in order.  The
@@ -268,38 +185,9 @@ class ObserverList final : public RunObserver {
   void on_run_begin(const EngineBackend& engine) override {
     for (RunObserver* o : observers_) o->on_run_begin(engine);
   }
-  void on_slot_begin(Time slot, const EngineBackend& engine) override {
-    for (RunObserver* o : observers_) o->on_slot_begin(slot, engine);
-  }
-  void on_arrival(Time slot, JobId job) override {
-    for (RunObserver* o : observers_) o->on_arrival(slot, job);
-  }
-  void on_capacity_change(Time slot, int capacity) override {
-    for (RunObserver* o : observers_) o->on_capacity_change(slot, capacity);
-  }
-  void on_pick(Time slot, const EngineBackend& engine,
-               std::span<const SubjobRef> picks, double pick_seconds) override {
-    for (RunObserver* o : observers_) {
-      o->on_pick(slot, engine, picks, pick_seconds);
-    }
-  }
-  void on_execute(Time slot, SubjobRef ref) override {
-    for (RunObserver* o : observers_) o->on_execute(slot, ref);
-  }
-  void on_complete(Time slot, JobId job) override {
-    for (RunObserver* o : observers_) o->on_complete(slot, job);
-  }
-  void on_rollback(Time slot, JobId job, std::int64_t wasted,
-                   std::int64_t frontier) override {
-    for (RunObserver* o : observers_) {
-      o->on_rollback(slot, job, wasted, frontier);
-    }
-  }
-  void on_checkpoint(Time slot, JobId job, std::int64_t committed,
-                     std::int64_t frontier) override {
-    for (RunObserver* o : observers_) {
-      o->on_checkpoint(slot, job, committed, frontier);
-    }
+  void on_slot_batch(const EngineBackend& engine,
+                     std::span<const SlotEvent> events) override {
+    for (RunObserver* o : observers_) o->on_slot_batch(engine, events);
   }
   void on_finish(const SimResult& result) override {
     for (RunObserver* o : observers_) o->on_finish(result);
@@ -309,12 +197,6 @@ class ObserverList final : public RunObserver {
       if (o->wants_pick_timing()) return true;
     }
     return false;
-  }
-  /// Forwards the batch itself (NOT a replay): each member applies its
-  /// own on_slot_batch, so hot sinks in the list keep their fast path.
-  void on_slot_batch(const EngineBackend& engine,
-                     std::span<const SlotEvent> events) override {
-    for (RunObserver* o : observers_) o->on_slot_batch(engine, events);
   }
 
  private:

@@ -189,23 +189,11 @@ void MetricsObserver::on_run_begin(const EngineBackend& engine) {
   }
 }
 
-void MetricsObserver::on_slot_begin(Time slot, const EngineBackend& engine) {
-  (void)slot;
-  (void)engine;
-  slots_visited_->inc();
-}
-
-void MetricsObserver::on_arrival(Time slot, JobId job) {
-  (void)slot;
-  (void)job;
-  arrivals_->inc();
-}
-
-void MetricsObserver::on_capacity_change(Time slot, int capacity) {
+void MetricsObserver::record_capacity_change(Time slot, int capacity) {
   capacity_changes_->inc();
   if (options_.record_series) {
-    // Sparse by construction: the hook only fires when the value changes,
-    // so the series is the capacity step function's breakpoints.
+    // Sparse by construction: the record only appears when the value
+    // changes, so the series is the capacity step function's breakpoints.
     slot_capacity_->record(slot, capacity);
   }
 }
@@ -228,49 +216,12 @@ void MetricsObserver::record_pick(Time slot, std::int64_t picked,
   }
 }
 
-void MetricsObserver::on_pick(Time slot, const EngineBackend& engine,
-                              std::span<const SubjobRef> picks,
-                              double pick_seconds) {
-  // Sampled post-arrival, pre-execution: exactly what the scheduler saw.
-  // The fine-grained hook recomputes the widths from the engine; the
-  // batch path below reads the identical values off the kPickBegin
-  // record (the engine maintains them incrementally).
-  const std::int64_t alive =
-      static_cast<std::int64_t>(engine.alive().size());
-  std::int64_t ready_width = 0;
-  for (const JobId id : engine.alive()) {
-    ready_width += static_cast<std::int64_t>(engine.ready(id).size());
-  }
-  record_pick(slot, static_cast<std::int64_t>(picks.size()), alive,
-              ready_width, pick_seconds);
-}
-
-void MetricsObserver::on_execute(Time slot, SubjobRef ref) {
-  (void)slot;
-  (void)ref;
-  executes_->inc();
-}
-
-void MetricsObserver::on_complete(Time slot, JobId job) {
-  (void)slot;
-  (void)job;
-  completions_->inc();
-}
-
-void MetricsObserver::on_rollback(Time slot, JobId job, std::int64_t wasted,
-                                  std::int64_t frontier) {
-  (void)slot;
-  (void)job;
-  (void)frontier;
+void MetricsObserver::record_rollback(std::int64_t wasted) {
   rollbacks_->inc();
   wasted_->inc(wasted);
 }
 
-void MetricsObserver::on_checkpoint(Time slot, JobId job,
-                                    std::int64_t committed,
-                                    std::int64_t frontier) {
-  (void)job;
-  (void)committed;
+void MetricsObserver::record_checkpoint(Time slot, std::int64_t frontier) {
   checkpoints_->inc();
   if (committed_frontier_ == nullptr) return;
   if (pending_frontier_valid_ && slot != pending_frontier_slot_) {
@@ -298,7 +249,7 @@ void MetricsObserver::on_slot_batch(const EngineBackend& engine,
         ++arrivals;
         break;
       case SlotEvent::Kind::kCapacityChange:
-        on_capacity_change(event.slot, event.value);
+        record_capacity_change(event.slot, event.value);
         break;
       case SlotEvent::Kind::kPickBegin:
         // alive/ready-width ride on the record: no engine sweep at all.
@@ -312,10 +263,10 @@ void MetricsObserver::on_slot_batch(const EngineBackend& engine,
         ++completions;
         break;
       case SlotEvent::Kind::kRollback:
-        on_rollback(event.slot, event.job, event.value, event.width);
+        record_rollback(event.value);
         break;
       case SlotEvent::Kind::kCheckpoint:
-        on_checkpoint(event.slot, event.job, event.value, event.width);
+        record_checkpoint(event.slot, event.width);
         break;
     }
   }

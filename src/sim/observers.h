@@ -1,14 +1,14 @@
 // Standard RunObserver sinks: the metrics feed, the streaming trace, and
 // the run manifest.
 //
-// MetricsObserver turns the hook stream into a MetricsRegistry — per-slot
-// utilization/idle/ready-width/alive series, hook counters, flow-time
-// histograms, per-pick wall time — the quantities the paper reasons about
-// (idle slots in the Lemma 5.2 head/tail shape, backlog growth in the
-// Theorem 4.2 adversary; see docs/OBSERVABILITY.md for the full map).
-// StreamingTraceObserver emits, online, the exact EventTrace that
-// DeriveTrace reconstructs post-hoc; the fuzz harness cross-checks the
-// two as an oracle.
+// MetricsObserver turns the SlotEvent stream into a MetricsRegistry —
+// per-slot utilization/idle/ready-width/alive series, event counters,
+// flow-time histograms, per-pick wall time — the quantities the paper
+// reasons about (idle slots in the Lemma 5.2 head/tail shape, backlog
+// growth in the Theorem 4.2 adversary; see docs/OBSERVABILITY.md for the
+// full map).  StreamingTraceObserver emits, online, the exact EventTrace
+// that DeriveTrace reconstructs post-hoc; the fuzz harness cross-checks
+// the two as an oracle.
 #pragma once
 
 #include <cstdint>
@@ -64,17 +64,14 @@ RunManifest MakeRunManifest(const Instance& instance, int m,
 /// JSON is self-describing.
 void WriteManifest(MetricsRegistry& registry, const RunManifest& manifest);
 
-/// Feeds a borrowed MetricsRegistry from the hook stream.  Metric names
-/// and semantics are documented in docs/OBSERVABILITY.md; everything
-/// except the pick wall-time histogram is deterministic for a fixed
-/// (instance, policy, seed, m).
+/// Feeds a borrowed MetricsRegistry from the SlotEvent stream.  Metric
+/// names and semantics are documented in docs/OBSERVABILITY.md;
+/// everything except the pick wall-time histogram is deterministic for a
+/// fixed (instance, policy, seed, m).
 ///
-/// Consumes batches natively (a custom on_slot_batch): metric handles
-/// are resolved ONCE in on_run_begin and the per-slot alive/ready-width
-/// figures are read off the kPickBegin record, so a batch costs a few
-/// pointer bumps per event instead of a name lookup per hook.  The
-/// fine-grained hooks remain implemented (and produce an identical
-/// registry) for sinks that replay batches through them.
+/// Metric handles are resolved ONCE in on_run_begin and the per-slot
+/// alive/ready-width figures are read off the kPickBegin record, so a
+/// batch costs a few pointer bumps per event instead of a name lookup.
 class MetricsObserver final : public RunObserver {
  public:
   struct Options {
@@ -90,30 +87,21 @@ class MetricsObserver final : public RunObserver {
   MetricsObserver(MetricsRegistry& registry, Options options);
 
   void on_run_begin(const EngineBackend& engine) override;
-  void on_slot_begin(Time slot, const EngineBackend& engine) override;
-  void on_arrival(Time slot, JobId job) override;
-  void on_capacity_change(Time slot, int capacity) override;
-  void on_pick(Time slot, const EngineBackend& engine,
-               std::span<const SubjobRef> picks, double pick_seconds) override;
-  void on_execute(Time slot, SubjobRef ref) override;
-  void on_complete(Time slot, JobId job) override;
-  void on_rollback(Time slot, JobId job, std::int64_t wasted,
-                   std::int64_t frontier) override;
-  void on_checkpoint(Time slot, JobId job, std::int64_t committed,
-                     std::int64_t frontier) override;
-  void on_finish(const SimResult& result) override;
   void on_slot_batch(const EngineBackend& engine,
                      std::span<const SlotEvent> events) override;
+  void on_finish(const SimResult& result) override;
   bool wants_pick_timing() const override {
     return options_.record_pick_times;
   }
 
  private:
-  /// One pick's worth of metric updates, shared by the batch path and
-  /// the fine-grained on_pick (which recomputes alive/ready_width from
-  /// the engine the way the pre-batch observer did).
+  // One record's worth of metric updates for the kinds that carry more
+  // than a count.
+  void record_capacity_change(Time slot, int capacity);
   void record_pick(Time slot, std::int64_t picked, std::int64_t alive,
                    std::int64_t ready_width, double pick_seconds);
+  void record_rollback(std::int64_t wasted);
+  void record_checkpoint(Time slot, std::int64_t frontier);
 
   MetricsRegistry& registry_;
   Options options_;
@@ -151,38 +139,30 @@ class MetricsObserver final : public RunObserver {
 /// Appends arrive/exec/done events to a borrowed EventTrace as the run
 /// executes.  The result is byte-identical to
 /// DeriveTrace(result.full_schedule(), instance) for every engine, and
-/// it keeps working under RecordMode::kFlowOnly (the hooks still fire
+/// it keeps working under RecordMode::kFlowOnly (the stream still flows
 /// even when no schedule is materialized).
 class StreamingTraceObserver final : public RunObserver {
  public:
   explicit StreamingTraceObserver(EventTrace& out) : out_(out) {}
 
-  void on_arrival(Time slot, JobId job) override {
-    out_.add(TraceEvent{slot, TraceEventKind::kArrival, job, kInvalidNode});
-  }
-  void on_execute(Time slot, SubjobRef ref) override {
-    out_.add(TraceEvent{slot, TraceEventKind::kExecute, ref.job, ref.node});
-  }
-  void on_complete(Time slot, JobId job) override {
-    out_.add(TraceEvent{slot, TraceEventKind::kComplete, job, kInvalidNode});
-  }
-  /// Native batch path: one pass over the records, no pick-span replay.
   /// Arrivals/executes/completes appear in the stream in exactly the
-  /// order the fine-grained hooks fired historically, so the trace stays
-  /// byte-identical to DeriveTrace.
+  /// order DeriveTrace emits them, so one pass suffices.
   void on_slot_batch(const EngineBackend& engine,
                      std::span<const SlotEvent> events) override {
     (void)engine;
     for (const SlotEvent& event : events) {
       switch (event.kind) {
         case SlotEvent::Kind::kArrival:
-          on_arrival(event.slot, event.job);
+          out_.add(TraceEvent{event.slot, TraceEventKind::kArrival,
+                              event.job, kInvalidNode});
           break;
         case SlotEvent::Kind::kExecute:
-          on_execute(event.slot, SubjobRef{event.job, event.node});
+          out_.add(TraceEvent{event.slot, TraceEventKind::kExecute,
+                              event.job, event.node});
           break;
         case SlotEvent::Kind::kComplete:
-          on_complete(event.slot, event.job);
+          out_.add(TraceEvent{event.slot, TraceEventKind::kComplete,
+                              event.job, kInvalidNode});
           break;
         default:
           break;

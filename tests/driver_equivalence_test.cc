@@ -1,9 +1,9 @@
 // The tick/advance gate for the incremental SimDriver: stepping a driver
 // one slot at a time (advance(1) ... drain()) must be BIT-IDENTICAL to
-// one-shot Simulate — same Schedule, flows, stats, and byte-identical
-// observer hook streams — for every registry policy, in both record
-// modes, with and without observers, and under fluctuating fault
-// budgets.  Simulate() itself is a thin submit_all+drain loop over the
+// one-shot Simulate — same Schedule, flows, stats, and identical
+// SlotEvent streams — for every registry policy, in both record modes,
+// with and without observers, under fluctuating fault budgets and under
+// job faults.  Simulate() itself is a thin submit_all+drain loop over the
 // driver, so this suite is what licenses the claim that the batch path
 // and the tick path are the same code.
 //
@@ -30,98 +30,11 @@
 #include "sim/engine.h"
 #include "sim/observers.h"
 #include "sim/trace.h"
+#include "same_run.h"
+#include "slot_event_recorder.h"
 
 namespace otsched {
 namespace {
-
-/// Flattens every hook invocation into one comparable line (pick wall
-/// times excluded — the one nondeterministic hook argument).
-class HookRecorder final : public RunObserver {
- public:
-  void on_run_begin(const EngineBackend& engine) override {
-    std::ostringstream line;
-    line << "begin m=" << engine.m() << " jobs=" << engine.job_count();
-    lines_.push_back(line.str());
-  }
-  void on_slot_begin(Time slot, const EngineBackend& engine) override {
-    std::ostringstream line;
-    line << "slot " << slot << " alive=" << engine.alive().size();
-    lines_.push_back(line.str());
-  }
-  void on_arrival(Time slot, JobId job) override {
-    std::ostringstream line;
-    line << "arrive " << slot << ' ' << job;
-    lines_.push_back(line.str());
-  }
-  void on_capacity_change(Time slot, int capacity) override {
-    std::ostringstream line;
-    line << "cap " << slot << ' ' << capacity;
-    lines_.push_back(line.str());
-  }
-  void on_pick(Time slot, const EngineBackend&,
-               std::span<const SubjobRef> picks, double) override {
-    std::ostringstream line;
-    line << "pick " << slot;
-    for (const SubjobRef& ref : picks) {
-      line << ' ' << ref.job << ':' << ref.node;
-    }
-    lines_.push_back(line.str());
-  }
-  void on_execute(Time slot, SubjobRef ref) override {
-    std::ostringstream line;
-    line << "exec " << slot << ' ' << ref.job << ':' << ref.node;
-    lines_.push_back(line.str());
-  }
-  void on_complete(Time slot, JobId job) override {
-    std::ostringstream line;
-    line << "done " << slot << ' ' << job;
-    lines_.push_back(line.str());
-  }
-  void on_finish(const SimResult& result) override {
-    std::ostringstream line;
-    line << "finish horizon=" << result.stats.horizon
-         << " max_flow=" << result.flows.max_flow;
-    lines_.push_back(line.str());
-  }
-
-  const std::vector<std::string>& lines() const { return lines_; }
-
- private:
-  std::vector<std::string> lines_;
-};
-
-void ExpectIdenticalResults(const SimResult& tick, const SimResult& batch,
-                            const std::string& label) {
-  ASSERT_EQ(tick.has_schedule(), batch.has_schedule()) << label;
-  if (batch.has_schedule()) {
-    const Schedule& got = tick.full_schedule();
-    const Schedule& want = batch.full_schedule();
-    ASSERT_EQ(got.horizon(), want.horizon()) << label;
-    ASSERT_EQ(got.total_placed(), want.total_placed()) << label;
-    for (Time t = 1; t <= want.horizon(); ++t) {
-      const auto a = got.at(t);
-      const auto b = want.at(t);
-      ASSERT_EQ(a.size(), b.size()) << label << " at slot " << t;
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        EXPECT_EQ(a[i], b[i]) << label << " at slot " << t << " index " << i;
-      }
-    }
-  }
-  EXPECT_EQ(tick.flows.completion, batch.flows.completion) << label;
-  EXPECT_EQ(tick.flows.flow, batch.flows.flow) << label;
-  EXPECT_EQ(tick.flows.max_flow, batch.flows.max_flow) << label;
-  EXPECT_EQ(tick.flows.max_flow_job, batch.flows.max_flow_job) << label;
-  EXPECT_EQ(tick.flows.all_completed, batch.flows.all_completed) << label;
-  EXPECT_EQ(tick.stats.horizon, batch.stats.horizon) << label;
-  EXPECT_EQ(tick.stats.executed_subjobs, batch.stats.executed_subjobs)
-      << label;
-  EXPECT_EQ(tick.stats.idle_processor_slots, batch.stats.idle_processor_slots)
-      << label;
-  EXPECT_EQ(tick.stats.busy_slots, batch.stats.busy_slots) << label;
-  EXPECT_EQ(tick.stats.faulted_slots, batch.stats.faulted_slots) << label;
-  EXPECT_EQ(tick.stats.capacity_shortfall, batch.stats.capacity_shortfall)
-      << label;
-}
 
 /// Runs one (instance, m, policy) case through advance(1) ticking and
 /// through one-shot Simulate under identical options, with and without
@@ -149,19 +62,20 @@ void CheckTickEqualsBatch(const Instance& instance, int m,
   EXPECT_EQ(driver.advance(1), 0) << label;  // idle drivers report 0
   EXPECT_TRUE(driver.idle()) << label;
   const SimResult tick = driver.drain();
-  ExpectIdenticalResults(tick, batch, label + " [tick]");
+  ASSERT_EQ(tick.has_schedule(), batch.has_schedule()) << label;
+  ExpectSameRun(tick, batch, label + " [tick]");
 
-  // Observed legs: both paths must fire byte-identical hook streams and
+  // Observed legs: both paths must deliver identical event streams and
   // the attached observers must not perturb the run.
   auto observed_batch_scheduler = make();
-  HookRecorder batch_recorder;
+  SlotEventRecorder batch_recorder;
   RunContext batch_context{options, &batch_recorder};
   const SimResult observed_batch =
       Simulate(instance, m, *observed_batch_scheduler, batch_context);
-  ExpectIdenticalResults(observed_batch, batch, label + " [observed batch]");
+  ExpectSameRun(observed_batch, batch, label + " [observed batch]");
 
   auto observed_tick_scheduler = make();
-  HookRecorder tick_recorder;
+  SlotEventRecorder tick_recorder;
   EventTrace streamed;
   StreamingTraceObserver tracer(streamed);
   ObserverList observers;
@@ -173,9 +87,11 @@ void CheckTickEqualsBatch(const Instance& instance, int m,
   while (observed_driver.advance(1) > 0) {
   }
   const SimResult observed_tick = observed_driver.drain();
-  ExpectIdenticalResults(observed_tick, batch, label + " [observed tick]");
-  EXPECT_EQ(tick_recorder.lines(), batch_recorder.lines())
-      << label << " [hook stream]";
+  ExpectSameRun(observed_tick, batch, label + " [observed tick]");
+  EXPECT_EQ(
+      FirstEventDivergence(tick_recorder.stream(), batch_recorder.stream()),
+      -1)
+      << label << " [event stream]";
   if (batch.has_schedule()) {
     EXPECT_EQ(FirstDivergence(streamed,
                               DeriveTrace(batch.full_schedule(), instance)),
@@ -185,13 +101,20 @@ void CheckTickEqualsBatch(const Instance& instance, int m,
 }
 
 /// The full matrix on one corpus instance: every applicable policy ×
-/// both record modes × ±faults (each leg internally ±observers).
+/// both record modes × ±faults × ±job faults (each leg internally
+/// ±observers).
 void CheckMatrix(const Instance& instance, int m, bool semi_batched_certified,
                  Time known_opt, const std::string& corpus_label) {
   FaultSpec blip;
   blip.model = FaultModel::kRandomBlip;
   blip.seed = 5;
   blip.rate = 0.4;
+  SimOptions job_faulted = FlowOnlyOptions();
+  job_faulted.job_faults.model = JobFaultModel::kRandomCrash;
+  job_faulted.job_faults.seed = 11;
+  job_faulted.job_faults.rate = 0.2;
+  job_faulted.job_faults.checkpoint = CheckpointPolicy::kEveryKSlots;
+  job_faulted.job_faults.checkpoint_every = 3;
 
   for (const PolicySpec& spec : AllPolicies()) {
     if (!PolicyApplies(spec, instance.all_out_forests(),
@@ -220,6 +143,11 @@ void CheckMatrix(const Instance& instance, int m, bool semi_batched_certified,
       faulted_flow.record = RecordMode::kFlowOnly;
       CheckTickEqualsBatch(instance, m, spec, known_opt, faulted_flow,
                            base.str() + " faulted flow-only");
+    }
+    if (!spec.needs_semi_batched &&
+        RunSupportError(*spec.make(1), job_faulted).empty()) {
+      CheckTickEqualsBatch(instance, m, spec, known_opt, job_faulted,
+                           base.str() + " job-faulted");
     }
   }
 }
@@ -279,7 +207,7 @@ TEST(DriverStreaming, MidRunSubmitMatchesBatchArrivalOrder) {
   while (driver.advance(1) > 0) {
   }
   const SimResult tick = driver.drain();
-  ExpectIdenticalResults(tick, batch, "mid-run submit");
+  ExpectSameRun(tick, batch, "mid-run submit");
 }
 
 TEST(DriverStreaming, TakeFinishedReportsEveryJobOnceWithExactFlows) {

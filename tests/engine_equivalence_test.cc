@@ -27,111 +27,11 @@
 #include "sim/engine.h"
 #include "sim/observers.h"
 #include "sim/trace.h"
+#include "same_run.h"
+#include "slot_event_recorder.h"
 
 namespace otsched {
 namespace {
-
-/// Flattens every hook invocation into one comparable line, so two hook
-/// streams can be diffed like traces (pick wall times excluded — the one
-/// nondeterministic hook argument).
-class HookRecorder final : public RunObserver {
- public:
-  void on_run_begin(const EngineBackend& engine) override {
-    std::ostringstream line;
-    line << "begin m=" << engine.m() << " jobs=" << engine.job_count();
-    lines_.push_back(line.str());
-  }
-  void on_slot_begin(Time slot, const EngineBackend& engine) override {
-    std::ostringstream line;
-    line << "slot " << slot << " alive=" << engine.alive().size();
-    lines_.push_back(line.str());
-  }
-  void on_arrival(Time slot, JobId job) override {
-    std::ostringstream line;
-    line << "arrive " << slot << ' ' << job;
-    lines_.push_back(line.str());
-  }
-  void on_capacity_change(Time slot, int capacity) override {
-    std::ostringstream line;
-    line << "cap " << slot << ' ' << capacity;
-    lines_.push_back(line.str());
-  }
-  void on_pick(Time slot, const EngineBackend&,
-               std::span<const SubjobRef> picks, double) override {
-    std::ostringstream line;
-    line << "pick " << slot;
-    for (const SubjobRef& ref : picks) {
-      line << ' ' << ref.job << ':' << ref.node;
-    }
-    lines_.push_back(line.str());
-  }
-  void on_execute(Time slot, SubjobRef ref) override {
-    std::ostringstream line;
-    line << "exec " << slot << ' ' << ref.job << ':' << ref.node;
-    lines_.push_back(line.str());
-  }
-  void on_complete(Time slot, JobId job) override {
-    std::ostringstream line;
-    line << "done " << slot << ' ' << job;
-    lines_.push_back(line.str());
-  }
-  void on_finish(const SimResult& result) override {
-    std::ostringstream line;
-    line << "finish horizon=" << result.stats.horizon
-         << " max_flow=" << result.flows.max_flow;
-    lines_.push_back(line.str());
-  }
-
-  const std::vector<std::string>& lines() const { return lines_; }
-
- private:
-  std::vector<std::string> lines_;
-};
-
-void ExpectIdenticalSchedules(const Schedule& incremental,
-                              const Schedule& reference,
-                              const std::string& label) {
-  ASSERT_EQ(incremental.horizon(), reference.horizon()) << label;
-  ASSERT_EQ(incremental.total_placed(), reference.total_placed()) << label;
-  for (Time t = 1; t <= reference.horizon(); ++t) {
-    const auto got = incremental.at(t);
-    const auto want = reference.at(t);
-    ASSERT_EQ(got.size(), want.size()) << label << " at slot " << t;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      // Same subjobs in the same order within the slot: bit-identical.
-      EXPECT_EQ(got[i], want[i]) << label << " at slot " << t << " index "
-                                 << i;
-    }
-  }
-}
-
-void ExpectIdenticalRuns(const SimResult& incremental,
-                         const SimResult& reference,
-                         const std::string& label) {
-  ExpectIdenticalSchedules(incremental.full_schedule(), reference.full_schedule(), label);
-  EXPECT_EQ(incremental.flows.completion, reference.flows.completion)
-      << label;
-  EXPECT_EQ(incremental.flows.flow, reference.flows.flow) << label;
-  EXPECT_EQ(incremental.flows.max_flow, reference.flows.max_flow) << label;
-  EXPECT_EQ(incremental.flows.max_flow_job, reference.flows.max_flow_job)
-      << label;
-  EXPECT_EQ(incremental.flows.all_completed, reference.flows.all_completed)
-      << label;
-  EXPECT_EQ(incremental.stats.horizon, reference.stats.horizon) << label;
-  EXPECT_EQ(incremental.stats.executed_subjobs,
-            reference.stats.executed_subjobs)
-      << label;
-  EXPECT_EQ(incremental.stats.idle_processor_slots,
-            reference.stats.idle_processor_slots)
-      << label;
-  EXPECT_EQ(incremental.stats.busy_slots, reference.stats.busy_slots)
-      << label;
-  EXPECT_EQ(incremental.stats.faulted_slots, reference.stats.faulted_slots)
-      << label;
-  EXPECT_EQ(incremental.stats.capacity_shortfall,
-            reference.stats.capacity_shortfall)
-      << label;
-}
 
 /// Runs every applicable registry policy on (instance, m) through both
 /// engine paths and requires identical results.
@@ -158,15 +58,15 @@ void CheckAllPolicies(const Instance& instance, int m,
         Simulate(instance, m, *incremental_scheduler);
     const SimResult reference =
         ReferenceSimulate(instance, m, *reference_scheduler);
-    ExpectIdenticalRuns(incremental, reference, label.str());
+    ExpectSameRun(incremental, reference, label.str());
 
     // Observer leg: attaching sinks must not perturb the run (the same
     // bit-identical schedule), the streamed trace must equal DeriveTrace,
-    // and both engines must fire byte-identical hook streams.
+    // and both engines must deliver identical event streams.
     auto observed_scheduler =
         spec.needs_semi_batched ? spec.make_semi_batched(known_opt)
                                 : spec.make(seed);
-    HookRecorder recorder;
+    SlotEventRecorder recorder;
     EventTrace streamed;
     StreamingTraceObserver tracer(streamed);
     ObserverList observers;
@@ -176,7 +76,7 @@ void CheckAllPolicies(const Instance& instance, int m,
     context.observer = &observers;
     const SimResult observed =
         Simulate(instance, m, *observed_scheduler, context);
-    ExpectIdenticalRuns(observed, incremental, label.str() + " [observed]");
+    ExpectSameRun(observed, incremental, label.str() + " [observed]");
     EXPECT_EQ(FirstDivergence(streamed,
                               DeriveTrace(observed.full_schedule(), instance)),
               -1)
@@ -185,31 +85,16 @@ void CheckAllPolicies(const Instance& instance, int m,
     auto reference_observed_scheduler =
         spec.needs_semi_batched ? spec.make_semi_batched(known_opt)
                                 : spec.make(seed);
-    HookRecorder reference_recorder;
+    SlotEventRecorder reference_recorder;
     RunContext reference_context;
     reference_context.observer = &reference_recorder;
     ReferenceSimulate(instance, m, *reference_observed_scheduler,
                       reference_context);
-    EXPECT_EQ(recorder.lines(), reference_recorder.lines())
-        << label.str() << " [hook stream]";
+    EXPECT_EQ(FirstEventDivergence(recorder.stream(),
+                                   reference_recorder.stream()),
+              -1)
+        << label.str() << " [event stream]";
   }
-}
-
-void ExpectIdenticalSummaries(const SimResult& got, const SimResult& want,
-                              const std::string& label) {
-  EXPECT_EQ(got.flows.completion, want.flows.completion) << label;
-  EXPECT_EQ(got.flows.flow, want.flows.flow) << label;
-  EXPECT_EQ(got.flows.max_flow, want.flows.max_flow) << label;
-  EXPECT_EQ(got.flows.max_flow_job, want.flows.max_flow_job) << label;
-  EXPECT_EQ(got.flows.all_completed, want.flows.all_completed) << label;
-  EXPECT_EQ(got.stats.horizon, want.stats.horizon) << label;
-  EXPECT_EQ(got.stats.executed_subjobs, want.stats.executed_subjobs) << label;
-  EXPECT_EQ(got.stats.idle_processor_slots, want.stats.idle_processor_slots)
-      << label;
-  EXPECT_EQ(got.stats.busy_slots, want.stats.busy_slots) << label;
-  EXPECT_EQ(got.stats.faulted_slots, want.stats.faulted_slots) << label;
-  EXPECT_EQ(got.stats.capacity_shortfall, want.stats.capacity_shortfall)
-      << label;
 }
 
 /// The flow-only gate: for every applicable registry policy, a
@@ -250,20 +135,20 @@ void CheckFlowOnlyAllPolicies(const Instance& instance, int m,
     const SimResult flow_only =
         Simulate(instance, m, *flow_scheduler, FlowOnlyOptions());
     EXPECT_FALSE(flow_only.has_schedule()) << label;
-    ExpectIdenticalSummaries(flow_only, full, label + " [flow-only]");
+    ExpectSameRun(flow_only, full, label + " [flow-only]");
 
     // Flow-only on the reference engine.
     auto reference_scheduler = make();
     const SimResult reference = ReferenceSimulate(
         instance, m, *reference_scheduler, FlowOnlyOptions());
     EXPECT_FALSE(reference.has_schedule()) << label;
-    ExpectIdenticalSummaries(reference, full, label + " [flow-only ref]");
+    ExpectSameRun(reference, full, label + " [flow-only ref]");
 
-    // Flow-only with observers attached: the hooks still stream the full
-    // event trace even though no schedule is materialized, and the run
-    // itself is unperturbed.
+    // Flow-only with observers attached: the stream still carries the
+    // full event trace even though no schedule is materialized, and the
+    // run itself is unperturbed.
     auto observed_scheduler = make();
-    HookRecorder recorder;
+    SlotEventRecorder recorder;
     EventTrace streamed;
     StreamingTraceObserver tracer(streamed);
     ObserverList observers;
@@ -273,7 +158,7 @@ void CheckFlowOnlyAllPolicies(const Instance& instance, int m,
     const SimResult observed =
         Simulate(instance, m, *observed_scheduler, context);
     EXPECT_FALSE(observed.has_schedule()) << label;
-    ExpectIdenticalSummaries(observed, full, label + " [flow-only observed]");
+    ExpectSameRun(observed, full, label + " [flow-only observed]");
     EXPECT_EQ(FirstDivergence(streamed,
                               DeriveTrace(full.full_schedule(), instance)),
               -1)
@@ -284,8 +169,8 @@ void CheckFlowOnlyAllPolicies(const Instance& instance, int m,
 /// The faulted gate: under a fluctuating per-slot budget, for every
 /// applicable capacity-aware policy and every fault model in `specs`,
 /// both engines — with and without observers — must produce bit-identical
-/// schedules, flows, stats (including the fault counters) and hook
-/// streams (which now carry the `cap` capacity-change lines).
+/// schedules, flows, stats (including the fault counters) and event
+/// streams (which now carry kCapacityChange records).
 void CheckFaultedAllPolicies(const Instance& instance, int m,
                              std::span<const FaultSpec> specs,
                              const std::string& corpus_label) {
@@ -312,34 +197,121 @@ void CheckFaultedAllPolicies(const Instance& instance, int m,
       auto reference_scheduler = spec.make(seed);
       const SimResult reference =
           ReferenceSimulate(instance, m, *reference_scheduler, options);
-      ExpectIdenticalRuns(incremental, reference, label.str());
+      ExpectSameRun(incremental, reference, label.str());
       // An active model at these rates must actually bite somewhere —
       // otherwise this gate silently degenerates to the fault-free one.
       EXPECT_GT(incremental.stats.faulted_slots, 0) << label.str();
 
-      // Observer legs on both engines: identical runs and byte-identical
-      // hook streams, capacity-change lines included.
+      // Observer legs on both engines: identical runs and identical event
+      // streams, kCapacityChange records included.
       auto observed_scheduler = spec.make(seed);
-      HookRecorder recorder;
+      SlotEventRecorder recorder;
       RunContext context{options, &recorder};
       const SimResult observed =
           Simulate(instance, m, *observed_scheduler, context);
-      ExpectIdenticalRuns(observed, incremental,
+      ExpectSameRun(observed, incremental,
                           label.str() + " [observed]");
       auto reference_observed_scheduler = spec.make(seed);
-      HookRecorder reference_recorder;
+      SlotEventRecorder reference_recorder;
       RunContext reference_context{options, &reference_recorder};
       ReferenceSimulate(instance, m, *reference_observed_scheduler,
                         reference_context);
-      EXPECT_EQ(recorder.lines(), reference_recorder.lines())
-          << label.str() << " [hook stream]";
-      const bool has_cap_line =
-          std::any_of(recorder.lines().begin(), recorder.lines().end(),
-                      [](const std::string& line) {
-                        return line.rfind("cap ", 0) == 0;
-                      });
-      EXPECT_TRUE(has_cap_line) << label.str() << " [no cap hook fired]";
+      const std::vector<SlotEvent> stream = recorder.stream();
+      EXPECT_EQ(FirstEventDivergence(stream, reference_recorder.stream()),
+                -1)
+          << label.str() << " [event stream]";
+      EXPECT_TRUE(std::any_of(stream.begin(), stream.end(),
+                              [](const SlotEvent& event) {
+                                return event.kind ==
+                                       SlotEvent::Kind::kCapacityChange;
+                              }))
+          << label.str() << " [no kCapacityChange record]";
     }
+  }
+}
+
+/// The job-fault gate: under an active crash model, for every applicable
+/// policy the engines can run (RunSupportError), both engines must
+/// produce identical flows, stats (rollback/waste/checkpoint counters
+/// included) and event streams, kRollback and kCheckpoint records
+/// included.
+int CheckJobFaultedAllPolicies(const Instance& instance, int m,
+                               std::span<const JobFaultSpec> specs,
+                               const std::string& corpus_label) {
+  int legs = 0;
+  for (const PolicySpec& spec : AllPolicies()) {
+    if (spec.needs_semi_batched ||
+        !PolicyApplies(spec, instance.all_out_forests(),
+                       /*semi_batched_certified=*/false, m)) {
+      continue;
+    }
+    for (const JobFaultSpec& job_faults : specs) {
+      SimOptions options = FlowOnlyOptions();
+      options.job_faults = job_faults;
+      if (!RunSupportError(*spec.make(1), options).empty()) continue;
+      ++legs;
+      std::ostringstream label;
+      label << corpus_label << " / " << spec.name << " / m=" << m << " / "
+            << ToString(job_faults);
+      const std::uint64_t seed = 12345;
+
+      auto scheduler = spec.make(seed);
+      SlotEventRecorder recorder;
+      const SimResult run =
+          Simulate(instance, m, *scheduler, RunContext{options, &recorder});
+      auto reference_scheduler = spec.make(seed);
+      SlotEventRecorder reference_recorder;
+      const SimResult reference =
+          ReferenceSimulate(instance, m, *reference_scheduler,
+                            RunContext{options, &reference_recorder});
+      ExpectSameRun(run, reference, label.str());
+      // The crash model must bite, or this degenerates to the healthy gate.
+      EXPECT_GT(run.stats.job_rollbacks, 0) << label.str();
+
+      const std::vector<SlotEvent> stream = recorder.stream();
+      EXPECT_EQ(FirstEventDivergence(stream, reference_recorder.stream()),
+                -1)
+          << label.str() << " [event stream]";
+      for (const SlotEvent::Kind kind :
+           {SlotEvent::Kind::kRollback, SlotEvent::Kind::kCheckpoint}) {
+        EXPECT_TRUE(std::any_of(stream.begin(), stream.end(),
+                                [kind](const SlotEvent& event) {
+                                  return event.kind == kind;
+                                }))
+            << label.str() << " [no record of kind "
+            << static_cast<int>(kind) << "]";
+      }
+    }
+  }
+  return legs;
+}
+
+TEST(EngineEquivalence, JobFaultedPoissonTreeMixes) {
+  Rng rng(29);
+  Instance instance = MakePoissonArrivals(
+      6, 0.2,
+      [](std::int64_t i, Rng& r) {
+        return MakeTree(static_cast<TreeFamily>(i % 4),
+                        static_cast<NodeId>(8 + r.next_below(20)), r);
+      },
+      rng);
+
+  JobFaultSpec random_crash;
+  random_crash.model = JobFaultModel::kRandomCrash;
+  random_crash.seed = 3;
+  random_crash.rate = 0.2;
+  random_crash.checkpoint = CheckpointPolicy::kEveryKSlots;
+  random_crash.checkpoint_every = 3;
+  JobFaultSpec periodic = random_crash;
+  periodic.model = JobFaultModel::kPeriodicCrash;
+  periodic.period = 5;
+  const std::vector<JobFaultSpec> specs = {random_crash, periodic};
+  for (int m : {2, 4}) {
+    // Several list policies run under job faults at every m.
+    EXPECT_GE(
+        CheckJobFaultedAllPolicies(instance, m, specs, "job-faulted-poisson"),
+        6)
+        << "m=" << m;
   }
 }
 

@@ -2,8 +2,10 @@
 // enforcement, and end-to-end feasibility of engine-produced schedules.
 #include "gtest_compat.h"
 
+#include "advsim/adaptive.h"
 #include "common/rng.h"
 #include "dag/builders.h"
+#include "sched/registry.h"
 #include "sim/engine.h"
 #include "sim/validator.h"
 
@@ -405,6 +407,83 @@ TEST(Engine, AllIdleTailAdvancesSlotBySlot) {
   EXPECT_EQ(result.stats.busy_slots, 2);
   EXPECT_EQ(result.stats.horizon, 12);
   EXPECT_TRUE(ValidateSchedule(result.full_schedule(), instance));
+}
+
+// ---- the run-capability gate ----
+
+SimOptions CapabilityOptions(bool faults, bool job_faults, RecordMode record) {
+  SimOptions options;
+  options.record = record;
+  if (faults) {
+    options.faults.model = FaultModel::kRandomBlip;
+    options.faults.rate = 0.3;
+  }
+  if (job_faults) options.job_faults.model = JobFaultModel::kRandomCrash;
+  return options;
+}
+
+TEST(RunSupport, OneGateDecidesEveryRefusal) {
+  const struct {
+    const char* policy;
+    bool faults;
+    bool job_faults;
+    RecordMode record;
+    const char* want;  // "" = runnable, else a substring of the reason
+  } cases[] = {
+      {"alg-a/general", false, false, RecordMode::kFull, ""},
+      {"alg-a/general", true, false, RecordMode::kFull,
+       "does not support fluctuating capacity"},
+      {"alg-a/general", false, true, RecordMode::kFlowOnly,
+       "does not support job faults"},
+      {"work-stealing", true, false, RecordMode::kFull, ""},
+      {"work-stealing", false, true, RecordMode::kFlowOnly,
+       "does not support job faults"},
+      {"fifo/first-ready", false, true, RecordMode::kFull,
+       "require --record flow"},
+      {"fifo/first-ready", false, true, RecordMode::kFlowOnly, ""},
+      {"fifo/first-ready", true, false, RecordMode::kFull, ""},
+      {"fifo/first-ready", true, true, RecordMode::kFlowOnly, ""},
+      {"fifo/first-ready", true, true, RecordMode::kFull,
+       "require --record flow"},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const std::unique_ptr<Scheduler> policy = MakePolicy(cases[i].policy);
+    ASSERT_NE(policy, nullptr) << cases[i].policy;
+    const std::string error = RunSupportError(
+        *policy, CapabilityOptions(cases[i].faults, cases[i].job_faults,
+                                   cases[i].record));
+    const std::string want = cases[i].want;
+    // find("") == 0, so the second check only bites on refusals.
+    EXPECT_EQ(error.empty(), want.empty()) << "case " << i << ": " << error;
+    EXPECT_NE(error.find(want), std::string::npos)
+        << "case " << i << ": " << error;
+  }
+}
+
+TEST(RunSupportDeath, EveryEngineRefusesWhatTheGateRefuses) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Instance instance;
+  instance.add_job(Job(MakeChain(3), 0));
+  const std::unique_ptr<Scheduler> alg_a = MakePolicy("alg-a/general");
+  const SimOptions faulted =
+      CapabilityOptions(true, false, RecordMode::kFull);
+  EXPECT_DEATH(Simulate(instance, 4, *alg_a, faulted),
+               "does not support fluctuating capacity");
+
+  const std::unique_ptr<Scheduler> stealing = MakePolicy("work-stealing");
+  const SimOptions job_faulted =
+      CapabilityOptions(false, true, RecordMode::kFlowOnly);
+  EXPECT_DEATH(ReferenceSimulate(instance, 4, *stealing, job_faulted),
+               "does not support job faults");
+
+  const std::unique_ptr<Scheduler> fifo = MakePolicy("fifo/first-ready");
+  AdaptiveAdversaryOptions adversary;
+  adversary.m = 2;
+  adversary.num_jobs = 1;
+  EXPECT_DEATH(
+      RunAdaptiveAdversary(*fifo, adversary,
+                           CapabilityOptions(false, true, RecordMode::kFull)),
+      "require --record flow");
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Tests for the observability layer: the RunObserver hook contract
+// Tests for the observability layer: the SlotEvent stream contract
 // (sim/observer.h), the standard sinks (sim/observers.h), the metrics
 // registry (common/metrics.h), and the instrumented batch runner.
 #include "gtest_compat.h"
 
-#include <sstream>
+#include <algorithm>
 
 #include "advsim/adaptive.h"
 #include "analysis/ratio.h"
@@ -18,6 +18,7 @@
 #include "sim/engine.h"
 #include "sim/observers.h"
 #include "sim/trace.h"
+#include "slot_event_recorder.h"
 
 namespace otsched {
 namespace {
@@ -33,126 +34,158 @@ Instance MixedInstance(std::uint64_t seed, int jobs) {
       rng);
 }
 
-/// Records every hook as a typed event for ordering assertions.
-class OrderingObserver final : public RunObserver {
- public:
-  enum Kind { kBegin, kSlot, kArrive, kPick, kExec, kDone, kFinish };
-  struct Event {
-    Kind kind;
-    Time slot;
-    JobId job;
-  };
+/// Position of each record kind in the documented per-slot order
+/// (sim/observer.h): arrivals, capacity change, rollbacks, the pick
+/// block, checkpoints, completes.
+int SlotPhase(SlotEvent::Kind kind) {
+  switch (kind) {
+    case SlotEvent::Kind::kSlotBegin:
+      return 0;
+    case SlotEvent::Kind::kArrival:
+      return 1;
+    case SlotEvent::Kind::kCapacityChange:
+      return 2;
+    case SlotEvent::Kind::kRollback:
+      return 3;
+    case SlotEvent::Kind::kPickBegin:
+      return 4;
+    case SlotEvent::Kind::kExecute:
+      return 5;
+    case SlotEvent::Kind::kCheckpoint:
+      return 6;
+    case SlotEvent::Kind::kComplete:
+      return 7;
+  }
+  return -1;
+}
 
-  void on_run_begin(const EngineBackend&) override {
-    events_.push_back({kBegin, 0, kInvalidJob});
+/// Every visited slot opens with kSlotBegin, slots advance strictly,
+/// phases never go backwards within a slot, and each slot has exactly
+/// one kPickBegin directly followed by its `value` kExecute records.
+void ExpectDocumentedSlotOrder(const std::vector<SlotEvent>& stream) {
+  ASSERT_FALSE(stream.empty());
+  ASSERT_EQ(stream.front().kind, SlotEvent::Kind::kSlotBegin);
+  Time slot = 0;
+  int phase = 0;
+  int picks = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const SlotEvent& event = stream[i];
+    if (event.kind == SlotEvent::Kind::kSlotBegin) {
+      if (i > 0) {
+        EXPECT_EQ(picks, 1) << "slot " << slot;
+      }
+      EXPECT_GT(event.slot, slot) << "slots must advance strictly";
+      slot = event.slot;
+      phase = 0;
+      picks = 0;
+      continue;
+    }
+    EXPECT_EQ(event.slot, slot) << "record " << i;
+    const int event_phase = SlotPhase(event.kind);
+    EXPECT_GE(event_phase, phase)
+        << "record " << i << " (kind " << static_cast<int>(event.kind)
+        << ") out of order at slot " << slot;
+    phase = event_phase;
+    if (event.kind == SlotEvent::Kind::kPickBegin) {
+      ++picks;
+      for (int k = 1; k <= event.value; ++k) {
+        ASSERT_LT(i + static_cast<std::size_t>(k), stream.size());
+        EXPECT_EQ(stream[i + static_cast<std::size_t>(k)].kind,
+                  SlotEvent::Kind::kExecute)
+            << "pick block at slot " << slot;
+      }
+    }
   }
-  void on_slot_begin(Time slot, const EngineBackend&) override {
-    events_.push_back({kSlot, slot, kInvalidJob});
-  }
-  void on_arrival(Time slot, JobId job) override {
-    events_.push_back({kArrive, slot, job});
-  }
-  void on_pick(Time slot, const EngineBackend&, std::span<const SubjobRef>,
-               double pick_seconds) override {
-    EXPECT_GE(pick_seconds, 0.0);
-    events_.push_back({kPick, slot, kInvalidJob});
-  }
-  void on_execute(Time slot, SubjobRef ref) override {
-    events_.push_back({kExec, slot, ref.job});
-  }
-  void on_complete(Time slot, JobId job) override {
-    events_.push_back({kDone, slot, job});
-  }
-  void on_finish(const SimResult&) override {
-    events_.push_back({kFinish, 0, kInvalidJob});
-  }
-
-  const std::vector<Event>& events() const { return events_; }
-
- private:
-  std::vector<Event> events_;
-};
+  EXPECT_EQ(picks, 1) << "slot " << slot;
+}
 
 TEST(ObserverHooks, FireInTheDocumentedOrder) {
   const Instance instance = MixedInstance(2024, 8);
   FifoScheduler fifo;
-  OrderingObserver observer;
-  RunContext context;
-  context.observer = &observer;
-  const SimResult result = Simulate(instance, 3, fifo, context);
+  SlotEventRecorder recorder;
+  const SimResult result =
+      Simulate(instance, 3, fifo, RunContext{SimOptions{}, &recorder});
 
-  const auto& events = observer.events();
-  ASSERT_FALSE(events.empty());
   // Exactly one begin (first) and one finish (last).
-  EXPECT_EQ(events.front().kind, OrderingObserver::kBegin);
-  EXPECT_EQ(events.back().kind, OrderingObserver::kFinish);
-  for (std::size_t i = 1; i + 1 < events.size(); ++i) {
-    EXPECT_NE(events[i].kind, OrderingObserver::kBegin);
-    EXPECT_NE(events[i].kind, OrderingObserver::kFinish);
-  }
-
-  // Per slot: slot_begin, then arrivals, then exactly one pick, then
-  // executes, then completes — never interleaved out of phase.
-  Time slot = 0;
-  int phase = 0;  // 0=slot_begin 1=arrivals 2=pick 3=executes 4=completes
-  int picks_this_slot = 0;
-  for (std::size_t i = 1; i + 1 < events.size(); ++i) {
-    const auto& e = events[i];
-    switch (e.kind) {
-      case OrderingObserver::kSlot:
-        EXPECT_GT(e.slot, slot) << "slots must advance strictly";
-        slot = e.slot;
-        phase = 0;
-        picks_this_slot = 0;
-        break;
-      case OrderingObserver::kArrive:
-        EXPECT_EQ(e.slot, slot);
-        EXPECT_LE(phase, 1) << "arrival after pick at slot " << slot;
-        phase = 1;
-        break;
-      case OrderingObserver::kPick:
-        EXPECT_EQ(e.slot, slot);
-        EXPECT_LE(phase, 1) << "second pick in slot " << slot;
-        EXPECT_EQ(++picks_this_slot, 1);
-        phase = 2;
-        break;
-      case OrderingObserver::kExec:
-        EXPECT_EQ(e.slot, slot);
-        EXPECT_GE(phase, 2) << "execute before pick at slot " << slot;
-        EXPECT_LE(phase, 3) << "execute after complete at slot " << slot;
-        phase = 3;
-        break;
-      case OrderingObserver::kDone:
-        EXPECT_EQ(e.slot, slot);
-        EXPECT_GE(phase, 3) << "complete before any execute at slot "
-                            << slot;
-        phase = 4;
-        break;
-      default:
-        FAIL() << "unexpected event kind mid-run";
-    }
-  }
+  EXPECT_EQ(recorder.run_begins(), 1);
+  EXPECT_EQ(recorder.finishes(), 1);
+  const std::vector<SlotEvent> stream = recorder.stream();
+  ExpectDocumentedSlotOrder(stream);
 
   // Arrival slots honour the release+1 convention; every job arrives and
   // completes exactly once.
   std::vector<int> arrived(static_cast<std::size_t>(instance.job_count()), 0);
   std::vector<int> completed(static_cast<std::size_t>(instance.job_count()),
                              0);
-  for (const auto& e : observer.events()) {
-    if (e.kind == OrderingObserver::kArrive) {
-      ++arrived[static_cast<std::size_t>(e.job)];
-      EXPECT_EQ(e.slot, instance.job(e.job).release() + 1);
+  for (const SlotEvent& event : stream) {
+    const std::size_t job = static_cast<std::size_t>(event.job);
+    if (event.kind == SlotEvent::Kind::kArrival) {
+      ++arrived[job];
+      EXPECT_EQ(event.slot, instance.job(event.job).release() + 1);
     }
-    if (e.kind == OrderingObserver::kDone) {
-      ++completed[static_cast<std::size_t>(e.job)];
-      EXPECT_EQ(e.slot, result.flows.completion[static_cast<std::size_t>(
-                            e.job)]);
+    if (event.kind == SlotEvent::Kind::kComplete) {
+      ++completed[job];
+      EXPECT_EQ(event.slot, result.flows.completion[job]);
     }
   }
   for (JobId id = 0; id < instance.job_count(); ++id) {
     EXPECT_EQ(arrived[static_cast<std::size_t>(id)], 1) << "job " << id;
     EXPECT_EQ(completed[static_cast<std::size_t>(id)], 1) << "job " << id;
   }
+}
+
+TEST(ObserverHooks, JobFaultRecordsSitAtTheirDocumentedPositions) {
+  // Processor and job faults together, so rollbacks share slots with
+  // capacity changes and checkpoints share slots with completes.
+  const Instance instance = MixedInstance(31, 8);
+  SimOptions options = FlowOnlyOptions();
+  options.faults.model = FaultModel::kRandomBlip;
+  options.faults.seed = 4;
+  options.faults.rate = 0.4;
+  options.job_faults.model = JobFaultModel::kRandomCrash;
+  options.job_faults.seed = 8;
+  options.job_faults.rate = 0.2;
+  options.job_faults.checkpoint = CheckpointPolicy::kEveryKSlots;
+  options.job_faults.checkpoint_every = 2;
+  FifoScheduler fifo;
+  SlotEventRecorder recorder;
+  const SimResult result =
+      Simulate(instance, 3, fifo, RunContext{options, &recorder});
+  ASSERT_TRUE(result.flows.all_completed);
+  ASSERT_GT(result.stats.job_rollbacks, 0);
+
+  const std::vector<SlotEvent> stream = recorder.stream();
+  // kRollback after kCapacityChange and before kPickBegin; kCheckpoint
+  // after the executes and before kComplete.
+  ExpectDocumentedSlotOrder(stream);
+
+  EXPECT_EQ(std::count_if(stream.begin(), stream.end(),
+                          [](const SlotEvent& event) {
+                            return event.kind == SlotEvent::Kind::kRollback;
+                          }),
+            result.stats.job_rollbacks);
+
+  // The shared-slot positions the order check relies on actually occur.
+  const auto bit = [](SlotEvent::Kind kind) {
+    return 1u << static_cast<unsigned>(kind);
+  };
+  unsigned slot_kinds = 0;  // kinds seen so far in the current slot
+  int rollback_after_capacity_change = 0;
+  int checkpoint_before_complete = 0;
+  for (const SlotEvent& event : stream) {
+    if (event.kind == SlotEvent::Kind::kSlotBegin) slot_kinds = 0;
+    slot_kinds |= bit(event.kind);
+    if (event.kind == SlotEvent::Kind::kRollback &&
+        (slot_kinds & bit(SlotEvent::Kind::kCapacityChange)) != 0) {
+      ++rollback_after_capacity_change;
+    }
+    if (event.kind == SlotEvent::Kind::kComplete &&
+        (slot_kinds & bit(SlotEvent::Kind::kCheckpoint)) != 0) {
+      ++checkpoint_before_complete;
+    }
+  }
+  EXPECT_GT(rollback_after_capacity_change, 0);
+  EXPECT_GT(checkpoint_before_complete, 0);
 }
 
 TEST(ObserverHooks, StreamingTraceMatchesDeriveTraceForAllPolicies) {
@@ -184,7 +217,7 @@ TEST(ObserverHooks, AdaptiveEngineStreamsTheSameTrace) {
   FifoScheduler fifo;
   EventTrace streamed;
   StreamingTraceObserver tracer(streamed);
-  OrderingObserver recorder;
+  SlotEventRecorder recorder;
   ObserverList observers;
   observers.add(&tracer);
   observers.add(&recorder);
@@ -197,9 +230,9 @@ TEST(ObserverHooks, AdaptiveEngineStreamsTheSameTrace) {
   EXPECT_EQ(
       FirstDivergence(streamed, DeriveTrace(result.full_schedule(), result.instance)),
       -1);
-  ASSERT_FALSE(recorder.events().empty());
-  EXPECT_EQ(recorder.events().front().kind, OrderingObserver::kBegin);
-  EXPECT_EQ(recorder.events().back().kind, OrderingObserver::kFinish);
+  EXPECT_EQ(recorder.run_begins(), 1);
+  EXPECT_EQ(recorder.finishes(), 1);
+  ExpectDocumentedSlotOrder(recorder.stream());
 }
 
 TEST(ObserverList, FansOutInOrderAndSkipsNull) {
@@ -207,7 +240,11 @@ TEST(ObserverList, FansOutInOrderAndSkipsNull) {
   class Tag final : public RunObserver {
    public:
     Tag(std::vector<int>& order, int id) : order_(order), id_(id) {}
-    void on_arrival(Time, JobId) override { order_.push_back(id_); }
+    void on_slot_batch(const EngineBackend&,
+                       std::span<const SlotEvent>) override {
+      order_.push_back(id_);
+    }
+    bool wants_pick_timing() const override { return false; }
 
    private:
     std::vector<int>& order_;
@@ -222,8 +259,19 @@ TEST(ObserverList, FansOutInOrderAndSkipsNull) {
   list.add(&first);
   list.add(&second);
   EXPECT_FALSE(list.empty());
-  list.on_arrival(1, 0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_FALSE(list.wants_pick_timing());  // no member wants it
+
+  Instance instance;
+  instance.add_job(Job(MakeChain(3), 0));
+  FifoScheduler fifo;
+  Simulate(instance, 1, fifo, RunContext{SimOptions{}, &list});
+  // Every batch reaches both members, first then second.
+  ASSERT_FALSE(order.empty());
+  ASSERT_EQ(order.size() % 2, 0u);
+  for (std::size_t i = 0; i < order.size(); i += 2) {
+    EXPECT_EQ(order[i], 1);
+    EXPECT_EQ(order[i + 1], 2);
+  }
 }
 
 // ---- metrics registry ----
@@ -462,6 +510,48 @@ TEST(MetricsObserver, FiguresMatchSimStatsAndFlowSummary) {
   // Pick timing is on by default and saw one observation per visited slot.
   EXPECT_EQ(registry.histogram("pick.seconds", {}).count(),
             registry.counter("observer.picks").value());
+}
+
+TEST(MetricsObserver, AdaptiveRunCountsFaultedSlots) {
+  // The adaptive engine's on_finish stats carry the capacity-fault
+  // figures: faults.faulted_slots / capacity_shortfall must equal what
+  // the recorded stream shows (visited slots whose current capacity is
+  // below m).
+  AdaptiveAdversaryOptions options;
+  options.m = 4;
+  options.num_jobs = 6;
+  RunContext context;
+  context.options.faults.model = FaultModel::kRandomBlip;
+  context.options.faults.seed = 3;
+  context.options.faults.rate = 0.4;
+  MetricsRegistry registry;
+  MetricsObserver::Options metric_options;
+  metric_options.record_pick_times = false;
+  MetricsObserver metrics(registry, metric_options);
+  SlotEventRecorder recorder;
+  ObserverList observers;
+  observers.add(&metrics);
+  observers.add(&recorder);
+  context.observer = &observers;
+  FifoScheduler fifo;
+  RunAdaptiveAdversary(fifo, options, context);
+
+  std::int64_t faulted_slots = 0;
+  std::int64_t shortfall = 0;
+  int capacity = options.m;
+  for (const SlotEvent& event : recorder.stream()) {
+    if (event.kind == SlotEvent::Kind::kCapacityChange) {
+      capacity = event.value;
+    }
+    // One kPickBegin per visited slot, after any capacity change.
+    if (event.kind == SlotEvent::Kind::kPickBegin && capacity < options.m) {
+      ++faulted_slots;
+      shortfall += options.m - capacity;
+    }
+  }
+  EXPECT_GT(faulted_slots, 0);
+  EXPECT_EQ(registry.counter("faults.faulted_slots").value(), faulted_slots);
+  EXPECT_EQ(registry.counter("faults.capacity_shortfall").value(), shortfall);
 }
 
 // ---- manifest ----

@@ -35,28 +35,6 @@ TEST(Registry, LegacySpellingsAreRejected) {
   EXPECT_EQ(MakePolicy("no-such-policy"), nullptr);
 }
 
-TEST(Registry, LegacyPolicyAliasMapsEveryRename) {
-  // Diagnostics only: the mapping names the replacement, and every
-  // replacement is a real registry entry.
-  const std::pair<const char*, const char*> renames[] = {
-      {"fifo", "fifo/first-ready"},
-      {"fifo-random", "fifo/random"},
-      {"fifo-lpf", "fifo/lpf-height"},
-      {"equi", "round-robin-equi"},
-      {"srpt", "remaining-work/smallest"},
-      {"alg-a", "alg-a/general"},
-      {"alg-a-semibatched", "alg-a/semi-batched"},
-  };
-  for (const auto& [legacy, current] : renames) {
-    const char* mapped = LegacyPolicyAlias(legacy);
-    ASSERT_NE(mapped, nullptr) << legacy;
-    EXPECT_EQ(std::string_view(mapped), current) << legacy;
-    EXPECT_NE(FindPolicy(mapped), nullptr) << mapped;
-  }
-  EXPECT_EQ(LegacyPolicyAlias("fifo/first-ready"), nullptr);
-  EXPECT_EQ(LegacyPolicyAlias("no-such-policy"), nullptr);
-}
-
 TEST(Registry, EverySpecConstructsARunnableScheduler) {
   Instance instance;
   instance.add_job(Job(MakeChain(3), 0));

@@ -38,8 +38,8 @@ foreach(artifact cli_smoke.svg cli_smoke.trace cli_smoke.csv)
 endforeach()
 
 # Registry surface: list-policies must print every canonical name, and
-# `run --policy <name>` accepts canonical names ONLY — the legacy PR-3
-# aliases exit 2 with a rename pointer (checked below).
+# `run --policy <name>` accepts canonical names ONLY — old spellings
+# exit 2 as unknown policies (checked below).
 execute_process(COMMAND ${CLI} list-policies RESULT_VARIABLE code
                 OUTPUT_VARIABLE listing WORKING_DIRECTORY ${WORKDIR})
 if(NOT code EQUAL 0)
@@ -61,25 +61,24 @@ if(code EQUAL 0)
   message(FATAL_ERROR "unknown --policy name must fail, got exit 0")
 endif()
 
-# Subcommand surface: list-policies is the only spelling; the removed
-# legacy subcommands exit 2 and point at the rename on stderr.
+# Subcommand surface: list-policies is the only spelling; the old
+# subcommand spellings are unknown commands and exit 2.
 foreach(legacy policies --list-policies)
-  expect_diagnostic("renamed to .otsched list-policies." ${CLI} ${legacy})
+  expect_diagnostic("unknown command '${legacy}'" ${CLI} ${legacy})
 endforeach()
 
-# Removed legacy policy spellings: exit 2 with the specific rename, for
-# every driver that takes a policy (run, sweep, trace).
-expect_diagnostic("unknown policy 'fifo'. renamed to 'fifo/first-ready'"
-                  ${CLI} run ${INST} 8 fifo)
-expect_diagnostic("renamed to 'remaining-work/smallest'"
+# Old policy spellings are unknown policies and exit 2, for every driver
+# that takes a policy (run, sweep, trace).
+expect_diagnostic("unknown policy 'fifo'" ${CLI} run ${INST} 8 fifo)
+expect_diagnostic("unknown policy 'srpt'"
                   ${CLI} run ${INST} 8 --policy srpt)
-expect_diagnostic("renamed to 'alg-a/general'" ${CLI} run ${INST} 8 alg-a)
-expect_diagnostic("renamed to 'fifo/random'"
+expect_diagnostic("unknown policy 'alg-a'" ${CLI} run ${INST} 8 alg-a)
+expect_diagnostic("unknown policy 'fifo-random'"
                   ${CLI} sweep ${INST} fifo-random --m 2 --seeds 1)
-expect_diagnostic("renamed to 'round-robin-equi'" ${CLI} trace ${INST} 8 equi)
-expect_diagnostic("renamed to 'fifo/lpf-height'"
+expect_diagnostic("unknown policy 'equi'" ${CLI} trace ${INST} 8 equi)
+expect_diagnostic("unknown policy 'fifo-lpf'"
                   ${CLI} run ${INST} 8 fifo-lpf)
-expect_diagnostic("renamed to 'alg-a/semi-batched'"
+expect_diagnostic("unknown policy 'alg-a-semibatched'"
                   ${CLI} run ${INST} 8 alg-a-semibatched)
 
 # Unknown subcommands fail loudly with a nonzero exit.

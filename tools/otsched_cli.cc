@@ -23,9 +23,7 @@
 //   otsched list-policies                         list the policy registry
 //
 // Policies are constructed through the shared registry (sched/registry.h)
-// under their canonical names (fifo/first-ready).  The PR-3 legacy
-// spellings (`fifo`, `srpt`, ..., and the `policies`/`--list-policies`
-// subcommands) were removed: they exit 2 with a pointer to the rename.
+// under their canonical names (fifo/first-ready); any other name exits 2.
 //
 // Families for `gen`:
 //   quicksort <jobs> <n> <rate-denom> <seed>
@@ -192,21 +190,6 @@ bool LoadFaultsTraceOrComplain(const char* path, FaultArgs* faults) {
   return true;
 }
 
-/// Faulted runs need a policy that consumes SchedulerView::capacity();
-/// the window planners (alg-a family) replan against fixed m and opt out.
-/// Diagnose here instead of tripping the engine's CHECK.
-bool CheckFaultSupportOrComplain(const Scheduler& policy,
-                                 const FaultArgs& faults) {
-  if (faults.spec.active() && !policy.supports_fluctuating_capacity()) {
-    std::fprintf(stderr,
-                 "policy '%s' does not support fluctuating capacity "
-                 "(--faults); pick a list policy\n",
-                 policy.name().c_str());
-    return false;
-  }
-  return true;
-}
-
 /// Shared job-fault flag state for `run` and `sweep` (sim/job_faults.h).
 /// `policy_set` distinguishes "--checkpoint-policy never given" from the
 /// default, so a stray --checkpoint-policy without --job-faults diagnoses.
@@ -243,37 +226,22 @@ bool ParseCheckpointPolicyOrComplain(const char* value, JobFaultArgs* args) {
   return true;
 }
 
-/// Job-faulted runs are flow-only (re-executed subjobs have no Schedule
-/// representation) and need a policy that re-reads ready sets every slot.
-/// Diagnose here instead of tripping the engine's CHECKs.
-bool CheckJobFaultSupportOrComplain(const Scheduler& policy,
-                                    const JobFaultArgs& args,
-                                    RecordMode record) {
-  if (!args.spec.active()) {
-    if (args.policy_set) {
-      std::fprintf(stderr,
-                   "--checkpoint-policy needs an active job-fault model "
-                   "(--job-faults)\n");
-      return false;
-    }
-    return true;
-  }
-  if (record != RecordMode::kFlowOnly) {
+/// Refuses what the engines cannot run (RunSupportError) with its reason,
+/// plus the CLI-only orphan --checkpoint-policy, instead of tripping an
+/// engine CHECK.
+bool CheckRunSupportOrComplain(const Scheduler& policy,
+                               const SimOptions& options,
+                               const JobFaultArgs& job_faults) {
+  if (job_faults.policy_set && !job_faults.spec.active()) {
     std::fprintf(stderr,
-                 "job faults (--job-faults) require --record flow: "
-                 "re-executed subjobs cannot be materialized in a "
-                 "schedule\n");
+                 "--checkpoint-policy needs an active job-fault model "
+                 "(--job-faults)\n");
     return false;
   }
-  if (!policy.supports_fluctuating_capacity() ||
-      !policy.supports_job_rollback()) {
-    std::fprintf(stderr,
-                 "policy '%s' does not support job faults (--job-faults); "
-                 "pick a list policy that re-reads ready sets every slot\n",
-                 policy.name().c_str());
-    return false;
-  }
-  return true;
+  const std::string error = RunSupportError(policy, options);
+  if (error.empty()) return true;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return false;
 }
 
 /// Prints the job-fault crash models and checkpoint policies with their
@@ -318,16 +286,9 @@ void ListPolicies() {
   }
 }
 
-/// The unknown-policy diagnostic, shared by run/sweep/trace.  Legacy
-/// PR-3 spellings get the rename pointer; anything else the registry
-/// hint.  Always exits 2 at the call site.
+/// The unknown-policy diagnostic, shared by run/sweep/trace/serve.
+/// Always exits 2 at the call site.
 void ComplainUnknownPolicy(const std::string& name) {
-  if (const char* renamed = LegacyPolicyAlias(name)) {
-    std::fprintf(stderr,
-                 "unknown policy '%s': renamed to '%s'\n",
-                 name.c_str(), renamed);
-    return;
-  }
   std::fprintf(stderr,
                "unknown policy '%s' (try `otsched list-policies`)\n",
                name.c_str());
@@ -584,11 +545,14 @@ int CmdRun(int argc, char** argv) {
     ComplainUnknownPolicy(policy_name);
     return 2;
   }
-  if (!CheckFaultSupportOrComplain(*policy, faults)) return 2;
   // Job faults force flow-only recording; an unset --record follows along,
   // an explicit --record full diagnoses.
   if (job_faults.spec.active() && !record_set) record = RecordMode::kFlowOnly;
-  if (!CheckJobFaultSupportOrComplain(*policy, job_faults, record)) return 2;
+  SimOptions run_options;
+  run_options.record = record;
+  run_options.faults = faults.spec;
+  run_options.job_faults = job_faults.spec;
+  if (!CheckRunSupportOrComplain(*policy, run_options, job_faults)) return 2;
   if (job_faults.spec.active() &&
       (render > 0 || !svg_path.empty() || !timeseries_path.empty())) {
     std::fprintf(stderr,
@@ -619,11 +583,8 @@ int CmdRun(int argc, char** argv) {
   if (want_metrics) observers.add(&metrics_observer);
   if (!trace_path.empty()) observers.add(&trace_observer);
 
-  RunContext context;
-  context.options.record = record;
-  context.options.faults = faults.spec;
-  context.options.job_faults = job_faults.spec;
-  context.observer = observers.empty() ? nullptr : &observers;
+  const RunContext context{run_options,
+                           observers.empty() ? nullptr : &observers};
   RatioMeasurement r = MeasureRatio(instance, m, *policy, known_opt, context);
   if (certify) {
     // Verified denominator for the same budget stream the run consumed
@@ -817,6 +778,10 @@ int CmdSweep(int argc, char** argv) {
                  "--record full\n");
     return 2;
   }
+  SimOptions sweep_options;
+  sweep_options.record = record;
+  sweep_options.faults = faults.spec;
+  sweep_options.job_faults = job_faults.spec;
   {
     const std::unique_ptr<Scheduler> probe =
         MakePolicy(policy_name, 1, known_opt);
@@ -824,8 +789,9 @@ int CmdSweep(int argc, char** argv) {
       ComplainUnknownPolicy(policy_name);
       return 2;
     }
-    if (!CheckFaultSupportOrComplain(*probe, faults)) return 2;
-    if (!CheckJobFaultSupportOrComplain(*probe, job_faults, record)) return 2;
+    if (!CheckRunSupportOrComplain(*probe, sweep_options, job_faults)) {
+      return 2;
+    }
   }
 
   // Grid: machines x seeds, in row-major order; cell i uses seed
@@ -921,10 +887,6 @@ int CmdSweep(int argc, char** argv) {
   // --workers value (the determinism contract of every sweep table).
   MetricsObserver::Options observer_options;
   observer_options.record_pick_times = false;
-  SimOptions sweep_options;
-  sweep_options.record = record;
-  sweep_options.faults = faults.spec;
-  sweep_options.job_faults = job_faults.spec;
   const std::vector<BatchRunner::InstrumentedRun> runs =
       runner.RunInstrumentedSimulations(
           cells,
@@ -1277,12 +1239,6 @@ int main(int argc, char** argv) {
   if (command == "list-job-faults") {
     ListJobFaults();
     return 0;
-  }
-  if (command == "policies" || command == "--list-policies") {
-    std::fprintf(stderr,
-                 "`otsched %s` was renamed to `otsched list-policies`\n",
-                 command.c_str());
-    return 2;
   }
   std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
   return Usage();
