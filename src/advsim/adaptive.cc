@@ -17,7 +17,6 @@ class AdaptiveEngine final : public EngineBackend {
         observer_(context.observer),
         batch_capacity_(context.batch_capacity),
         sequencer_(context.options.faults, options.m),
-        job_faults_(context.options.job_faults),
         m_(options.m),
         layers_(options.layers_per_job > 0 ? options.layers_per_job
                                            : options.m),
@@ -32,12 +31,9 @@ class AdaptiveEngine final : public EngineBackend {
     const std::string unsupported =
         RunSupportError(scheduler, context.options);
     OTSCHED_CHECK(unsupported.empty(), unsupported);
-    const bool faulted = sequencer_.active() || job_faults_.active();
-    const Time horizon_override = context.options.max_horizon > 0
-                                      ? context.options.max_horizon
-                                      : options.max_horizon;
-    max_horizon_ = horizon_override > 0
-                       ? horizon_override
+    const bool faulted = sequencer_.active();
+    max_horizon_ = context.options.max_horizon > 0
+                       ? context.options.max_horizon
                        : (num_jobs_ * gap_ +
                           (faulted ? 64 : 8) * num_jobs_ *
                               layers_ * width_ +
@@ -102,17 +98,9 @@ class AdaptiveEngine final : public EngineBackend {
     std::int64_t done_nodes = 0;
     std::vector<NodeId> keys;      // chosen key per finished layer
     Time completion = kNoTime;
-    // Job faults only (sized in begin() when a spec is active): the
-    // checkpoint snapshot.  Closed layers are always committed (layer
-    // completion is an implicit commit — crowned keys are never
-    // un-crowned), so volatile work lives in the open layer only.
-    std::vector<char> committed;
-    std::int64_t committed_nodes = 0;
   };
 
   void open_next_layer(JobId id);
-  std::int64_t commit_job(JobId id);
-  std::int64_t rollback_job(JobId id);
 
   // The tick shape (mirrors SimDriver's begin/advance/drain): begin()
   // arms the run, step_slot() simulates exactly one slot, finalize()
@@ -131,11 +119,6 @@ class AdaptiveEngine final : public EngineBackend {
   int capacity_ = 1;                 // current slot's budget, m_t <= m
   std::int64_t faulted_slots_ = 0;      // visited slots with capacity < m
   std::int64_t capacity_shortfall_ = 0; // sum of (m - capacity) over them
-  JobFaultSequencer job_faults_;     // per-(slot, job) crash/commit source
-  std::int64_t committed_total_ = 0; // engine-wide committed frontier
-  std::int64_t job_rollbacks_ = 0;
-  std::int64_t wasted_subjob_slots_ = 0;
-  std::int64_t checkpoints_ = 0;     // interval-policy commits only
   bool record_full_ = true;          // materialize the Schedule?
   int m_;
   int layers_;
@@ -171,42 +154,12 @@ void AdaptiveEngine::open_next_layer(JobId id) {
   for (NodeId v = base; v < base + width_; ++v) job.ready.push_back(v);
 }
 
-std::int64_t AdaptiveEngine::commit_job(JobId id) {
-  JobState& job = jobs_[static_cast<std::size_t>(id)];
-  const std::int64_t newly = job.done_nodes - job.committed_nodes;
-  if (newly == 0) return 0;
-  job.committed = job.executed;
-  job.committed_nodes = job.done_nodes;
-  return newly;
-}
-
-std::int64_t AdaptiveEngine::rollback_job(JobId id) {
-  JobState& job = jobs_[static_cast<std::size_t>(id)];
-  const std::int64_t wasted = job.done_nodes - job.committed_nodes;
-  if (wasted == 0) return 0;
-  job.executed = job.committed;
-  job.done_nodes = job.committed_nodes;
-  // All volatile work lives in the open layer (closed layers committed
-  // on completion): the ready list becomes the layer's uncommitted
-  // nodes, in increasing node id — the rollback determinism contract
-  // (sim/ready_state.h).
-  OTSCHED_DCHECK(job.layer_open);
-  job.ready.clear();
-  const NodeId base = static_cast<NodeId>(job.done_layers) * width_;
-  for (NodeId v = base; v < base + width_; ++v) {
-    if (!job.executed[static_cast<std::size_t>(v)]) job.ready.push_back(v);
-  }
-  executed_total_ -= wasted;
-  return wasted;
-}
-
 void AdaptiveEngine::begin() {
   jobs_.assign(static_cast<std::size_t>(num_jobs_), JobState{});
   for (JobState& job : jobs_) {
     job.executed.assign(
         static_cast<std::size_t>(layers_) * static_cast<std::size_t>(width_),
         0);
-    if (job_faults_.active()) job.committed = job.executed;
   }
   scheduler_.reset(m_, static_cast<JobId>(num_jobs_));
   if (record_full_) schedule_.emplace(m_);
@@ -246,26 +199,6 @@ void AdaptiveEngine::step_slot(const SchedulerView& view) {
     if (capacity_ < m_) {
       ++faulted_slots_;
       capacity_shortfall_ += m_ - capacity_;
-    }
-  }
-
-  if (job_faults_.active()) {
-    // The ROLLBACK step (sim/job_faults.h slot protocol), at the same
-    // point as the fixed-instance engines: after arrivals and capacity,
-    // before the pick.
-    for (const JobId id : alive_) {
-      const JobState& job = jobs_[static_cast<std::size_t>(id)];
-      const std::int64_t volatile_work = job.done_nodes - job.committed_nodes;
-      if (volatile_work <= 0) continue;
-      if (!job_faults_.crashes(slot_, id, release(id), volatile_work)) {
-        continue;
-      }
-      const std::int64_t wasted = rollback_job(id);
-      ++job_rollbacks_;
-      wasted_subjob_slots_ += wasted;
-      if (emitter_.active()) {
-        emitter_.rollback(slot_, id, wasted, committed_total_);
-      }
     }
   }
 
@@ -328,39 +261,12 @@ void AdaptiveEngine::step_slot(const SchedulerView& view) {
     job.keys.push_back(last_node);
     ++job.done_layers;
     job.layer_open = false;
-    if (job_faults_.active()) {
-      // Layer completion is an implicit commit: the crowned key and its
-      // layer survive every future crash (keys are never un-crowned).
-      // Like the fixed-instance engines' finish-commit, it is free and
-      // not counted in the interval-checkpoint stat.
-      const std::int64_t newly = commit_job(job_id);
-      committed_total_ += newly;
-      if (emitter_.active()) {
-        emitter_.checkpoint(slot_, job_id, newly, committed_total_);
-      }
-    }
     if (job.done_layers == layers_) {
       job.completion = slot_;
       ++finished_jobs_;
       if (emitter_.active()) completed_now_.push_back(job_id);
     } else {
       open_next_layer(job_id);
-    }
-  }
-  if (job_faults_.active()) {
-    // The CHECKPOINT step: interval-policy commits at end of slot over
-    // the open layer's volatile nodes.
-    for (const JobId id : alive_) {
-      if (finished(id)) continue;
-      const JobState& job = jobs_[static_cast<std::size_t>(id)];
-      const std::int64_t volatile_work = job.done_nodes - job.committed_nodes;
-      if (!job_faults_.checkpoint_due(slot_, volatile_work)) continue;
-      const std::int64_t newly = commit_job(id);
-      committed_total_ += newly;
-      ++checkpoints_;
-      if (emitter_.active()) {
-        emitter_.checkpoint(slot_, id, newly, committed_total_);
-      }
     }
   }
   if (emitter_.active() && !completed_now_.empty()) {
@@ -440,14 +346,10 @@ AdaptiveAdversaryResult AdaptiveEngine::finalize() {
     summary.stats.horizon = last_busy_slot_;
     summary.stats.executed_subjobs = executed_total_;
     summary.stats.idle_processor_slots =
-        static_cast<std::int64_t>(m_) * last_busy_slot_ - executed_total_ -
-        wasted_subjob_slots_;
+        static_cast<std::int64_t>(m_) * last_busy_slot_ - executed_total_;
     summary.stats.busy_slots = busy_slots_;
     summary.stats.faulted_slots = faulted_slots_;
     summary.stats.capacity_shortfall = capacity_shortfall_;
-    summary.stats.job_rollbacks = job_rollbacks_;
-    summary.stats.wasted_subjob_slots = wasted_subjob_slots_;
-    summary.stats.checkpoints = checkpoints_;
     observer_->on_finish(summary);
   }
   return result;
@@ -476,6 +378,9 @@ AdaptiveAdversaryResult RunAdaptiveAdversary(
                 "the adaptive adversary only plays non-clairvoyant "
                 "schedulers; '"
                     << scheduler.name() << "' declares clairvoyance");
+  OTSCHED_CHECK(!context.options.job_faults.active(),
+                "the adaptive adversary does not model job faults (run a "
+                "fixed instance through Simulate instead)");
   AdaptiveEngine engine(scheduler, options, context);
   return engine.run();
 }

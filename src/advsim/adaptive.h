@@ -38,7 +38,6 @@ struct AdaptiveAdversaryOptions {
   std::int64_t num_jobs = 64;
   int layers_per_job = -1;  // -1 => m
   Time gap = -1;            // -1 => m + 2
-  Time max_horizon = 0;     // 0 => auto
 };
 
 struct AdaptiveAdversaryResult {
@@ -64,7 +63,9 @@ struct AdaptiveAdversaryResult {
 /// Runs `scheduler` against the adaptive environment to completion,
 /// firing `context.observer`'s hooks exactly like Simulate does (the
 /// on_finish SimResult is assembled from the produced schedule).  A
-/// positive `context.options.max_horizon` overrides `options.max_horizon`.
+/// positive `context.options.max_horizon` replaces the auto horizon.
+/// Processor faults (`context.options.faults`) are modelled; an active
+/// job-fault spec is refused, as is a clairvoyant scheduler.
 /// The ONLY entry point (same single-signature contract as Simulate).
 AdaptiveAdversaryResult RunAdaptiveAdversary(
     Scheduler& scheduler, const AdaptiveAdversaryOptions& options,

@@ -1,48 +1,18 @@
 #include "sim/faults.h"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/parse.h"
+#include "sim/fault_hash.h"
 #include "sim/ready_state.h"
 
 namespace otsched {
 
 namespace {
-
-/// splitmix64: the counter-based mixer behind the stochastic models.
-/// Capacity must be a pure function of (seed, slot[, lane]) — never of
-/// visit order — so both engines and every replay agree bit-for-bit.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-/// Uniform double in [0, 1) from (seed, a, b).
-double HashUnit(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t h = Mix64(seed ^ Mix64(a ^ Mix64(b)));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-/// Strict all-digits parse (the EventTrace::try_from_text idiom).
-template <typename Int>
-bool ParseNonNegative(const std::string& token, Int* out) {
-  if (token.empty()) return false;
-  Int value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    const Int digit = static_cast<Int>(c - '0');
-    if (value > (std::numeric_limits<Int>::max() - digit) / 10) return false;
-    value = static_cast<Int>(value * 10 + digit);
-  }
-  *out = value;
-  return true;
-}
 
 bool IsBlank(const std::string& line) {
   return line.find_first_not_of(" \t\r") == std::string::npos;
@@ -215,17 +185,7 @@ std::optional<FaultSpec> ParseFaultSpec(std::string_view text,
     if (error != nullptr) *error = what;
     return std::nullopt;
   };
-  std::vector<std::string> parts;
-  std::string current;
-  for (const char c : text) {
-    if (c == ':') {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  parts.push_back(current);
+  const std::vector<std::string> parts = SplitFields(text, ':');
   if (parts.size() > 3) {
     return fail("too many ':' fields in fault spec '" + std::string(text) +
                 "' (want model[:seed[:rate]])");

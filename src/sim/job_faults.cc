@@ -1,64 +1,19 @@
 #include "sim/job_faults.h"
 
-#include <limits>
 #include <sstream>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/parse.h"
+#include "sim/fault_hash.h"
 
 namespace otsched {
 
 namespace {
 
-/// splitmix64 — the same counter-based mixer sim/faults.cc uses for
-/// processor faults, duplicated here so the two fault axes stay
-/// dependency-free of each other.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-/// Uniform double in [0, 1) from (seed, a, b).
-double HashUnit(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t h = Mix64(seed ^ Mix64(a ^ Mix64(b)));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 /// Domain separator so `--faults` and `--job-faults` with the same seed
 /// draw from independent streams.
 constexpr std::uint64_t kJobFaultDomain = 0x4A42464155ULL;  // "JBFAU"
-
-/// Strict all-digits parse (the sim/faults.cc idiom).
-template <typename Int>
-bool ParseNonNegative(const std::string& token, Int* out) {
-  if (token.empty()) return false;
-  Int value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    const Int digit = static_cast<Int>(c - '0');
-    if (value > (std::numeric_limits<Int>::max() - digit) / 10) return false;
-    value = static_cast<Int>(value * 10 + digit);
-  }
-  *out = value;
-  return true;
-}
-
-std::vector<std::string> SplitColons(std::string_view text) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (const char c : text) {
-    if (c == ':') {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  parts.push_back(current);
-  return parts;
-}
 
 }  // namespace
 
@@ -130,7 +85,7 @@ std::optional<JobFaultSpec> ParseJobFaultSpec(std::string_view text,
     if (error != nullptr) *error = what;
     return std::nullopt;
   };
-  const std::vector<std::string> parts = SplitColons(text);
+  const std::vector<std::string> parts = SplitFields(text, ':');
   if (parts.size() > 3) {
     return fail("too many ':' fields in job-fault spec '" +
                 std::string(text) + "' (want model[:seed[:param]])");
@@ -192,7 +147,7 @@ bool ParseCheckpointPolicyInto(std::string_view text, JobFaultSpec* spec,
     if (error != nullptr) *error = what;
     return false;
   };
-  const std::vector<std::string> parts = SplitColons(text);
+  const std::vector<std::string> parts = SplitFields(text, ':');
   if (parts[0] == "on-completion") {
     if (parts.size() > 1) {
       return fail("checkpoint policy 'on-completion' takes no interval, "

@@ -7,8 +7,9 @@
 // subjob executed since its last checkpoint and re-enqueues that work in
 // deterministic order.  A JobFaultSpec selects a deterministic, seeded
 // crash model plus a checkpoint-interval policy; a JobFaultSequencer
-// turns the spec into the per-(slot, job) crash/checkpoint stream all
-// three engines consume.
+// turns the spec into the per-(slot, job) crash/checkpoint stream both
+// fixed-instance engines consume (the adaptive adversary refuses job
+// faults).
 //
 // Determinism contract: the stochastic model (kRandomCrash) is
 // counter-based — whether a job crashes is a pure function of
@@ -19,7 +20,7 @@
 // (uncommitted) work, which the engine-equivalence gate proves identical
 // across engines.
 //
-// Slot protocol (identical in SimDriver, ReferenceSimulate, and advsim):
+// Slot protocol (identical in SimDriver and ReferenceSimulate):
 //   1. arrivals, then processor-fault capacity resolution (sim/faults.h);
 //   2. the ROLLBACK step: every alive job with volatile work > 0 asks
 //      `crashes(slot, job, release, volatile)`; a crashed job rolls back

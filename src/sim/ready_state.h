@@ -185,8 +185,8 @@ class ReadyArena {
   // and execute() is untouched — the no-lost-work-when-healthy contract
   // that keeps healthy runs bit-identical to the pre-refactor engine.
   //
-  // Rollback determinism contract (mirrored by ReferenceSimulate and
-  // advsim): rollback_to_checkpoint rebuilds the job's ready region in
+  // Rollback determinism contract (mirrored by ReferenceSimulate):
+  // rollback_to_checkpoint rebuilds the job's ready region in
   // INCREASING NODE ID over the restored frontier (every uncommitted
   // node whose parents are all committed) — the same canonical order
   // activation uses, independent of the lost execution history.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "common/assert.h"
+#include "common/parse.h"
 
 namespace otsched {
 
@@ -42,21 +42,6 @@ std::string EventTrace::to_text() const {
 }
 
 namespace {
-
-/// Strict token-to-integer parse: all digits, no sign, fits the target.
-template <typename Int>
-bool ParseNonNegative(const std::string& token, Int* out) {
-  if (token.empty()) return false;
-  Int value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    const Int digit = static_cast<Int>(c - '0');
-    if (value > (std::numeric_limits<Int>::max() - digit) / 10) return false;
-    value = static_cast<Int>(value * 10 + digit);
-  }
-  *out = value;
-  return true;
-}
 
 bool IsBlank(const std::string& line) {
   return line.find_first_not_of(" \t\r") == std::string::npos;

@@ -9,6 +9,8 @@
 #include <stdexcept>
 
 #include "dag/builders.h"
+#include "gen/arrivals.h"
+#include "gen/random_trees.h"
 #include "sched/registry.h"
 #include "sim/batch_runner.h"
 
@@ -169,6 +171,35 @@ TEST(BatchRunner, RunSimulationsMatchesSerialRuns) {
           << "cell " << i << " workers " << workers;
       EXPECT_EQ(parallel_results[i].stats.horizon, serial.stats.horizon)
           << "cell " << i << " workers " << workers;
+    }
+  }
+}
+
+TEST(BatchRunner, ParallelCellsAgreeOnAFreshSharedInstance) {
+  // Every cell simulates the same freshly built instance, so the workers
+  // race to fill each job's lazily computed metrics; the fill must be
+  // thread-safe and every cell must see the same result.  Each round
+  // builds a new instance, so every round races afresh.
+  const BatchRunner runner(8);
+  for (std::uint64_t round = 0; round < 8; ++round) {
+    Rng rng(round);
+    const Instance instance = MakePeriodicArrivals(
+        2000, 1,
+        [](std::int64_t i, Rng& r) {
+          return MakeTree(static_cast<TreeFamily>(i % 4), 12, r);
+        },
+        rng);
+    const std::vector<SimResult> results =
+        runner.Map<SimResult>(16, [&](std::size_t) {
+          const std::unique_ptr<Scheduler> policy =
+              MakePolicy("fifo/first-ready");
+          return Simulate(instance, 8, *policy, FlowOnlyOptions());
+        });
+    for (std::size_t i = 1; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].flows.flow, results[0].flows.flow)
+          << "round " << round << " cell " << i;
+      EXPECT_EQ(results[i].stats.horizon, results[0].stats.horizon)
+          << "round " << round << " cell " << i;
     }
   }
 }

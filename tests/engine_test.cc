@@ -476,14 +476,17 @@ TEST(RunSupportDeath, EveryEngineRefusesWhatTheGateRefuses) {
   EXPECT_DEATH(ReferenceSimulate(instance, 4, *stealing, job_faulted),
                "does not support job faults");
 
+  // The adaptive adversary refuses job faults outright, even where the
+  // gate would run them.
   const std::unique_ptr<Scheduler> fifo = MakePolicy("fifo/first-ready");
   AdaptiveAdversaryOptions adversary;
   adversary.m = 2;
   adversary.num_jobs = 1;
   EXPECT_DEATH(
-      RunAdaptiveAdversary(*fifo, adversary,
-                           CapabilityOptions(false, true, RecordMode::kFull)),
-      "require --record flow");
+      RunAdaptiveAdversary(
+          *fifo, adversary,
+          CapabilityOptions(false, true, RecordMode::kFlowOnly)),
+      "adaptive adversary does not model job faults");
 }
 
 }  // namespace

@@ -391,6 +391,50 @@ expect_diagnostic("must name the same file as --recover"
 expect_diagnostic("snapshot" ${CLI} serve --policy fifo/random
                   --journal ${WORKDIR}/cli_serve.ndjson --journal-rotate)
 
+# ---- one argument parser: every bad argument exits 2, naming itself ----
+
+# A misspelled flag must not silently run a different configuration, and
+# a bad number must not reach a library CHECK (an abort, exit 134).
+expect_diagnostic("run: unknown flag '--job-fault'"
+                  ${CLI} run ${INST} 8 fifo/first-ready
+                  --job-fault random-crash:1:0.5)
+expect_diagnostic("sweep: --m needs .*, got '2,x,8'"
+                  ${CLI} sweep ${INST} fifo/first-ready --m 2,x,8)
+expect_diagnostic("run: m needs .*m >= 1, got '0'"
+                  ${CLI} run ${INST} 0 fifo/first-ready)
+expect_diagnostic("sweep: --m needs .*, got '0'"
+                  ${CLI} sweep ${INST} fifo/first-ready --m 0)
+expect_diagnostic("sweep: --workers needs a nonnegative integer, got '-1'"
+                  ${CLI} sweep ${INST} fifo/first-ready --workers -1)
+expect_diagnostic("describe: m needs .*m >= 1, got '0'"
+                  ${CLI} describe ${INST} 0)
+expect_diagnostic("adversary: m needs .*m >= 2, got '1'"
+                  ${CLI} adversary 1 4 ${WORKDIR}/cli_bad_adv.inst)
+expect_diagnostic("gen trees: size needs at least 1, got '0'"
+                  ${CLI} gen trees 5 0 2 7 ${WORKDIR}/cli_bad_gen.inst)
+# The one-token --record=VALUE spelling is not a flag.
+expect_diagnostic("run: unknown flag '--record=flow'"
+                  ${CLI} run ${INST} 8 fifo/first-ready --record=flow)
+# An unknown flag and a flag without its value, per subcommand.
+foreach(command run trace)
+  expect_diagnostic("${command}: unknown flag '--bogus'"
+                    ${CLI} ${command} ${INST} 8 fifo/first-ready --bogus)
+endforeach()
+expect_diagnostic("run: --seed needs a nonnegative integer"
+                  ${CLI} run ${INST} 8 fifo/first-ready --seed)
+expect_diagnostic("trace: --out needs a path"
+                  ${CLI} trace ${INST} 8 fifo/first-ready --out)
+expect_diagnostic("sweep: unknown flag '--bogus'"
+                  ${CLI} sweep ${INST} fifo/first-ready --bogus)
+expect_diagnostic("sweep: --seeds needs at least 1"
+                  ${CLI} sweep ${INST} fifo/first-ready --seeds)
+expect_diagnostic("bounds: unknown flag '--bogus'"
+                  ${CLI} bounds ${INST} 8 --bogus)
+expect_diagnostic("bounds: --manifest needs a path"
+                  ${CLI} bounds ${INST} 8 --manifest)
+expect_diagnostic("serve: unknown flag '--bogus'" ${CLI} serve --bogus)
+expect_diagnostic("serve: --m needs a machine count" ${CLI} serve --m)
+
 # A checkpoint from a DIFFERENT grid must be rejected, not spliced in.
 expect_diagnostic("different sweep"
                   ${CLI} sweep ${INST} fifo/first-ready --m 2,8 --seeds 2

@@ -31,28 +31,33 @@
 //   saturated <m> <delta> <batches> <seed>        (certified OPT = delta)
 //   pipelined <m> <delta> <batches> <seed>        (certified OPT = 2*delta)
 //
-// Exit status is nonzero on usage errors; malformed input files (instance
-// text, budget CSV, fault specs) print a per-line diagnostic to stderr and
-// exit 2 instead of aborting.  All numeric output goes to stdout so it can
+// Every subcommand reads its arguments through one parser (ParseArgs) over
+// a per-command table; an unknown flag, a flag missing its value, or a
+// malformed or out-of-range number exits 2 with one line naming the
+// argument.  Malformed input files (instance text, budget CSV, fault
+// specs) likewise print a per-line diagnostic to stderr and exit 2
+// instead of aborting.  All numeric output goes to stdout so it can
 // be piped.  --metrics emits the observability JSON documented in
 // docs/OBSERVABILITY.md (schema: tools/metrics_schema.json).  Fault specs
 // (`--faults`) use the `model[:seed[:rate]]` shorthand from
 // docs/ROBUSTNESS.md; `sweep --checkpoint` + `--resume` give crash-tolerant
 // sweeps with bit-identical output.
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/instance_stats.h"
 #include "analysis/ratio.h"
 #include "analysis/sweep.h"
 #include "analysis/timeseries.h"
+#include "common/parse.h"
 #include "common/table.h"
 #include "gen/arrivals.h"
 #include "gen/certified.h"
@@ -117,28 +122,134 @@ int Usage() {
   return 2;
 }
 
-/// Parses a `--record` value (`full` or `flow`); both the two-token
-/// `--record flow` and the one-token `--record=flow` spellings reach
-/// here.  Complains and returns false on anything else.
-bool ParseRecordMode(const char* value, RecordMode* mode) {
-  if (std::strcmp(value, "full") == 0) {
-    *mode = RecordMode::kFull;
-    return true;
+// ---- the argument parser every subcommand shares ----
+
+/// One row of a subcommand's argument table.  A name starting with '-'
+/// is a flag; any other name is a positional, filled in table order.
+/// `set` takes the value (the positional's token, or the token after
+/// the flag) and returns false to refuse it, optionally saying why; a
+/// flag without `set` is a switch that turns `*on` on.
+struct Arg {
+  std::string name;
+  std::string what;  // the value as diagnostics name it, e.g. "a path"
+  std::function<bool(const char* value, std::string* why)> set;
+  bool* on = nullptr;
+};
+
+/// Flags start with '-' and no digit, so "-3" reaches a value parser.
+bool IsFlag(const char* token) {
+  return token[0] == '-' && token[1] != '\0' &&
+         (token[1] < '0' || token[1] > '9');
+}
+
+/// Fills `args` from argv; the first `required` positionals must be
+/// present.  An unknown flag, a flag without its value, a refused value,
+/// or a missing or extra positional prints one line naming the argument
+/// and returns false (the subcommand then exits 2).
+bool ParseArgs(const std::string& command, const std::vector<Arg>& args,
+               std::size_t required, int argc, char** argv) {
+  std::vector<const Arg*> positionals;
+  for (const Arg& arg : args) {
+    if (!IsFlag(arg.name.c_str())) positionals.push_back(&arg);
   }
-  if (std::strcmp(value, "flow") == 0 ||
-      std::strcmp(value, "flow-only") == 0) {
-    *mode = RecordMode::kFlowOnly;
-    return true;
+  std::size_t filled = 0;
+  for (int i = 0; i < argc; ++i) {
+    const Arg* arg = nullptr;
+    if (IsFlag(argv[i])) {
+      for (const Arg& candidate : args) {
+        if (candidate.name == argv[i]) arg = &candidate;
+      }
+      if (arg == nullptr) {
+        std::fprintf(stderr, "%s: unknown flag '%s'\n", command.c_str(),
+                     argv[i]);
+        return false;
+      }
+      if (!arg->set) {
+        *arg->on = true;
+        continue;
+      }
+      if (++i == argc) {
+        std::fprintf(stderr, "%s: %s needs %s\n", command.c_str(),
+                     arg->name.c_str(), arg->what.c_str());
+        return false;
+      }
+    } else if (filled < positionals.size()) {
+      arg = positionals[filled++];
+    } else {
+      std::fprintf(stderr, "%s: unexpected argument '%s'\n", command.c_str(),
+                   argv[i]);
+      return false;
+    }
+    std::string why;
+    if (!arg->set(argv[i], &why)) {
+      std::fprintf(stderr, "%s: %s needs %s, got '%s'%s%s\n",
+                   command.c_str(), arg->name.c_str(), arg->what.c_str(),
+                   argv[i], why.empty() ? "" : ": ", why.c_str());
+      return false;
+    }
   }
-  std::fprintf(stderr, "unknown record mode '%s' (want full|flow)\n", value);
-  return false;
+  if (filled < required) {
+    std::fprintf(stderr, "%s: missing %s\n", command.c_str(),
+                 positionals[filled]->name.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// An integer >= `lo` that fits `Int`, read by the library's strict
+/// parser: digits only, so no sign, blank or trailing text.
+template <typename Int>
+Arg IntArg(std::string name, Int* out, std::type_identity_t<Int> lo = 0,
+           std::string what = "") {
+  if (what.empty()) {
+    what = lo == 0 ? "a nonnegative integer"
+                   : "at least " + std::to_string(lo);
+  }
+  return {std::move(name), std::move(what),
+          [out, lo](const char* text, std::string*) {
+            Int value = 0;
+            if (!ParseNonNegative(text, &value) || value < lo) return false;
+            *out = value;
+            return true;
+          }};
+}
+
+Arg MachinesArg(std::string name, int* m) {
+  return IntArg(std::move(name), m, 1, "a machine count m >= 1");
+}
+
+Arg TextArg(std::string name, std::string* out,
+            std::string what = "a path") {
+  return {std::move(name), std::move(what),
+          [out](const char* text, std::string*) {
+            *out = text;
+            return true;
+          }};
+}
+
+Arg SwitchArg(std::string name, bool* on) {
+  return {std::move(name), "", nullptr, on};
+}
+
+/// `--record full|flow`; `flow-only` is accepted as a synonym of flow.
+Arg RecordArg(std::optional<RecordMode>* record) {
+  return {"--record", "full or flow",
+          [record](const char* text, std::string*) {
+            const std::string mode = text;
+            if (mode != "full" && mode != "flow" && mode != "flow-only") {
+              return false;
+            }
+            *record =
+                mode == "full" ? RecordMode::kFull : RecordMode::kFlowOnly;
+            return true;
+          }};
 }
 
 /// Recoverable instance loading: malformed or unreadable files print the
 /// parser's per-line diagnostic to stderr and return nullopt (callers
 /// exit 2), instead of the old CHECK-abort on a typo in a hand-edited
 /// file.
-std::optional<Instance> LoadInstanceOrComplain(const char* path) {
+std::optional<Instance> LoadInstanceOrComplain(const std::string& path) {
   std::string error;
   std::optional<Instance> instance = TryLoadInstance(path, &error);
   if (!instance.has_value()) {
@@ -147,83 +258,89 @@ std::optional<Instance> LoadInstanceOrComplain(const char* path) {
   return instance;
 }
 
-/// Shared fault-flag state for `run` and `sweep`.  The BudgetTrace is
-/// owned here so a kTrace spec's borrowed pointer outlives the run.
+/// Processor-fault state.  The BudgetTrace is owned here so a kTrace
+/// spec's borrowed pointer outlives the run.
 struct FaultArgs {
   FaultSpec spec;
   std::optional<BudgetTrace> trace_storage;
 };
 
-/// Parses `--faults MODEL[:SEED[:RATE]]`.  Diagnoses and returns false on
-/// malformed specs (exit 2 at the call sites).
-bool ParseFaultsFlagOrComplain(const char* value, FaultArgs* faults) {
-  std::string error;
-  std::optional<FaultSpec> spec = ParseFaultSpec(value, &error);
-  if (!spec.has_value()) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return false;
-  }
-  faults->spec = *spec;
-  return true;
+/// A `MODEL[:SEED[:RATE]]` processor-fault spec.
+Arg FaultSpecArg(std::string name, FaultArgs* faults) {
+  return {std::move(name), "a fault spec MODEL[:SEED[:RATE]]",
+          [faults](const char* text, std::string* why) {
+            const std::optional<FaultSpec> spec = ParseFaultSpec(text, why);
+            if (spec.has_value()) faults->spec = *spec;
+            return spec.has_value();
+          }};
 }
 
-/// Parses `--faults-trace F`: loads a budget CSV and makes it the active
-/// fault model (overrides any `--faults` model choice).
-bool LoadFaultsTraceOrComplain(const char* path, FaultArgs* faults) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string error;
-  std::optional<BudgetTrace> trace =
-      BudgetTrace::try_from_csv(buffer.str(), &error);
-  if (!trace.has_value()) {
-    std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-    return false;
-  }
-  faults->trace_storage = *std::move(trace);
-  faults->spec.model = FaultModel::kTrace;
-  faults->spec.trace = &*faults->trace_storage;
-  return true;
+/// A budget CSV, which becomes the active fault model (overriding any
+/// earlier `--faults` choice).
+Arg BudgetTraceArg(std::string name, FaultArgs* faults) {
+  return {std::move(name), "a budget CSV",
+          [faults](const char* path, std::string* why) {
+            std::ifstream in(path);
+            if (!in.good()) {
+              *why = "cannot open it";
+              return false;
+            }
+            std::ostringstream buffer;
+            buffer << in.rdbuf();
+            std::optional<BudgetTrace> trace =
+                BudgetTrace::try_from_csv(buffer.str(), why);
+            if (!trace.has_value()) return false;
+            faults->trace_storage = *std::move(trace);
+            faults->spec.model = FaultModel::kTrace;
+            faults->spec.trace = &*faults->trace_storage;
+            return true;
+          }};
 }
 
-/// Shared job-fault flag state for `run` and `sweep` (sim/job_faults.h).
-/// `policy_set` distinguishes "--checkpoint-policy never given" from the
-/// default, so a stray --checkpoint-policy without --job-faults diagnoses.
-struct JobFaultArgs {
-  JobFaultSpec spec;
-  bool policy_set = false;
+/// What the fault and record flags shared by `run` and `sweep` set.
+struct SimFlags {
+  FaultArgs faults;
+  JobFaultSpec job_faults;
+  // Distinguishes "--checkpoint-policy never given" from its default, so
+  // a stray --checkpoint-policy without --job-faults diagnoses.
+  bool checkpoint_policy_set = false;
+  std::optional<RecordMode> record;
+
+  /// The run options, recording `fallback` unless --record chose.
+  SimOptions options(RecordMode fallback) const {
+    SimOptions options;
+    options.record = record.value_or(fallback);
+    options.faults = faults.spec;
+    options.job_faults = job_faults;
+    return options;
+  }
 };
 
-/// Parses `--job-faults MODEL[:SEED[:PARAM]]`, preserving any checkpoint
-/// policy already parsed (the two flags may come in either order).
-/// Diagnoses and returns false on malformed specs (exit 2 at call sites).
-bool ParseJobFaultsFlagOrComplain(const char* value, JobFaultArgs* args) {
-  std::string error;
-  std::optional<JobFaultSpec> spec = ParseJobFaultSpec(value, &error);
-  if (!spec.has_value()) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return false;
-  }
-  spec->checkpoint = args->spec.checkpoint;
-  spec->checkpoint_every = args->spec.checkpoint_every;
-  args->spec = *spec;
-  return true;
-}
-
-/// Parses `--checkpoint-policy on-completion|every-slots:K|every-subjobs:K`
-/// into the shared spec.  Diagnoses and returns false on malformed input.
-bool ParseCheckpointPolicyOrComplain(const char* value, JobFaultArgs* args) {
-  std::string error;
-  if (!ParseCheckpointPolicyInto(value, &args->spec, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return false;
-  }
-  args->policy_set = true;
-  return true;
+/// Declares the flags `run` and `sweep` share: --faults, --faults-trace,
+/// --job-faults, --checkpoint-policy and --record.
+void AddSimFlags(std::vector<Arg>* args, SimFlags* sim) {
+  args->push_back(FaultSpecArg("--faults", &sim->faults));
+  args->push_back(BudgetTraceArg("--faults-trace", &sim->faults));
+  args->push_back(
+      {"--job-faults", "a job-fault spec MODEL[:SEED[:PARAM]]",
+       [sim](const char* text, std::string* why) {
+         std::optional<JobFaultSpec> spec = ParseJobFaultSpec(text, why);
+         if (!spec.has_value()) return false;
+         // Keep a checkpoint policy already parsed: the two flags may
+         // come in either order.
+         spec->checkpoint = sim->job_faults.checkpoint;
+         spec->checkpoint_every = sim->job_faults.checkpoint_every;
+         sim->job_faults = *spec;
+         return true;
+       }});
+  args->push_back(
+      {"--checkpoint-policy",
+       "a checkpoint policy on-completion|every-slots:K|every-subjobs:K",
+       [sim](const char* text, std::string* why) {
+         sim->checkpoint_policy_set = true;
+         return ParseCheckpointPolicyInto(text, &sim->job_faults, why);
+       }});
+  args->push_back(RecordArg(&sim->record));
 }
 
 /// Refuses what the engines cannot run (RunSupportError) with its reason,
@@ -231,8 +348,8 @@ bool ParseCheckpointPolicyOrComplain(const char* value, JobFaultArgs* args) {
 /// engine CHECK.
 bool CheckRunSupportOrComplain(const Scheduler& policy,
                                const SimOptions& options,
-                               const JobFaultArgs& job_faults) {
-  if (job_faults.policy_set && !job_faults.spec.active()) {
+                               const SimFlags& sim) {
+  if (sim.checkpoint_policy_set && !sim.job_faults.active()) {
     std::fprintf(stderr,
                  "--checkpoint-policy needs an active job-fault model "
                  "(--job-faults)\n");
@@ -286,35 +403,51 @@ void ListPolicies() {
   }
 }
 
-/// The unknown-policy diagnostic, shared by run/sweep/trace/serve.
-/// Always exits 2 at the call site.
-void ComplainUnknownPolicy(const std::string& name) {
-  std::fprintf(stderr,
-               "unknown policy '%s' (try `otsched list-policies`)\n",
-               name.c_str());
+/// MakePolicy, or the unknown-policy diagnostic and null (the caller
+/// exits 2); shared by run/sweep/trace/serve.
+std::unique_ptr<Scheduler> MakePolicyOrComplain(const std::string& name,
+                                                std::uint64_t seed,
+                                                Time known_opt = 0) {
+  std::unique_ptr<Scheduler> policy = MakePolicy(name, seed, known_opt);
+  if (!policy) {
+    std::fprintf(stderr, "unknown policy '%s' (try `otsched list-policies`)\n",
+                 name.c_str());
+  }
+  return policy;
 }
 
 int CmdGen(int argc, char** argv) {
-  if (argc < 2) return Usage();
+  if (argc < 1) return Usage();
   const std::string family = argv[0];
-
-  auto save = [&](Instance instance, const char* path) {
-    SaveInstance(instance, path);
+  const std::string command = "gen " + family;
+  std::uint64_t seed = 0;
+  std::string out;
+  auto parse = [&](std::vector<Arg> args) {
+    args.push_back(IntArg("seed", &seed));
+    args.push_back(TextArg("out", &out));
+    return ParseArgs(command, args, args.size(), argc - 1, argv + 1);
+  };
+  auto save = [&](Instance instance) {
+    SaveInstance(instance, out);
     std::printf("wrote %s: %d jobs, %lld subjobs, releases %lld..%lld\n",
-                path, instance.job_count(),
+                out.c_str(), instance.job_count(),
                 static_cast<long long>(instance.total_work()),
                 static_cast<long long>(instance.min_release()),
                 static_cast<long long>(instance.max_release()));
     return 0;
   };
 
-  if (family == "quicksort" && argc == 6) {
-    const std::int64_t jobs = std::atoll(argv[1]);
-    const std::int64_t n = std::atoll(argv[2]);
-    const double rate = 1.0 / std::strtod(argv[3], nullptr);
-    Rng rng(std::strtoull(argv[4], nullptr, 10));
-    Instance instance = MakePoissonArrivals(
-        jobs, rate,
+  if (family == "quicksort") {
+    std::int64_t jobs = 0;
+    std::int64_t n = 0;
+    std::int64_t rate_denom = 0;
+    if (!parse({IntArg("jobs", &jobs, 1), IntArg("n", &n, 1),
+                IntArg("rate-denom", &rate_denom, 1)})) {
+      return 2;
+    }
+    Rng rng(seed);
+    return save(MakePoissonArrivals(
+        jobs, 1.0 / static_cast<double>(rate_denom),
         [n](std::int64_t, Rng& r) {
           QuicksortOptions q;
           q.n = n;
@@ -322,49 +455,67 @@ int CmdGen(int argc, char** argv) {
           q.cutoff = q.grain;
           return MakeQuicksortTree(q, r);
         },
-        rng);
-    return save(std::move(instance), argv[5]);
+        rng));
   }
-  if (family == "trees" && argc == 6) {
-    const std::int64_t jobs = std::atoll(argv[1]);
-    const NodeId size = static_cast<NodeId>(std::atoi(argv[2]));
-    const Time period = std::atoll(argv[3]);
-    Rng rng(std::strtoull(argv[4], nullptr, 10));
-    Instance instance = MakePeriodicArrivals(
+  if (family == "trees") {
+    std::int64_t jobs = 0;
+    NodeId size = 0;
+    Time period = 0;
+    if (!parse({IntArg("jobs", &jobs, 1), IntArg("size", &size, 1),
+                IntArg("period", &period, 1)})) {
+      return 2;
+    }
+    Rng rng(seed);
+    return save(MakePeriodicArrivals(
         jobs, period,
         [size](std::int64_t i, Rng& r) {
           return MakeTree(static_cast<TreeFamily>(i % 4), size, r);
         },
-        rng);
-    return save(std::move(instance), argv[5]);
+        rng));
   }
-  if ((family == "saturated" || family == "pipelined") && argc == 6) {
-    const int m = std::atoi(argv[1]);
-    const Time delta = std::atoll(argv[2]);
-    const int batches = std::atoi(argv[3]);
-    Rng rng(std::strtoull(argv[4], nullptr, 10));
+  if (family == "saturated" || family == "pipelined") {
+    const bool pipelined = family == "pipelined";
+    int m = 0;
+    Time delta = 0;
+    int batches = 0;
+    Arg machines = MachinesArg("m", &m);
+    if (pipelined) {
+      machines.what = "an even machine count m >= 2";
+      machines.set = [&m](const char* text, std::string*) {
+        return ParseNonNegative(text, &m) && m >= 2 && m % 2 == 0;
+      };
+    }
+    if (!parse({machines, IntArg("delta", &delta, 1),
+                IntArg("batches", &batches, 1)})) {
+      return 2;
+    }
+    Rng rng(seed);
     CertifiedInstance cert =
-        family == "saturated"
-            ? MakeSpacedSaturatedInstance(m, delta, batches, rng)
-            : MakePipelinedSemiBatchedInstance(m, delta, batches, rng);
+        pipelined ? MakePipelinedSemiBatchedInstance(m, delta, batches, rng)
+                  : MakeSpacedSaturatedInstance(m, delta, batches, rng);
     std::printf("certified OPT on m=%d: %lld\n", m,
                 static_cast<long long>(cert.opt));
-    return save(std::move(cert.instance), argv[5]);
+    return save(std::move(cert.instance));
   }
   return Usage();
 }
 
 int CmdAdversary(int argc, char** argv) {
-  if (argc != 3) return Usage();
   LowerBoundSimOptions options;
-  options.m = std::atoi(argv[0]);
-  options.num_jobs = std::atoll(argv[1]);
+  std::string out;
+  if (!ParseArgs("adversary",
+                 {IntArg("m", &options.m, 2, "a machine count m >= 2"),
+                  IntArg("jobs", &options.num_jobs, 1),
+                  TextArg("out", &out)},
+                 3, argc, argv)) {
+    return 2;
+  }
   const AdversarialInstance adv = MakeAdversarialInstance(options);
-  SaveInstance(adv.instance, argv[2]);
+  SaveInstance(adv.instance, out);
   std::printf(
       "wrote %s: m=%d, %lld jobs, certified OPT <= %lld\n"
       "co-simulated arbitrary-FIFO max flow: %lld (ratio %.2f)\n",
-      argv[2], options.m, static_cast<long long>(options.num_jobs),
+      out.c_str(), options.m, static_cast<long long>(options.num_jobs),
       static_cast<long long>(adv.fifo_run.certified_opt_upper),
       static_cast<long long>(adv.fifo_run.max_flow),
       static_cast<double>(adv.fifo_run.max_flow) /
@@ -373,42 +524,37 @@ int CmdAdversary(int argc, char** argv) {
 }
 
 int CmdDescribe(int argc, char** argv) {
-  if (argc < 1) return Usage();
-  const std::optional<Instance> instance = LoadInstanceOrComplain(argv[0]);
+  std::string path;
+  int m = 1;
+  if (!ParseArgs("describe",
+                 {TextArg("in", &path, "an instance file"),
+                  MachinesArg("m", &m)},
+                 1, argc, argv)) {
+    return 2;
+  }
+  const std::optional<Instance> instance = LoadInstanceOrComplain(path);
   if (!instance.has_value()) return 2;
-  const int m = argc >= 2 ? std::atoi(argv[1]) : 1;
   std::printf("%s\n", ToString(ComputeInstanceStats(*instance, m)).c_str());
   return 0;
 }
 
 int CmdBounds(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::optional<Instance> loaded = LoadInstanceOrComplain(argv[0]);
-  if (!loaded.has_value()) return 2;
-  const Instance& instance = *loaded;
-  const int m = std::atoi(argv[1]);
-  if (m < 1) {
-    std::fprintf(stderr, "bounds need a machine: m >= 1, got %d\n", m);
-    return 2;
-  }
+  std::string path;
+  int m = 0;
   bool certify = false;
   std::string manifest_path;
   FaultArgs faults;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--certify") == 0) {
-      certify = true;
-      continue;
-    }
-    if (i + 1 >= argc) return Usage();
-    if (std::strcmp(argv[i], "--faults-trace") == 0) {
-      if (!LoadFaultsTraceOrComplain(argv[i + 1], &faults)) return 2;
-    } else if (std::strcmp(argv[i], "--manifest") == 0) {
-      manifest_path = argv[i + 1];
-    } else {
-      return Usage();
-    }
-    ++i;
+  if (!ParseArgs("bounds",
+                 {TextArg("in", &path, "an instance file"),
+                  MachinesArg("m", &m), SwitchArg("--certify", &certify),
+                  BudgetTraceArg("--faults-trace", &faults),
+                  TextArg("--manifest", &manifest_path)},
+                 2, argc, argv)) {
+    return 2;
   }
+  const std::optional<Instance> loaded = LoadInstanceOrComplain(path);
+  if (!loaded.has_value()) return 2;
+  const Instance& instance = *loaded;
   // The heuristic components model a healthy machine; under an explicit
   // budget trace only the certified bounds are meaningful.
   const BudgetTrace* budget =
@@ -463,21 +609,9 @@ int CmdBounds(int argc, char** argv) {
 }
 
 int CmdRun(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const std::optional<Instance> loaded = LoadInstanceOrComplain(argv[0]);
-  if (!loaded.has_value()) return 2;
-  const Instance& instance = *loaded;
-  const int m = std::atoi(argv[1]);
-  // The policy is positional, or spelled explicitly as `--policy <name>`.
-  int first_flag = 3;
-  std::string policy_name;
-  if (std::strcmp(argv[2], "--policy") == 0) {
-    if (argc < 4) return Usage();
-    policy_name = argv[3];
-    first_flag = 4;
-  } else {
-    policy_name = argv[2];
-  }
+  std::string path;
+  int m = 0;
+  std::string policy_name;  // positional, or spelled `--policy <name>`
   Time render = 0;
   std::uint64_t seed = 1;
   Time known_opt = 0;
@@ -487,73 +621,39 @@ int CmdRun(int argc, char** argv) {
   std::string metrics_path;
   std::string metrics_csv_path;
   std::string manifest_path;
-  RecordMode record = RecordMode::kFull;
-  bool record_set = false;
-  FaultArgs faults;
-  JobFaultArgs job_faults;
+  SimFlags sim;
   bool certify = false;
-  for (int i = first_flag; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--record=", 9) == 0) {
-      if (!ParseRecordMode(argv[i] + 9, &record)) return 2;
-      record_set = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--certify") == 0) {
-      certify = true;
-      continue;
-    }
-    if (i + 1 >= argc) break;
-    if (std::strcmp(argv[i], "--record") == 0) {
-      if (!ParseRecordMode(argv[i + 1], &record)) return 2;
-      record_set = true;
-    }
-    if (std::strcmp(argv[i], "--faults") == 0) {
-      if (!ParseFaultsFlagOrComplain(argv[i + 1], &faults)) return 2;
-    }
-    if (std::strcmp(argv[i], "--faults-trace") == 0) {
-      if (!LoadFaultsTraceOrComplain(argv[i + 1], &faults)) return 2;
-    }
-    if (std::strcmp(argv[i], "--job-faults") == 0) {
-      if (!ParseJobFaultsFlagOrComplain(argv[i + 1], &job_faults)) return 2;
-    }
-    if (std::strcmp(argv[i], "--checkpoint-policy") == 0) {
-      if (!ParseCheckpointPolicyOrComplain(argv[i + 1], &job_faults)) {
-        return 2;
-      }
-    }
-    if (std::strcmp(argv[i], "--policy") == 0) policy_name = argv[i + 1];
-    if (std::strcmp(argv[i], "--render") == 0) render = std::atoll(argv[i + 1]);
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-    if (std::strcmp(argv[i], "--opt") == 0) known_opt = std::atoll(argv[i + 1]);
-    if (std::strcmp(argv[i], "--svg") == 0) svg_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--trace") == 0) trace_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--timeseries") == 0) {
-      timeseries_path = argv[i + 1];
-    }
-    if (std::strcmp(argv[i], "--metrics") == 0) metrics_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--metrics-csv") == 0) {
-      metrics_csv_path = argv[i + 1];
-    }
-    if (std::strcmp(argv[i], "--manifest") == 0) manifest_path = argv[i + 1];
-    ++i;
-  }
-
-  std::unique_ptr<Scheduler> policy = MakePolicy(policy_name, seed, known_opt);
-  if (!policy) {
-    ComplainUnknownPolicy(policy_name);
+  std::vector<Arg> args = {
+      TextArg("in", &path, "an instance file"), MachinesArg("m", &m),
+      TextArg("policy", &policy_name, "a policy name"),
+      TextArg("--policy", &policy_name, "a policy name"),
+      IntArg("--render", &render), IntArg("--seed", &seed),
+      IntArg("--opt", &known_opt), TextArg("--svg", &svg_path),
+      TextArg("--trace", &trace_path), TextArg("--metrics", &metrics_path),
+      TextArg("--timeseries", &timeseries_path),
+      TextArg("--metrics-csv", &metrics_csv_path),
+      TextArg("--manifest", &manifest_path), SwitchArg("--certify", &certify)};
+  AddSimFlags(&args, &sim);
+  if (!ParseArgs("run", args, 2, argc, argv)) return 2;
+  if (policy_name.empty()) {
+    std::fprintf(stderr, "run: missing policy\n");
     return 2;
   }
+  const std::optional<Instance> loaded = LoadInstanceOrComplain(path);
+  if (!loaded.has_value()) return 2;
+  const Instance& instance = *loaded;
+  const FaultArgs& faults = sim.faults;
+  const bool job_faulted = sim.job_faults.active();
+
+  std::unique_ptr<Scheduler> policy =
+      MakePolicyOrComplain(policy_name, seed, known_opt);
+  if (!policy) return 2;
   // Job faults force flow-only recording; an unset --record follows along,
   // an explicit --record full diagnoses.
-  if (job_faults.spec.active() && !record_set) record = RecordMode::kFlowOnly;
-  SimOptions run_options;
-  run_options.record = record;
-  run_options.faults = faults.spec;
-  run_options.job_faults = job_faults.spec;
-  if (!CheckRunSupportOrComplain(*policy, run_options, job_faults)) return 2;
-  if (job_faults.spec.active() &&
+  const SimOptions run_options =
+      sim.options(job_faulted ? RecordMode::kFlowOnly : RecordMode::kFull);
+  if (!CheckRunSupportOrComplain(*policy, run_options, sim)) return 2;
+  if (job_faulted &&
       (render > 0 || !svg_path.empty() || !timeseries_path.empty())) {
     std::fprintf(stderr,
                  "--render/--svg/--timeseries walk a materialized schedule "
@@ -613,7 +713,7 @@ int CmdRun(int argc, char** argv) {
   std::printf("horizon         : %lld slots, idle processor-slots %lld\n",
               static_cast<long long>(r.sim_stats.horizon),
               static_cast<long long>(r.sim_stats.idle_processor_slots));
-  if (job_faults.spec.active()) {
+  if (job_faulted) {
     std::printf("job faults      : %lld rollbacks, %lld wasted subjob-slots, "
                 "%lld interval checkpoints\n",
                 static_cast<long long>(r.sim_stats.job_rollbacks),
@@ -679,7 +779,7 @@ int CmdRun(int argc, char** argv) {
     }
     if (!svg_path.empty()) {
       SvgOptions options;
-      options.title = policy_name + " on " + argv[0];
+      options.title = policy_name + " on " + path;
       SaveScheduleSvg(sim.full_schedule(), instance, svg_path, options);
       std::printf("\nSVG written to %s\n", svg_path.c_str());
     }
@@ -692,83 +792,55 @@ int CmdRun(int argc, char** argv) {
   return 0;
 }
 
-int CmdSweep(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::optional<Instance> loaded = LoadInstanceOrComplain(argv[0]);
-  if (!loaded.has_value()) return 2;
-  const Instance& instance = *loaded;
-  const std::string policy_name = argv[1];
+/// `--m LIST`: comma-separated machine counts.
+Arg MachineListArg(std::vector<int>* machines) {
+  return {"--m", "a comma-separated list of machine counts m >= 1",
+          [machines](const char* text, std::string*) {
+            machines->clear();
+            for (const std::string& field : SplitFields(text, ',')) {
+              int m = 0;
+              if (!ParseNonNegative(field, &m) || m < 1) return false;
+              machines->push_back(m);
+            }
+            return true;
+          }};
+}
 
+int CmdSweep(int argc, char** argv) {
+  std::string path;
+  std::string policy_name;
   std::vector<int> machines = {2, 4};
-  int seeds = 3;
+  std::size_t seeds = 3;
   std::size_t workers = 0;
   Time known_opt = 0;
   std::string metrics_path;
   std::string csv_path;
   std::string checkpoint_path;
   bool resume = false;
-  FaultArgs faults;
-  JobFaultArgs job_faults;
+  SimFlags sim;
+  std::vector<Arg> args = {
+      TextArg("in", &path, "an instance file"),
+      TextArg("policy", &policy_name, "a policy name"),
+      MachineListArg(&machines), IntArg("--seeds", &seeds, 1),
+      IntArg("--workers", &workers), IntArg("--opt", &known_opt),
+      TextArg("--metrics", &metrics_path), TextArg("--csv", &csv_path),
+      TextArg("--checkpoint", &checkpoint_path),
+      SwitchArg("--resume", &resume)};
+  AddSimFlags(&args, &sim);
+  if (!ParseArgs("sweep", args, 2, argc, argv)) return 2;
+  const std::optional<Instance> loaded = LoadInstanceOrComplain(path);
+  if (!loaded.has_value()) return 2;
+  const Instance& instance = *loaded;
   // Sweeps only read flows and stats, so cells default to flow-only
   // recording; `--record full` restores schedule materialization.
-  RecordMode record = RecordMode::kFlowOnly;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--record=", 9) == 0) {
-      if (!ParseRecordMode(argv[i] + 9, &record)) return 2;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-      continue;
-    }
-    if (i + 1 >= argc) break;
-    if (std::strcmp(argv[i], "--record") == 0) {
-      if (!ParseRecordMode(argv[i + 1], &record)) return 2;
-    }
-    if (std::strcmp(argv[i], "--faults") == 0) {
-      if (!ParseFaultsFlagOrComplain(argv[i + 1], &faults)) return 2;
-    }
-    if (std::strcmp(argv[i], "--faults-trace") == 0) {
-      if (!LoadFaultsTraceOrComplain(argv[i + 1], &faults)) return 2;
-    }
-    if (std::strcmp(argv[i], "--job-faults") == 0) {
-      if (!ParseJobFaultsFlagOrComplain(argv[i + 1], &job_faults)) return 2;
-    }
-    if (std::strcmp(argv[i], "--checkpoint-policy") == 0) {
-      if (!ParseCheckpointPolicyOrComplain(argv[i + 1], &job_faults)) {
-        return 2;
-      }
-    }
-    if (std::strcmp(argv[i], "--checkpoint") == 0) {
-      checkpoint_path = argv[i + 1];
-    }
-    if (std::strcmp(argv[i], "--m") == 0) {
-      machines.clear();
-      std::string list = argv[i + 1];
-      for (char& c : list) {
-        if (c == ',') c = ' ';
-      }
-      std::istringstream in(list);
-      int m = 0;
-      while (in >> m) machines.push_back(m);
-    }
-    if (std::strcmp(argv[i], "--seeds") == 0) seeds = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--workers") == 0) {
-      workers = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    }
-    if (std::strcmp(argv[i], "--opt") == 0) known_opt = std::atoll(argv[i + 1]);
-    if (std::strcmp(argv[i], "--metrics") == 0) metrics_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--csv") == 0) csv_path = argv[i + 1];
-    ++i;
-  }
-  if (machines.empty() || seeds < 1) return Usage();
+  const SimOptions sweep_options = sim.options(RecordMode::kFlowOnly);
   if (resume && checkpoint_path.empty()) {
     std::fprintf(stderr, "--resume requires --checkpoint FILE\n");
     return 2;
   }
   if (!checkpoint_path.empty() &&
       (!metrics_path.empty() || !csv_path.empty() ||
-       record == RecordMode::kFull)) {
+       sweep_options.record == RecordMode::kFull)) {
     // Checkpointed cells are flow-only and un-instrumented: their persisted
     // flow records ARE the output, so a resumed run stays bit-identical to
     // an uninterrupted one.  Full recording / merged metrics would need the
@@ -778,29 +850,25 @@ int CmdSweep(int argc, char** argv) {
                  "--record full\n");
     return 2;
   }
-  SimOptions sweep_options;
-  sweep_options.record = record;
-  sweep_options.faults = faults.spec;
-  sweep_options.job_faults = job_faults.spec;
   {
     const std::unique_ptr<Scheduler> probe =
-        MakePolicy(policy_name, 1, known_opt);
-    if (!probe) {
-      ComplainUnknownPolicy(policy_name);
-      return 2;
-    }
-    if (!CheckRunSupportOrComplain(*probe, sweep_options, job_faults)) {
-      return 2;
-    }
+        MakePolicyOrComplain(policy_name, 1, known_opt);
+    if (!probe) return 2;
+    if (!CheckRunSupportOrComplain(*probe, sweep_options, sim)) return 2;
   }
 
   // Grid: machines x seeds, in row-major order; cell i uses seed
   // (i % seeds) + 1 on machines[i / seeds].
   std::vector<std::pair<const Instance*, int>> cells;
-  for (int m : machines) {
-    for (int s = 0; s < seeds; ++s) cells.emplace_back(&instance, m);
-  }
-  const BatchRunner runner(workers);
+  for (int m : machines) cells.insert(cells.end(), seeds, {&instance, m});
+  auto seed_of = [&](std::size_t i) { return i % seeds + 1; };
+  auto make_policy = [&](std::size_t i) {
+    return MakePolicy(policy_name, seed_of(i), known_opt);
+  };
+  // Workers beyond the cell count would only idle (0 stays "auto").
+  const BatchRunner runner(workers == 0 ? 0 : std::min(workers, cells.size()));
+  std::vector<double> max_flows(cells.size());
+  std::vector<BatchRunner::InstrumentedRun> runs;
 
   if (!checkpoint_path.empty()) {
     SweepCheckpoint::Identity identity;
@@ -810,22 +878,18 @@ int CmdSweep(int argc, char** argv) {
                       FingerprintInstance(instance)));
     identity.instance_hash = hex;
     identity.policy = policy_name;
-    {
-      std::string joined;
-      for (std::size_t mi = 0; mi < machines.size(); ++mi) {
-        if (mi > 0) joined += ',';
-        joined += std::to_string(machines[mi]);
-      }
-      identity.machines = joined;
+    for (std::size_t mi = 0; mi < machines.size(); ++mi) {
+      if (mi > 0) identity.machines += ',';
+      identity.machines += std::to_string(machines[mi]);
     }
-    identity.seeds = seeds;
+    identity.seeds = static_cast<int>(seeds);
     identity.record = "flow-only";
-    identity.faults = ToString(faults.spec);
-    if (job_faults.spec.active()) {
+    identity.faults = ToString(sim.faults.spec);
+    if (sim.job_faults.active()) {
       // The job-fault axis folds into the fault identity string: a resumed
       // sweep must replay the exact same crash/checkpoint streams.
-      identity.faults += "+" + ToString(job_faults.spec) + "@" +
-                         CheckpointPolicyString(job_faults.spec);
+      identity.faults += "+" + ToString(sim.job_faults) + "@" +
+                         CheckpointPolicyString(sim.job_faults);
     }
     SweepCheckpoint checkpoint(checkpoint_path, identity);
     if (resume) {
@@ -841,19 +905,12 @@ int CmdSweep(int argc, char** argv) {
             return *done;  // Survived the previous run: skip the sim.
           }
           const auto& [inst, m] = cells[i];
-          std::unique_ptr<Scheduler> policy = MakePolicy(
-              policy_name,
-              static_cast<std::uint64_t>(i % static_cast<std::size_t>(seeds)) +
-                  1,
-              known_opt);
-          SimOptions options = FlowOnlyOptions();
-          options.faults = faults.spec;
-          options.job_faults = job_faults.spec;
-          const SimResult result = Simulate(*inst, m, *policy, options);
+          std::unique_ptr<Scheduler> policy = make_policy(i);
+          const SimResult result = Simulate(*inst, m, *policy, sweep_options);
           SweepCellRecord cell;
           cell.index = i;
           cell.m = m;
-          cell.seed = (i % static_cast<std::size_t>(seeds)) + 1;
+          cell.seed = seed_of(i);
           cell.max_flow = result.flows.max_flow;
           cell.horizon = result.stats.horizon;
           cell.busy_slots = result.stats.busy_slots;
@@ -862,56 +919,35 @@ int CmdSweep(int argc, char** argv) {
           checkpoint.record(cell);
           return cell;
         });
-
-    // The table is derived purely from the records, so a fresh run, a
-    // checkpointed run, and a killed-and-resumed run print byte-identical
-    // tables (the CI crash-tolerance gate diffs exactly this).
-    TextTable table({"m", "max-flow mean", "min", "max"});
-    for (std::size_t mi = 0; mi < machines.size(); ++mi) {
-      std::vector<double> flows;
-      for (int s = 0; s < seeds; ++s) {
-        flows.push_back(static_cast<double>(
-            records[mi * static_cast<std::size_t>(seeds) +
-                    static_cast<std::size_t>(s)]
-                .max_flow));
-      }
-      const SeedAggregate agg = Aggregate(flows);
-      table.row("m=" + std::to_string(machines[mi]), agg.mean, agg.min,
-                agg.max);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      max_flows[i] = static_cast<double>(records[i].max_flow);
     }
-    table.print(policy_name + " on " + argv[0] + ", " +
-                std::to_string(seeds) + " seeds:");
-    return 0;
+  } else {
+    // Pick wall times stay off so the aggregate is identical for any
+    // --workers value (the determinism contract of every sweep table).
+    MetricsObserver::Options observer_options;
+    observer_options.record_pick_times = false;
+    runs = runner.RunInstrumentedSimulations(cells, make_policy,
+                                             sweep_options, observer_options);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      max_flows[i] = static_cast<double>(runs[i].result.flows.max_flow);
+    }
   }
-  // Pick wall times stay off so the aggregate is identical for any
-  // --workers value (the determinism contract of every sweep table).
-  MetricsObserver::Options observer_options;
-  observer_options.record_pick_times = false;
-  const std::vector<BatchRunner::InstrumentedRun> runs =
-      runner.RunInstrumentedSimulations(
-          cells,
-          [&](std::size_t i) {
-            return MakePolicy(policy_name,
-                              static_cast<std::uint64_t>(i % seeds) + 1,
-                              known_opt);
-          },
-          sweep_options, observer_options);
 
+  // The table is derived purely from the per-cell max flows, so a fresh
+  // run, a checkpointed run, and a killed-and-resumed run print
+  // byte-identical tables (the CI crash-tolerance gate diffs exactly
+  // this).
   TextTable table({"m", "max-flow mean", "min", "max"});
   for (std::size_t mi = 0; mi < machines.size(); ++mi) {
-    std::vector<double> flows;
-    for (int s = 0; s < seeds; ++s) {
-      flows.push_back(static_cast<double>(
-          runs[mi * static_cast<std::size_t>(seeds) +
-               static_cast<std::size_t>(s)]
-              .result.flows.max_flow));
-    }
-    const SeedAggregate agg = Aggregate(flows);
+    const auto first = max_flows.begin() + mi * seeds;
+    const SeedAggregate agg =
+        Aggregate(std::vector<double>(first, first + seeds));
     table.row("m=" + std::to_string(machines[mi]), agg.mean, agg.min,
               agg.max);
   }
-  table.print(policy_name + " on " + argv[0] + ", " +
-              std::to_string(seeds) + " seeds:");
+  table.print(policy_name + " on " + path + ", " + std::to_string(seeds) +
+              " seeds:");
 
   if (!metrics_path.empty() || !csv_path.empty()) {
     MetricsRegistry merged = MergedMetrics(runs);
@@ -939,43 +975,34 @@ int CmdSweep(int argc, char** argv) {
 }
 
 int CmdTrace(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const std::optional<Instance> loaded = LoadInstanceOrComplain(argv[0]);
-  if (!loaded.has_value()) return 2;
-  const Instance& instance = *loaded;
-  const int m = std::atoi(argv[1]);
-  const std::string policy_name = argv[2];
+  std::string path;
+  int m = 0;
+  std::string policy_name;
   std::uint64_t seed = 1;
   Time known_opt = 0;
   std::string out_path;
-  RecordMode record = RecordMode::kFull;
-  for (int i = 3; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--record=", 9) == 0) {
-      if (!ParseRecordMode(argv[i] + 9, &record)) return 2;
-      continue;
-    }
-    if (i + 1 >= argc) break;
-    if (std::strcmp(argv[i], "--record") == 0) {
-      if (!ParseRecordMode(argv[i + 1], &record)) return 2;
-    }
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-    if (std::strcmp(argv[i], "--opt") == 0) known_opt = std::atoll(argv[i + 1]);
-    if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
-    ++i;
-  }
-  std::unique_ptr<Scheduler> policy = MakePolicy(policy_name, seed, known_opt);
-  if (!policy) {
-    ComplainUnknownPolicy(policy_name);
+  std::optional<RecordMode> record;
+  if (!ParseArgs("trace",
+                 {TextArg("in", &path, "an instance file"),
+                  MachinesArg("m", &m),
+                  TextArg("policy", &policy_name, "a policy name"),
+                  IntArg("--seed", &seed), IntArg("--opt", &known_opt),
+                  TextArg("--out", &out_path), RecordArg(&record)},
+                 3, argc, argv)) {
     return 2;
   }
+  const std::optional<Instance> loaded = LoadInstanceOrComplain(path);
+  if (!loaded.has_value()) return 2;
+  const Instance& instance = *loaded;
+  std::unique_ptr<Scheduler> policy =
+      MakePolicyOrComplain(policy_name, seed, known_opt);
+  if (!policy) return 2;
   EventTrace streamed;
   StreamingTraceObserver trace_observer(streamed);
   RunContext context;
   // The trace streams from the hooks, so flow-only works here too; full
   // stays the default for symmetry with `run`.
-  context.options.record = record;
+  context.options.record = record.value_or(RecordMode::kFull);
   context.observer = &trace_observer;
   Simulate(instance, m, *policy, context);
   if (out_path.empty()) {
@@ -1035,84 +1062,35 @@ void PrintServeHelp() {
       stdout);
 }
 
-/// Parses a nonnegative integer CLI value; complains naming the flag
-/// and returns false on anything else (including trailing garbage).
-bool ParseServeCount(const char* flag, const char* text, long long* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < 0) {
-    std::fprintf(stderr, "serve: %s needs a nonnegative integer, got '%s'\n",
-                 flag, text);
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
 int CmdServe(int argc, char** argv) {
   serve::ServeOptions options;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    long long value = 0;
-    if (arg == "--help" || arg == "-h") {
-      PrintServeHelp();
-      return 0;
-    } else if (arg == "--listen" && i + 1 < argc) {
-      options.listen = argv[++i];
-    } else if (arg == "--m" && i + 1 < argc) {
-      options.m = std::atoi(argv[++i]);
-    } else if (arg == "--policy" && i + 1 < argc) {
-      options.policy = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      options.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--chunk" && i + 1 < argc) {
-      options.chunk_slots = std::atoll(argv[++i]);
-    } else if (arg == "--journal" && i + 1 < argc) {
-      options.journal_path = argv[++i];
-    } else if (arg == "--recover" && i + 1 < argc) {
-      options.recover_path = argv[++i];
-    } else if (arg == "--journal-rotate") {
-      options.journal_rotate = true;
-    } else if (arg == "--snapshot-every" && i + 1 < argc) {
-      if (!ParseServeCount("--snapshot-every", argv[++i], &value)) return 2;
-      options.snapshot_every = value;
-    } else if (arg == "--max-line" && i + 1 < argc) {
-      if (!ParseServeCount("--max-line", argv[++i], &value)) return 2;
-      if (value < 1) {
-        std::fprintf(stderr, "serve: --max-line needs at least 1 byte\n");
-        return 2;
-      }
-      options.max_line_bytes = static_cast<std::size_t>(value);
-    } else if (arg == "--max-conns" && i + 1 < argc) {
-      if (!ParseServeCount("--max-conns", argv[++i], &value)) return 2;
-      options.max_connections = static_cast<std::size_t>(value);
-    } else if (arg == "--max-pending" && i + 1 < argc) {
-      if (!ParseServeCount("--max-pending", argv[++i], &value)) return 2;
-      options.max_pending_jobs = value;
-    } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
-      if (!ParseServeCount("--idle-timeout-ms", argv[++i], &value)) return 2;
-      options.idle_timeout_ms = static_cast<int>(value);
-    } else if (arg == "--journal" || arg == "--recover") {
-      std::fprintf(stderr, "serve: %s needs a path\n", arg.c_str());
-      return 2;
-    } else {
-      std::fprintf(stderr,
-                   "serve: unknown argument '%s' (try otsched serve --help)\n",
-                   arg.c_str());
-      return Usage();
-    }
-  }
-  if (options.m < 1) {
-    std::fprintf(stderr, "serve: need --m >= 1\n");
+  bool help = false;
+  if (!ParseArgs(
+          "serve",
+          {SwitchArg("--help", &help), SwitchArg("-h", &help),
+           TextArg("--listen", &options.listen, "an address H:P|unix:PATH"),
+           MachinesArg("--m", &options.m),
+           TextArg("--policy", &options.policy, "a policy name"),
+           IntArg("--seed", &options.seed),
+           IntArg("--chunk", &options.chunk_slots, 1),
+           TextArg("--journal", &options.journal_path),
+           TextArg("--recover", &options.recover_path),
+           SwitchArg("--journal-rotate", &options.journal_rotate),
+           IntArg("--snapshot-every", &options.snapshot_every),
+           IntArg("--max-line", &options.max_line_bytes, 1),
+           IntArg("--max-conns", &options.max_connections),
+           IntArg("--max-pending", &options.max_pending_jobs),
+           IntArg("--idle-timeout-ms", &options.idle_timeout_ms)},
+          0, argc, argv)) {
     return 2;
+  }
+  if (help) {
+    PrintServeHelp();
+    return 0;
   }
   std::unique_ptr<Scheduler> policy =
-      MakePolicy(options.policy, options.seed);
-  if (policy == nullptr) {
-    ComplainUnknownPolicy(options.policy);
-    return 2;
-  }
+      MakePolicyOrComplain(options.policy, options.seed);
+  if (!policy) return 2;
 
   static volatile std::sig_atomic_t stop_flag = 0;
   options.stop_flag = &stop_flag;
@@ -1147,12 +1125,21 @@ int CmdServe(int argc, char** argv) {
 int CmdFaults(int argc, char** argv) {
   if (argc < 1) return Usage();
   const std::string verb = argv[0];
+  FaultArgs faults;
+  int m = 0;
 
-  if (verb == "emit" && (argc == 4 || argc == 5)) {
+  if (verb == "emit") {
     // Freeze a stochastic model's first `horizon` slots into an explicit,
     // reviewable CSV budget trace.
-    FaultArgs faults;
-    if (!ParseFaultsFlagOrComplain(argv[1], &faults)) return 2;
+    Time horizon = 0;
+    std::string out;
+    if (!ParseArgs("faults emit",
+                   {FaultSpecArg("spec", &faults), MachinesArg("m", &m),
+                    IntArg("horizon", &horizon, 1),
+                    TextArg("out", &out)},
+                   3, argc - 1, argv + 1)) {
+      return 2;
+    }
     if (!faults.spec.active()) {
       std::fprintf(stderr, "faults emit: model 'none' has no trace\n");
       return 2;
@@ -1163,19 +1150,13 @@ int CmdFaults(int argc, char** argv) {
                    "no standalone trace\n");
       return 2;
     }
-    const int m = std::atoi(argv[2]);
-    const Time horizon = std::atoll(argv[3]);
-    if (m < 1 || horizon < 1) {
-      std::fprintf(stderr, "faults emit: need m >= 1 and horizon >= 1\n");
-      return 2;
-    }
     const BudgetTrace trace = MaterializeBudgetTrace(faults.spec, m, horizon);
-    if (argc == 5) {
-      if (!WriteFileOrComplain(argv[4], trace.to_csv(), "budget trace")) {
+    if (!out.empty()) {
+      if (!WriteFileOrComplain(out, trace.to_csv(), "budget trace")) {
         return 1;
       }
       std::printf("wrote %s: %zu faulted slots over horizon %lld (m=%d)\n",
-                  argv[4], trace.entry_count(),
+                  out.c_str(), trace.entry_count(),
                   static_cast<long long>(horizon), m);
     } else {
       std::fputs(trace.to_csv().c_str(), stdout);
@@ -1183,15 +1164,14 @@ int CmdFaults(int argc, char** argv) {
     return 0;
   }
 
-  if (verb == "inspect" && argc == 3) {
-    FaultArgs faults;
-    if (!LoadFaultsTraceOrComplain(argv[1], &faults)) return 2;
-    const BudgetTrace& trace = *faults.trace_storage;
-    const int m = std::atoi(argv[2]);
-    if (m < 1) {
-      std::fprintf(stderr, "faults inspect: need m >= 1\n");
+  if (verb == "inspect") {
+    if (!ParseArgs("faults inspect",
+                   {BudgetTraceArg("trace.csv", &faults),
+                    MachinesArg("m", &m)},
+                   2, argc - 1, argv + 1)) {
       return 2;
     }
+    const BudgetTrace& trace = *faults.trace_storage;
     int min_capacity = m;
     std::int64_t shortfall = 0;
     std::int64_t faulted = 0;
@@ -1232,12 +1212,13 @@ int main(int argc, char** argv) {
   if (command == "trace") return CmdTrace(argc - 2, argv + 2);
   if (command == "faults") return CmdFaults(argc - 2, argv + 2);
   if (command == "serve") return CmdServe(argc - 2, argv + 2);
-  if (command == "list-policies") {
-    ListPolicies();
-    return 0;
-  }
-  if (command == "list-job-faults") {
-    ListJobFaults();
+  if (command == "list-policies" || command == "list-job-faults") {
+    if (!ParseArgs(command, {}, 0, argc - 2, argv + 2)) return 2;
+    if (command == "list-policies") {
+      ListPolicies();
+    } else {
+      ListJobFaults();
+    }
     return 0;
   }
   std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
