@@ -19,13 +19,16 @@
 //     schedule gives OPT <= m+2 (keys at r+1..r+L, the m*L non-key
 //     subjobs fit in the leftover capacity of the window).
 //
+// The adversary is a job source on SimDriver (sim/driver.h): each job is
+// submitted with every layer but the first held, and when a layer's
+// ready set runs dry the subjob that emptied it is crowned and the next
+// layer revealed.  The driver runs with clairvoyance denied, so a
+// scheduler can see ready sets and progress but never a DAG.
+//
 // For a DETERMINISTIC scheduler the adaptive run and a replay of the
 // materialized instance coincide exactly (the key, being last-finished,
 // never gates anything the scheduler observed differently) — a property
 // the tests verify, mirroring the lbsim cross-validation.
-//
-// The backend rejects dag()/metrics() queries: the adversary is defined
-// for the non-clairvoyant information model only.
 #pragma once
 
 #include "job/instance.h"
@@ -54,19 +57,17 @@ struct AdaptiveAdversaryResult {
   FlowSummary flows;
   Time max_flow = 0;
   Time certified_opt_upper = 0;  // = gap
-  std::int64_t max_alive = 0;
 
   /// The materialized schedule; aborts on a flow-only run.
   const Schedule& full_schedule() const;
 };
 
-/// Runs `scheduler` against the adaptive environment to completion,
-/// firing `context.observer`'s hooks exactly like Simulate does (the
-/// on_finish SimResult is assembled from the produced schedule).  A
-/// positive `context.options.max_horizon` replaces the auto horizon.
-/// Processor faults (`context.options.faults`) are modelled; an active
-/// job-fault spec is refused, as is a clairvoyant scheduler.
-/// The ONLY entry point (same single-signature contract as Simulate).
+/// Runs `scheduler` against the adaptive environment to completion on a
+/// SimDriver, so `context.observer` sees exactly what a Simulate run
+/// shows it.  A positive `context.options.max_horizon` replaces the
+/// driver's auto horizon.  Processor faults (`context.options.faults`)
+/// are modelled; an active job-fault spec is refused, as is a
+/// clairvoyant scheduler.
 AdaptiveAdversaryResult RunAdaptiveAdversary(
     Scheduler& scheduler, const AdaptiveAdversaryOptions& options,
     const RunContext& context = {});

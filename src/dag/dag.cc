@@ -66,15 +66,6 @@ Dag Dag::Builder::build() && {
   return dag;
 }
 
-std::span<const NodeId> Dag::span_of(const std::vector<std::int64_t>& offsets,
-                                     const std::vector<NodeId>& targets,
-                                     NodeId v) const {
-  OTSCHED_DCHECK(v >= 0 && v < node_count(), "node " << v << " out of range");
-  const auto begin = offsets[static_cast<std::size_t>(v)];
-  const auto end = offsets[static_cast<std::size_t>(v) + 1];
-  return {targets.data() + begin, static_cast<std::size_t>(end - begin)};
-}
-
 std::vector<NodeId> Dag::roots() const {
   std::vector<NodeId> result;
   for (NodeId v = 0; v < node_count(); ++v) {

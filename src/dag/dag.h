@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/types.h"
 
 namespace otsched {
@@ -77,9 +78,16 @@ class Dag {
  private:
   friend class Builder;
 
+  // Inline: the engines relax children(v) once per executed subjob.
   std::span<const NodeId> span_of(const std::vector<std::int64_t>& offsets,
                                   const std::vector<NodeId>& targets,
-                                  NodeId v) const;
+                                  NodeId v) const {
+    OTSCHED_DCHECK(v >= 0 && v < node_count(),
+                   "node " << v << " out of range");
+    const auto begin = offsets[static_cast<std::size_t>(v)];
+    const auto end = offsets[static_cast<std::size_t>(v) + 1];
+    return {targets.data() + begin, static_cast<std::size_t>(end - begin)};
+  }
 
   // CSR adjacency.  offsets has node_count()+1 entries (or is empty for the
   // empty DAG).

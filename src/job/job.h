@@ -19,6 +19,13 @@ class Job {
   Time release() const { return release_; }
   const std::string& name() const { return name_; }
 
+  /// A copy released at `release`, sharing this job's DAG and metrics.
+  Job released_at(Time release) const {
+    Job copy = *this;
+    copy.release_ = release;
+    return copy;
+  }
+
   /// Lazily-computed metrics (work, span, heights, depths, W(d)); cached
   /// because many schedulers/analyses consult the same job repeatedly.
   /// Thread-safe: concurrent first calls on copies of one Job compute the

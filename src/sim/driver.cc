@@ -67,31 +67,27 @@ void SimDriver::submit_all(const Instance& instance) {
   OTSCHED_CHECK(!begun_ && jobs_.empty(),
                 "submit_all requires a fresh driver (submit jobs "
                 "individually to extend a run)");
-  const JobId n = instance.job_count();
-  jobs_.resize(static_cast<std::size_t>(n));
-  dags_.resize(static_cast<std::size_t>(n));
-  work_.resize(static_cast<std::size_t>(n));
-  release_.resize(static_cast<std::size_t>(n));
-  for (JobId id = 0; id < n; ++id) {
+  for (JobId id = 0; id < instance.job_count(); ++id) {
     const Job& job = instance.job(id);
     OTSCHED_CHECK(job.dag().node_count() >= 1,
                   "job " << id << " has no subjobs");
-    const std::size_t j = static_cast<std::size_t>(id);
-    jobs_[j] = &job;
-    dags_[j] = &job.dag();
-    work_[j] = job.work();
-    release_[j] = job.release();
-    flows_.add_job(job.work(), job.release());
-    total_work_ += job.work();
+    track_job(job);
   }
-  if (job_faults_.active()) {
-    arena_.enable_commit_tracking();
-    wasted_.assign(static_cast<std::size_t>(n), 0);
-  }
+  if (job_faults_.active()) arena_.enable_commit_tracking();
   arena_.init(dags_);
   arrival_order_ = instance.release_order();
   max_release_ = instance.max_release();
   max_span_ = instance.max_span();
+}
+
+void SimDriver::track_job(const Job& job) {
+  jobs_.push_back(&job);
+  dags_.push_back(&job.dag());
+  work_.push_back(job.work());
+  release_.push_back(job.release());
+  flows_.add_job(job.work(), job.release());
+  total_work_ += job.work();
+  if (job_faults_.active()) wasted_.push_back(0);
 }
 
 void SimDriver::warm_start(Time resume_slot) {
@@ -104,10 +100,16 @@ void SimDriver::warm_start(Time resume_slot) {
   max_release_ = resume_slot;  // horizon bound covers the resumed clock
 }
 
-JobId SimDriver::submit(Job job) {
+JobId SimDriver::submit(Job job, NodeId shown) {
   OTSCHED_CHECK(!finalized_, "submit after drain()");
   OTSCHED_CHECK(job.dag().node_count() >= 1,
                 "submitted job has no subjobs");
+  OTSCHED_CHECK(shown >= 0 && shown <= job.dag().node_count(),
+                "submit shows " << shown << " of "
+                                << job.dag().node_count() << " subjobs");
+  OTSCHED_CHECK(shown == job.dag().node_count() || !job_faults_.active(),
+                "held subjobs cannot run under job faults: a rollback "
+                "would release them");
   OTSCHED_CHECK(job.release() >= now(),
                 "job submitted with release " << job.release()
                                               << " in the simulated past "
@@ -117,25 +119,37 @@ JobId SimDriver::submit(Job job) {
   owned_.resize(j + 1);
   owned_[j] = std::make_unique<Job>(std::move(job));
   const Job& ref = *owned_[j];
-  jobs_.push_back(&ref);
-  dags_.push_back(&ref.dag());
-  work_.push_back(ref.work());
-  release_.push_back(ref.release());
-  flows_.add_job(ref.work(), ref.release());
-  total_work_ += ref.work();
+  track_job(ref);
   max_release_ = std::max(max_release_, ref.release());
   max_span_ = std::max(max_span_, ref.span());
-  if (job_faults_.active()) {
-    arena_.enable_commit_tracking();  // idempotent; before the append so
-                                      // the region grows the commit bitset
-    wasted_.push_back(0);
-  }
-  const JobId arena_id = arena_.append(ref.dag());
+  // Idempotent; before the append so the region grows the commit bitset.
+  if (job_faults_.active()) arena_.enable_commit_tracking();
+  const JobId arena_id = arena_.append(ref.dag(), shown);
   OTSCHED_CHECK(arena_id == id);
   late_arrivals_.emplace(ref.release(), id);
   track_finished_ = true;
   if (begun_) publish_hot();
   return id;
+}
+
+void SimDriver::reveal(JobId job, NodeId first, NodeId count) {
+  OTSCHED_CHECK(!finalized_, "reveal after drain()");
+  OTSCHED_CHECK(!job_faults_.active(),
+                "reveal under job faults, which hold no subjobs");
+  OTSCHED_CHECK(job >= 0 && job < job_count(),
+                "reveal of unknown job " << job);
+  const std::size_t j = static_cast<std::size_t>(job);
+  OTSCHED_CHECK(release_[j] < now(),
+                "reveal of job " << job << " before its arrival");
+  OTSCHED_CHECK(count >= 0 && first + count <= work_[j],
+                "reveal of subjobs [" << first << ", " << first + count
+                                      << ") of job " << job << " with "
+                                      << work_[j] << " subjobs");
+  OTSCHED_CHECK(first == arena_.shown(job),
+                "reveal of job " << job << " subjob " << first
+                                 << ": the first held subjob is "
+                                 << arena_.shown(job));
+  ready_width_ += arena_.reveal(job, count);
 }
 
 void SimDriver::publish_hot() {
@@ -181,29 +195,13 @@ std::optional<std::pair<Time, JobId>> SimDriver::next_pending_arrival()
 template <bool kObserved>
 void SimDriver::deliver_arrivals(const SchedulerView& view) {
   while (true) {
-    JobId id = kInvalidJob;
-    bool from_bulk = false;
-    if (next_arrival_ < arrival_order_.size()) {
-      id = arrival_order_[next_arrival_];
-      from_bulk = true;
-    }
-    if (!late_arrivals_.empty()) {
-      const std::pair<Time, JobId>& top = late_arrivals_.top();
-      if (id == kInvalidJob ||
-          top < std::pair<Time, JobId>(
-                    release_[static_cast<std::size_t>(id)], id)) {
-        id = top.second;
-        from_bulk = false;
-      }
-    }
-    if (id == kInvalidJob ||
-        release_[static_cast<std::size_t>(id)] >= slot_) {
-      break;
-    }
-    if (from_bulk) {
-      ++next_arrival_;
-    } else {
+    const auto next = next_pending_arrival();
+    if (!next.has_value() || next->first >= slot_) break;
+    const JobId id = next->second;
+    if (!late_arrivals_.empty() && late_arrivals_.top() == *next) {
       late_arrivals_.pop();
+    } else {
+      ++next_arrival_;
     }
     alive_.push_back(id);
     hot_.alive = alive_.data();
@@ -344,26 +342,33 @@ Time SimDriver::run_slots(const SchedulerView& view, Time max_slots) {
       // against the pre-execution ready sets.
       ready_width_ += arena_.execute(*dags_[j], ref.job, ref.node);
       ++executed_total_;
-      if (arena_.done(ref.job) == work_[j]) {
-        std::int64_t job_wasted = 0;
-        if (job_faults_.active()) {
-          // Implicit finish-commit: a finished job is never rolled back,
-          // so retire-on-finish recycling stays sound.  Not counted in
-          // stats.checkpoints (it is not an interval-policy commit).
-          const std::int64_t newly = arena_.checkpoint(ref.job);
-          committed_total_ += newly;
-          job_wasted = wasted_[j];
-          if constexpr (kObserved) {
-            emitter_.checkpoint(slot_, ref.job, newly, committed_total_);
+      // A static DAG's ready set empties exactly when the job finishes;
+      // only a job with held subjobs can run dry before that.
+      if (arena_.ready(ref.job).empty()) {
+        if (arena_.done(ref.job) < work_[j]) {
+          exhausted_.push_back(ref);
+        } else {
+          std::int64_t job_wasted = 0;
+          if (job_faults_.active()) {
+            // Implicit finish-commit: a finished job is never rolled back,
+            // so retire-on-finish recycling stays sound.  Not counted in
+            // stats.checkpoints (it is not an interval-policy commit).
+            const std::int64_t newly = arena_.checkpoint(ref.job);
+            committed_total_ += newly;
+            job_wasted = wasted_[j];
+            if constexpr (kObserved) {
+              emitter_.checkpoint(slot_, ref.job, newly, committed_total_);
+            }
           }
+          ++finished_this_slot_;
+          if (track_finished_) {
+            finished_log_.push_back({ref.job, release_[j], slot_,
+                                     slot_ - release_[j], ref.node,
+                                     job_wasted});
+            retirable_.push_back(ref.job);
+          }
+          if constexpr (kObserved) completed_now_.push_back(ref.job);
         }
-        ++finished_this_slot_;
-        if (track_finished_) {
-          finished_log_.push_back({ref.job, release_[j], slot_,
-                                   slot_ - release_[j], job_wasted});
-          retirable_.push_back(ref.job);
-        }
-        if constexpr (kObserved) completed_now_.push_back(ref.job);
       }
       flows_.record(slot_, ref.job);
       if constexpr (kRecordFull) result_.schedule->place(slot_, ref);
@@ -418,6 +423,7 @@ Time SimDriver::run_slots(const SchedulerView& view, Time max_slots) {
 Time SimDriver::advance(Time max_slots) {
   OTSCHED_CHECK(!finalized_, "advance after drain()");
   if (!begun_) begin();
+  exhausted_.clear();
   if (max_slots <= 0 || idle()) return 0;
   SchedulerView view(*this, &hot_);
   // One loop instantiation per (observed, record-full) mode: unobserved

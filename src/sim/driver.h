@@ -31,6 +31,13 @@
 //     bases).  Retired jobs answer release/finished/done_work queries
 //     but no longer expose ready sets, DAGs, or metrics.
 //
+// Held subjobs (the adaptive adversary, src/advsim): submit(job, shown)
+// keeps every subjob with id >= shown out of the ready set until
+// reveal() releases it, and exhausted() reports each job whose ready set
+// ran dry while it still held subjobs.  A static DAG's ready set empties
+// exactly when its job finishes, so it never appears there.  Job faults
+// refuse holds: a rollback rebuilds pending counts from the DAG alone.
+//
 // The slot loop body is the PR-7 saturated hot path, unchanged: one
 // templated instantiation per (observed, record-full) mode, batched
 // observer delivery, flat-array scheduler reads via EngineHotState.
@@ -58,6 +65,7 @@ class SimDriver final : public EngineBackend {
     Time release = 0;
     Time finish = 0;  // the slot its last subjob executed in
     Time flow = 0;    // finish - release
+    NodeId last = kInvalidNode;  // the subjob whose execution finished it
     /// Subjob slots this job lost to rollbacks over its lifetime (job
     /// faults, sim/job_faults.h; always 0 on healthy runs).
     std::int64_t wasted = 0;
@@ -78,7 +86,23 @@ class SimDriver final : public EngineBackend {
   /// Submits one job (the driver takes ownership).  Valid before the
   /// first advance and between advances; the release must be >= now().
   /// Returns the job's dense id.  Enables finished-job tracking.
-  JobId submit(Job job);
+  JobId submit(Job job) {
+    const NodeId shown = job.dag().node_count();
+    return submit(std::move(job), shown);
+  }
+
+  /// As submit(job), holding every subjob with id >= `shown` until
+  /// reveal() releases it.
+  JobId submit(Job job, NodeId shown);
+
+  /// Releases held subjobs [first, first + count) of an arrived job into
+  /// its ready set (increasing id, pickable from the next slot).  `first`
+  /// must be the job's first still-held subjob.  Between advances only.
+  void reveal(JobId job, NodeId first, NodeId count);
+
+  /// Subjobs whose execution in the last advance() emptied their job's
+  /// ready set while the job still held subjobs, in execution order.
+  std::span<const SubjobRef> exhausted() const { return exhausted_; }
 
   /// Snapshot hook for the serve journal's rotation (serve/journal.h):
   /// positions a FRESH driver (nothing submitted, nothing advanced) so
@@ -178,6 +202,9 @@ class SimDriver final : public EngineBackend {
   /// on_run_begin, enter slot 1.
   void begin();
 
+  /// Appends one job's per-job table entries (id == job_count()).
+  void track_job(const Job& job);
+
   /// Re-points the EngineHotState tables (the backing vectors may have
   /// reallocated after submit/append).
   void publish_hot();
@@ -242,6 +269,7 @@ class SimDriver final : public EngineBackend {
   int finished_this_slot_ = 0;        // gates alive-list compaction
   std::vector<JobId> completed_now_;  // observer-only: finished this slot
   std::vector<SubjobRef> picks_;      // per-slot scratch
+  std::vector<SubjobRef> exhausted_;  // exhausted(): last advance only
 
   bool track_finished_ = false;       // streaming: log finished jobs
   std::vector<FinishedJob> finished_log_;  // take_finished() backlog

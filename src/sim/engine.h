@@ -28,10 +28,9 @@
 
 namespace otsched {
 
-/// Backend interface behind SchedulerView.  The standard Engine (below,
-/// fixed instances) and the adaptive adversary engine (src/advsim, lazily
-/// materialized instances) both implement it, so every Scheduler runs
-/// unchanged against either world.
+/// Backend interface behind SchedulerView.  SimDriver (sim/driver.h) and
+/// the reference engine both implement it, so every Scheduler runs
+/// unchanged against either.
 class EngineBackend {
  public:
   virtual ~EngineBackend() = default;
@@ -55,15 +54,13 @@ class EngineBackend {
 };
 
 /// Flat tables behind SchedulerView's zero-dispatch fast path.  A backend
-/// that keeps its hot state in stable arrays (the incremental Engine; see
-/// ReadyArena in sim/ready_state.h) publishes them here so the accessors
-/// schedulers hammer in their inner loops — ready(), alive(),
-/// remaining_work() — compile to inline array reads instead of virtual
-/// calls.  Backends without flat state (reference, adaptive) pass null
-/// and SchedulerView falls back to the virtual EngineBackend, so every
-/// policy runs unchanged against either world.  The publishing engine
-/// must refresh slot/capacity/alive each slot; the per-job pointers are
-/// stable for the whole run.
+/// that keeps its hot state in stable arrays (SimDriver; see ReadyArena
+/// in sim/ready_state.h) publishes them here so the accessors schedulers
+/// hammer in their inner loops — ready(), alive(), remaining_work() —
+/// compile to inline array reads instead of virtual calls.  The reference
+/// engine passes null and SchedulerView falls back to the virtual
+/// EngineBackend.  The publishing engine must refresh slot/capacity/alive
+/// each slot; the per-job pointers are stable for the whole run.
 struct EngineHotState {
   Time slot = 0;
   int m = 0;

@@ -8,8 +8,7 @@
 // deterministic order.  A JobFaultSpec selects a deterministic, seeded
 // crash model plus a checkpoint-interval policy; a JobFaultSequencer
 // turns the spec into the per-(slot, job) crash/checkpoint stream both
-// fixed-instance engines consume (the adaptive adversary refuses job
-// faults).
+// engines consume.
 //
 // Determinism contract: the stochastic model (kRandomCrash) is
 // counter-based — whether a job crashes is a pure function of

@@ -144,9 +144,10 @@ struct SlotEvent {
 /// Default size of the per-run event ring (RunContext::batch_capacity).
 inline constexpr std::size_t kDefaultSlotBatchCapacity = 256;
 
-/// The observer surface of every engine (Simulate, ReferenceSimulate,
-/// and the advsim adaptive engine).  `on_slot_batch` is the one event
-/// hook every sink implements; the run markers default to no-ops.
+/// The observer surface of both engines (SimDriver, behind Simulate and
+/// the adaptive adversary, and ReferenceSimulate).  `on_slot_batch` is
+/// the one event hook every sink implements; the run markers default to
+/// no-ops.
 class RunObserver {
  public:
   virtual ~RunObserver() = default;

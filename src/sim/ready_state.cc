@@ -53,6 +53,7 @@ void ReadyArena::init(std::span<const Dag* const> dags) {
     nodes_[j] = dags[j]->node_count();
     total += dags[j]->node_count();
   }
+  shown_.assign(nodes_.begin(), nodes_.end());
   total_nodes_ = total;
 
   pending_.assign(static_cast<std::size_t>(total), 0);
@@ -92,7 +93,7 @@ void ReadyArena::init(std::span<const Dag* const> dags) {
   }
 }
 
-JobId ReadyArena::append(const Dag& dag) {
+JobId ReadyArena::append(const Dag& dag, NodeId shown) {
   const std::int32_t n = dag.node_count();
   std::int64_t base = -1;
   // First fit over the (sorted, coalesced) free list; a larger region is
@@ -117,12 +118,14 @@ JobId ReadyArena::append(const Dag& dag) {
     ready_.resize(static_cast<std::size_t>(total_nodes_));
     executed_.resize(static_cast<std::size_t>((total_nodes_ + 63) / 64), 0);
   }
-  // (Re)initialize the region: in-degrees, no ready positions, executed
-  // bits cleared (the region may have hosted a retired job).
+  // (Re)initialize the region: in-degrees (plus the hold), no ready
+  // positions, executed bits cleared (the region may have hosted a
+  // retired job).
   std::int32_t* pending = pending_.data() + base;
   NodeId* pos = pos_.data() + base;
   for (NodeId v = 0; v < n; ++v) {
-    pending[static_cast<std::size_t>(v)] = dag.in_degree(v);
+    pending[static_cast<std::size_t>(v)] =
+        dag.in_degree(v) + (v >= shown ? 1 : 0);
     pos[static_cast<std::size_t>(v)] = kInvalidNode;
   }
   for (std::int64_t nv = base; nv < base + n; ++nv) {
@@ -141,6 +144,7 @@ JobId ReadyArena::append(const Dag& dag) {
   const JobId j = static_cast<JobId>(off_.size());
   off_.push_back(base);
   nodes_.push_back(n);
+  shown_.push_back(shown);
   ready_len_.push_back(0);
   done_.push_back(0);
   return j;
@@ -194,11 +198,12 @@ std::int32_t ReadyArena::activate(JobId j) {
     }
   } else {
     // Appended job: scan the still-initial pending counters.  Same order
-    // (increasing node id over the in-degree-0 nodes), one O(nodes) pass
-    // that replaces the root-list pass bulk init would have paid.
-    const std::int32_t n = nodes_[i];
+    // (increasing node id over the in-degree-0 nodes), one pass over the
+    // shown nodes (a held node is never a root) that replaces the
+    // root-list pass bulk init would have paid.
     const std::int32_t* pending = pending_.data() + off_[i];
-    for (NodeId v = 0; v < n; ++v) {
+    const NodeId shown = shown_[i];
+    for (NodeId v = 0; v < shown; ++v) {
       if (pending[static_cast<std::size_t>(v)] == 0) {
         pos[static_cast<std::size_t>(v)] = static_cast<NodeId>(len);
         ready[static_cast<std::size_t>(len)] = v;
@@ -207,6 +212,25 @@ std::int32_t ReadyArena::activate(JobId j) {
     }
   }
   return len;
+}
+
+std::int32_t ReadyArena::reveal(JobId j, NodeId count) {
+  const std::size_t i = static_cast<std::size_t>(j);
+  const NodeId first = shown_[i];
+  OTSCHED_DCHECK(count >= 0 && first + count <= nodes_[i]);
+  shown_[i] += count;
+  std::int32_t* pending = pending_.data() + off_[i];
+  NodeId* ready = ready_.data() + off_[i];
+  NodeId* pos = pos_.data() + off_[i];
+  std::int32_t& len = ready_len_[i];
+  const std::int32_t before = len;
+  for (NodeId v = first; v < first + count; ++v) {
+    if (--pending[static_cast<std::size_t>(v)] > 0) continue;
+    pos[static_cast<std::size_t>(v)] = static_cast<NodeId>(len);
+    ready[static_cast<std::size_t>(len)] = v;
+    ++len;
+  }
+  return len - before;
 }
 
 void ReadyArena::enable_commit_tracking() {

@@ -5,9 +5,9 @@
 // set by rescanning the DAG makes a run O(|V| * horizon); maintaining it
 // as deltas makes the whole run O(|V| + |E|) bookkeeping total — each
 // edge is relaxed exactly once, when its source executes.  This header
-// packages that delta maintenance so the online engine (sim/engine.cc),
-// the LPF builder and the MC replayer (src/core), and the adversarial
-// backends all share one audited implementation.
+// packages that delta maintenance so SimDriver (sim/driver.h, which also
+// runs the adaptive adversary) and the LPF builder and MC replayer
+// (src/core) share one audited implementation.
 //
 // Determinism contract (relied on by the golden equivalence tests and by
 // every seeded experiment): the ready sequence is a pure function of the
@@ -103,9 +103,21 @@ class ReadyArena {
   /// Adds one job after construction, reusing a retired region when one
   /// is large enough (first-fit with splitting) and growing the node
   /// arrays otherwise.  Returns the new job's id (== job_count() - 1).
-  /// Growing may reallocate the raw tables below — re-publish any cached
-  /// pointers after calling this.
-  JobId append(const Dag& dag);
+  /// Nodes with id >= `shown` are HELD: they carry one extra pending
+  /// count, so neither activation nor their parents' execution can make
+  /// them ready until reveal() drops it.  Growing may reallocate the raw
+  /// tables below — re-publish any cached pointers after calling this.
+  JobId append(const Dag& dag, NodeId shown);
+
+  /// Job j's first held node (its node count when none is held).
+  NodeId shown(JobId j) const {
+    return shown_[static_cast<std::size_t>(j)];
+  }
+
+  /// Drops the extra pending count of j's next `count` held nodes, from
+  /// shown(j) on; each node whose count reaches zero is appended to j's
+  /// ready region, in increasing id.  Returns the ready-width delta.
+  std::int32_t reveal(JobId j, NodeId count);
 
   /// Recycles job j's node region (j must be finished: every node
   /// executed, ready list empty).  Per-job queries done()/is-finished
@@ -238,6 +250,7 @@ class ReadyArena {
   std::vector<NodeId> ready_;            // per-job CSR ready regions
   std::vector<std::int32_t> ready_len_;  // per-job ready count
   std::vector<std::int64_t> done_;       // per-job executed count
+  std::vector<NodeId> shown_;            // per-job first held node
   std::vector<NodeId> roots_;            // CSR root lists, bulk jobs only
   std::vector<std::int64_t> roots_off_;  // bulk job -> root region (jobs+1)
   std::vector<FreeRegion> free_;         // retired regions, sorted by base

@@ -7,7 +7,9 @@
 #include "opt/lower_bounds.h"
 #include "sched/fifo.h"
 #include "sched/list_greedy.h"
+#include "sched/registry.h"
 #include "sched/round_robin.h"
+#include "sim/faults.h"
 #include "sim/validator.h"
 
 namespace otsched {
@@ -114,6 +116,82 @@ TEST(AdaptiveAdversary, HurtsEveryNonClairvoyantBaseline) {
         static_cast<double>(result.max_flow) /
         static_cast<double>(result.certified_opt_upper);
     EXPECT_GT(ratio, 1.3) << scheduler->name();
+  }
+}
+
+/// FNV-1a 64 over the per-job flows, eight little-endian bytes each.
+std::uint64_t HashFlows(const std::vector<Time>& flows) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const Time flow : flows) {
+    const std::uint64_t bits = static_cast<std::uint64_t>(flow);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xff;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(AdaptiveAdversary, GoldenFlowsPerPolicy) {
+  // Pins the per-job flows of every non-clairvoyant registry policy
+  // against the adversary, healthy and under a capacity-fault model, so
+  // any change to how the adversary is driven must reproduce them.  The
+  // hashes were recorded with the adversary's former standalone engine.
+  struct Golden {
+    const char* policy;
+    int m;
+    bool faulted;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {"fifo/first-ready", 3, false, 0x369f63114db7c883ULL},
+      {"fifo/first-ready", 3, true, 0x0006f023981c9723ULL},
+      {"fifo/first-ready", 4, false, 0x65a95baca2289c64ULL},
+      {"fifo/first-ready", 4, true, 0x7eea692e20a60593ULL},
+      {"fifo/first-ready", 8, false, 0x59cd1f0641aee9e7ULL},
+      {"fifo/first-ready", 8, true, 0xbae34c2476734ed7ULL},
+      {"fifo/last-ready", 3, false, 0x369f63114db7c883ULL},
+      {"fifo/last-ready", 3, true, 0x0006f023981c9723ULL},
+      {"fifo/last-ready", 4, false, 0x65a95baca2289c64ULL},
+      {"fifo/last-ready", 4, true, 0x7eea692e20a60593ULL},
+      {"fifo/last-ready", 8, false, 0x59cd1f0641aee9e7ULL},
+      {"fifo/last-ready", 8, true, 0xbae34c2476734ed7ULL},
+      {"fifo/random", 3, false, 0x369f63114db7c883ULL},
+      {"fifo/random", 3, true, 0x0006f023981c9723ULL},
+      {"fifo/random", 4, false, 0x65a95baca2289c64ULL},
+      {"fifo/random", 4, true, 0x7eea692e20a60593ULL},
+      {"fifo/random", 8, false, 0x59cd1f0641aee9e7ULL},
+      {"fifo/random", 8, true, 0xbae34c2476734ed7ULL},
+      {"list-greedy", 3, false, 0x86a124ea98979783ULL},
+      {"list-greedy", 3, true, 0x2668c39b38156431ULL},
+      {"list-greedy", 4, false, 0x59fec1f8636b5146ULL},
+      {"list-greedy", 4, true, 0x7042ba7db9511abdULL},
+      {"list-greedy", 8, false, 0x52e4732da83e2042ULL},
+      {"list-greedy", 8, true, 0x4c1b0d85ea46ea62ULL},
+      {"round-robin-equi", 3, false, 0x369f63114db7c883ULL},
+      {"round-robin-equi", 3, true, 0x0ce1ebb621f52c8bULL},
+      {"round-robin-equi", 4, false, 0x37551c78ae576d06ULL},
+      {"round-robin-equi", 4, true, 0x7ec8d6eb90103ea4ULL},
+      {"round-robin-equi", 8, false, 0x59444ad42c042a00ULL},
+      {"round-robin-equi", 8, true, 0xdd0b44e6645731abULL},
+  };
+  std::string error;
+  const std::optional<FaultSpec> blip =
+      ParseFaultSpec("random-blip:3:0.3", &error);
+  ASSERT_TRUE(blip.has_value()) << error;
+  for (const Golden& golden : goldens) {
+    const std::unique_ptr<Scheduler> scheduler = MakePolicy(golden.policy);
+    ASSERT_NE(scheduler, nullptr) << golden.policy;
+    AdaptiveAdversaryOptions options;
+    options.m = golden.m;
+    options.num_jobs = 5 * golden.m;
+    RunContext context{FlowOnlyOptions(), nullptr};
+    if (golden.faulted) context.options.faults = *blip;
+    const AdaptiveAdversaryResult result =
+        RunAdaptiveAdversary(*scheduler, options, context);
+    EXPECT_EQ(HashFlows(result.flows.flow), golden.hash)
+        << golden.policy << " m=" << golden.m
+        << (golden.faulted ? " random-blip:3:0.3" : " healthy");
   }
 }
 

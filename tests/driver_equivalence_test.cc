@@ -12,10 +12,14 @@
 // order the batch path uses, take_finished() reports every completion
 // exactly once with flow == finish - release, and retire_finished()
 // keeps arena memory proportional to the live width of the stream
-// instead of the length of the run.
+// instead of the length of the run.  Held subjobs: submit(job, shown)
+// keeps them out of every ready set until reveal() releases them, and
+// exhausted() reports each job whose ready set ran dry before it
+// finished.
 #include "gtest_compat.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <vector>
 
@@ -58,7 +62,11 @@ void CheckTickEqualsBatch(const Instance& instance, int m,
   SimDriver driver(m, *tick_scheduler, options);
   driver.submit_all(instance);
   Time ticks = 0;
-  while (driver.advance(1) > 0) ++ticks;
+  while (driver.advance(1) > 0) {
+    ++ticks;
+    // A static DAG's ready set only empties when its job finishes.
+    EXPECT_TRUE(driver.exhausted().empty()) << label << " slot " << ticks;
+  }
   EXPECT_EQ(driver.advance(1), 0) << label;  // idle drivers report 0
   EXPECT_TRUE(driver.idle()) << label;
   const SimResult tick = driver.drain();
@@ -301,6 +309,136 @@ TEST(DriverStreaming, RetiredJobsStillAnswerFlowQueries) {
   EXPECT_TRUE(result.flows.all_completed);
   ASSERT_EQ(result.flows.flow.size(), 2u);
   EXPECT_EQ(result.flows.flow[0], 2);
+}
+
+// ---- held subjobs: submit(job, shown) / reveal / exhausted ----
+
+/// Picks ready subjobs of every alive job in reverse ready order (so the
+/// front of a ready set executes last) and logs each slot's ready sets.
+class ReverseLogger final : public Scheduler {
+ public:
+  std::string name() const override { return "reverse-logger"; }
+  void pick(const SchedulerView& view, std::vector<SubjobRef>& out) override {
+    std::vector<NodeId>& seen = seen_.emplace_back();
+    for (const JobId job : view.alive()) {
+      const std::span<const NodeId> ready = view.ready(job);
+      seen.insert(seen.end(), ready.begin(), ready.end());
+      for (auto it = ready.rbegin(); it != ready.rend(); ++it) {
+        if (static_cast<int>(out.size()) == view.capacity()) return;
+        out.push_back({job, *it});
+      }
+    }
+  }
+  /// Ready subjobs seen at each visited slot, in ready order.
+  const std::vector<std::vector<NodeId>>& seen() const { return seen_; }
+
+ private:
+  std::vector<std::vector<NodeId>> seen_;
+};
+
+/// A scheduler whose pick is a test-supplied function.
+class ScriptedScheduler final : public Scheduler {
+ public:
+  using PickFn =
+      std::function<void(const SchedulerView&, std::vector<SubjobRef>&)>;
+  explicit ScriptedScheduler(PickFn pick) : pick_(std::move(pick)) {}
+  std::string name() const override { return "scripted"; }
+  void pick(const SchedulerView& view, std::vector<SubjobRef>& out) override {
+    pick_(view, out);
+  }
+
+ private:
+  PickFn pick_;
+};
+
+TEST(DriverHeld, RevealReleasesHeldSubjobsAndReportsEachExhaustionOnce) {
+  // Six independent subjobs, 2..5 held; m = 2.
+  ReverseLogger logger;
+  SimDriver driver(2, logger);
+  driver.submit(Job(MakeParallelBlob(6), 0), 2);
+
+  // Slot 1: only the shown subjobs are ready.  Reverse order runs 1
+  // then 0, so 0 is the subjob that empties the ready set.
+  ASSERT_EQ(driver.advance(1), 1);
+  EXPECT_EQ(logger.seen().back(), (std::vector<NodeId>{0, 1}));
+  ASSERT_EQ(driver.exhausted().size(), 1u);
+  EXPECT_EQ(driver.exhausted()[0], (SubjobRef{0, 0}));
+  EXPECT_TRUE(driver.take_finished().empty());
+
+  // Revealed subjobs are ready at the next pick, in increasing id; the
+  // one still held is not.
+  driver.reveal(0, 2, 3);
+  ASSERT_EQ(driver.advance(1), 1);
+  EXPECT_EQ(logger.seen().back(), (std::vector<NodeId>{2, 3, 4}));
+  EXPECT_TRUE(driver.exhausted().empty());
+  ASSERT_EQ(driver.advance(1), 1);
+  EXPECT_EQ(logger.seen().back(), (std::vector<NodeId>{2}));
+  ASSERT_EQ(driver.exhausted().size(), 1u);
+  EXPECT_EQ(driver.exhausted()[0], (SubjobRef{0, 2}));
+
+  // Nothing is ready until the next reveal, and the exhaustion is not
+  // reported again.
+  ASSERT_EQ(driver.advance(1), 1);
+  EXPECT_TRUE(logger.seen().back().empty());
+  EXPECT_TRUE(driver.exhausted().empty());
+  EXPECT_FALSE(driver.idle());
+
+  driver.reveal(0, 5, 1);
+  ASSERT_EQ(driver.advance(1), 1);
+  EXPECT_EQ(logger.seen().back(), (std::vector<NodeId>{5}));
+  EXPECT_TRUE(driver.exhausted().empty());
+  const std::vector<SimDriver::FinishedJob> finished = driver.take_finished();
+  ASSERT_EQ(finished.size(), 1u);
+  EXPECT_EQ(finished[0].last, 5);
+  EXPECT_EQ(finished[0].finish, 5);
+  EXPECT_TRUE(driver.idle());
+  const SimResult result = driver.drain();
+  EXPECT_EQ(result.flows.flow[0], 5);
+  // The held subjob was never ready before its reveal.
+  for (std::size_t slot = 0; slot + 1 < logger.seen().size(); ++slot) {
+    const std::vector<NodeId>& seen = logger.seen()[slot];
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 5), 0) << slot + 1;
+  }
+}
+
+TEST(DriverHeldDeath, PickingAHeldSubjobAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  ScriptedScheduler cheat([](const SchedulerView&,
+                             std::vector<SubjobRef>& out) {
+    out.push_back({0, 2});
+  });
+  SimDriver driver(2, cheat);
+  driver.submit(Job(MakeParallelBlob(4), 0), 2);
+  EXPECT_DEATH(driver.advance(1), "is not ready");
+}
+
+TEST(DriverHeldDeath, RevealOutsideTheHeldRangeAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  ReverseLogger logger;
+  SimDriver driver(2, logger);
+  driver.submit(Job(MakeParallelBlob(6), 0), 2);
+  driver.submit(Job(MakeParallelBlob(6), 4), 2);
+  ASSERT_EQ(driver.advance(1), 1);
+  EXPECT_DEATH(driver.reveal(0, 0, 1), "the first held subjob is 2");
+  EXPECT_DEATH(driver.reveal(0, 3, 1), "the first held subjob is 2");
+  EXPECT_DEATH(driver.reveal(0, 2, 5), "with 6 subjobs");
+  EXPECT_DEATH(driver.reveal(2, 2, 1), "unknown job 2");
+  EXPECT_DEATH(driver.reveal(1, 2, 1), "before its arrival");
+}
+
+TEST(DriverHeldDeath, HoldsAreRefusedUnderJobFaults) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  SimOptions job_faulted = FlowOnlyOptions();
+  job_faulted.job_faults.model = JobFaultModel::kRandomCrash;
+  job_faulted.job_faults.seed = 11;
+  job_faulted.job_faults.rate = 0.2;
+  FifoScheduler fifo;
+  SimDriver driver(2, fifo, job_faulted);
+  EXPECT_DEATH(driver.submit(Job(MakeParallelBlob(6), 0), 2),
+               "held subjobs cannot run under job faults");
+  driver.submit(Job(MakeParallelBlob(6), 0));
+  ASSERT_EQ(driver.advance(1), 1);
+  EXPECT_DEATH(driver.reveal(0, 2, 1), "reveal under job faults");
 }
 
 }  // namespace
