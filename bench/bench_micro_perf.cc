@@ -179,6 +179,9 @@ Instance MakeSparseChainInstance(int jobs, NodeId chain_len) {
 void BM_EngineSparseIncremental(benchmark::State& state) {
   const Instance instance =
       MakeSparseChainInstance(static_cast<int>(state.range(0)), 32);
+  // Fill every job's lazy Job::metrics() first, so the probe counts the
+  // engine's allocations rather than the instance's one-time cache.
+  benchmark::DoNotOptimize(instance.max_span());
   {
     // Untimed probe run: heap cost of one full-record simulation.
     FifoScheduler fifo;
@@ -206,6 +209,7 @@ BENCHMARK(BM_EngineSparseIncremental)->Arg(512)->Arg(2048);
 void BM_EngineSparseFlowOnly(benchmark::State& state) {
   const Instance instance =
       MakeSparseChainInstance(static_cast<int>(state.range(0)), 32);
+  benchmark::DoNotOptimize(instance.max_span());  // warm, as above
   {
     FifoScheduler fifo;
     const AllocProbe probe;

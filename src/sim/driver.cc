@@ -27,6 +27,7 @@ SimDriver::SimDriver(int m, Scheduler& scheduler, const RunContext& context)
   const std::string unsupported = RunSupportError(scheduler, options);
   OTSCHED_CHECK(unsupported.empty(), unsupported);
   options_horizon_ = options.max_horizon;
+  if (job_faults_.active()) arena_.enable_commit_tracking();
 }
 
 Time SimDriver::horizon_bound() const {
@@ -57,37 +58,25 @@ const DagMetrics& SimDriver::metrics(JobId id) const {
                     << id);
   OTSCHED_CHECK(arrived(id),
                 "metrics of job " << id << " requested before arrival");
-  const Job* job = jobs_[static_cast<std::size_t>(id)];
-  OTSCHED_CHECK(job != nullptr, "metrics of job " << id
-                                                  << " requested after retire");
+  const std::optional<Job>& job = jobs_[static_cast<std::size_t>(id)];
+  OTSCHED_CHECK(job.has_value(), "metrics of job "
+                                     << id << " requested after retire");
   return job->metrics();
 }
 
 void SimDriver::submit_all(const Instance& instance) {
-  OTSCHED_CHECK(!begun_ && jobs_.empty(),
-                "submit_all requires a fresh driver (submit jobs "
-                "individually to extend a run)");
-  for (JobId id = 0; id < instance.job_count(); ++id) {
-    const Job& job = instance.job(id);
-    OTSCHED_CHECK(job.dag().node_count() >= 1,
-                  "job " << id << " has no subjobs");
-    track_job(job);
-  }
-  if (job_faults_.active()) arena_.enable_commit_tracking();
-  arena_.init(dags_);
-  arrival_order_ = instance.release_order();
-  max_release_ = instance.max_release();
-  max_span_ = instance.max_span();
-}
-
-void SimDriver::track_job(const Job& job) {
-  jobs_.push_back(&job);
-  dags_.push_back(&job.dag());
-  work_.push_back(job.work());
-  release_.push_back(job.release());
-  flows_.add_job(job.work(), job.release());
-  total_work_ += job.work();
-  if (job_faults_.active()) wasted_.push_back(0);
+  // A capacity hint: the whole instance fits without reallocating.
+  const std::size_t n = jobs_.size() + instance.jobs().size();
+  jobs_.reserve(n);
+  dags_.reserve(n);
+  release_.reserve(n);
+  finish_.reserve(n);
+  arrivals_.reserve(n);
+  finished_log_.reserve(n);
+  retirable_.reserve(n);
+  if (job_faults_.active()) wasted_.reserve(n);
+  arena_.reserve(instance.jobs().size(), instance.total_work());
+  for (const Job& job : instance.jobs()) submit(job);
 }
 
 void SimDriver::warm_start(Time resume_slot) {
@@ -115,19 +104,26 @@ JobId SimDriver::submit(Job job, NodeId shown) {
                                               << " in the simulated past "
                                                  "(now = " << now() << ")");
   const JobId id = static_cast<JobId>(jobs_.size());
-  const std::size_t j = static_cast<std::size_t>(id);
-  owned_.resize(j + 1);
-  owned_[j] = std::make_unique<Job>(std::move(job));
-  const Job& ref = *owned_[j];
-  track_job(ref);
+  const Job& ref = *jobs_.emplace_back(std::move(job));
+  dags_.push_back(&ref.dag());
+  release_.push_back(ref.release());
+  finish_.push_back(kNoTime);
+  if (job_faults_.active()) wasted_.push_back(0);
+  total_work_ += ref.work();
   max_release_ = std::max(max_release_, ref.release());
   max_span_ = std::max(max_span_, ref.span());
-  // Idempotent; before the append so the region grows the commit bitset.
-  if (job_faults_.active()) arena_.enable_commit_tracking();
   const JobId arena_id = arena_.append(ref.dag(), shown);
   OTSCHED_CHECK(arena_id == id);
-  late_arrivals_.emplace(ref.release(), id);
-  track_finished_ = true;
+  // Every queued arrival delivered: restart the queue, so a stream's
+  // queue holds only its pending arrivals.
+  if (next_arrival_ == arrivals_.size()) {
+    arrivals_.clear();
+    next_arrival_ = 0;
+  } else if (ref.release() <
+             release_[static_cast<std::size_t>(arrivals_.back())]) {
+    arrivals_sorted_ = false;
+  }
+  arrivals_.push_back(id);
   if (begun_) publish_hot();
   return id;
 }
@@ -141,10 +137,10 @@ void SimDriver::reveal(JobId job, NodeId first, NodeId count) {
   const std::size_t j = static_cast<std::size_t>(job);
   OTSCHED_CHECK(release_[j] < now(),
                 "reveal of job " << job << " before its arrival");
-  OTSCHED_CHECK(count >= 0 && first + count <= work_[j],
+  OTSCHED_CHECK(count >= 0 && first + count <= arena_.nodes(job),
                 "reveal of subjobs [" << first << ", " << first + count
                                       << ") of job " << job << " with "
-                                      << work_[j] << " subjobs");
+                                      << arena_.nodes(job) << " subjobs");
   OTSCHED_CHECK(first == arena_.shown(job),
                 "reveal of job " << job << " subjob " << first
                                  << ": the first held subjob is "
@@ -161,7 +157,7 @@ void SimDriver::publish_hot() {
   hot_.node_off = arena_.node_offsets();
   hot_.ready_len = arena_.ready_lengths();
   hot_.done = arena_.done_counts();
-  hot_.work = work_.data();
+  hot_.work = arena_.node_counts();
   hot_.release = release_.data();
 }
 
@@ -178,36 +174,15 @@ void SimDriver::begin() {
   slot_ = std::max<Time>(slot_, 1);  // keep a warm_start() position
 }
 
-std::optional<std::pair<Time, JobId>> SimDriver::next_pending_arrival()
-    const {
-  std::optional<std::pair<Time, JobId>> next;
-  if (next_arrival_ < arrival_order_.size()) {
-    const JobId id = arrival_order_[next_arrival_];
-    next = {release_[static_cast<std::size_t>(id)], id};
-  }
-  if (!late_arrivals_.empty() &&
-      (!next.has_value() || late_arrivals_.top() < *next)) {
-    next = late_arrivals_.top();
-  }
-  return next;
-}
-
 template <bool kObserved>
 void SimDriver::deliver_arrivals(const SchedulerView& view) {
-  while (true) {
-    const auto next = next_pending_arrival();
-    if (!next.has_value() || next->first >= slot_) break;
-    const JobId id = next->second;
-    if (!late_arrivals_.empty() && late_arrivals_.top() == *next) {
-      late_arrivals_.pop();
-    } else {
-      ++next_arrival_;
-    }
+  while (next_arrival_ < arrivals_.size() && next_release() < slot_) {
+    const JobId id = arrivals_[next_arrival_++];
     alive_.push_back(id);
     hot_.alive = alive_.data();
     hot_.alive_count = alive_.size();
-    // Precomputed roots become ready on arrival (increasing node id, the
-    // same order the seed engine's arrival rescan produced).
+    // Roots become ready on arrival (increasing node id, the same order
+    // the seed engine's arrival rescan produced).
     ready_width_ += arena_.activate(id);
     scheduler_.on_arrival(id, view);
     if constexpr (kObserved) emitter_.arrival(slot_, id);
@@ -223,9 +198,8 @@ Time SimDriver::run_slots(const SchedulerView& view, Time max_slots) {
   Time visited = 0;
   while (visited < max_slots && executed_total_ < total_work) {
     // Fast-forward across empty stretches when nothing is alive.
-    if (alive_.empty()) {
-      const auto next = next_pending_arrival();
-      if (next.has_value()) slot_ = std::max(slot_, next->first + 1);
+    if (alive_.empty() && next_arrival_ < arrivals_.size()) {
+      slot_ = std::max(slot_, next_release() + 1);
     }
     OTSCHED_CHECK(slot_ <= max_horizon,
                   "scheduler '" << scheduler_.name()
@@ -272,7 +246,6 @@ Time SimDriver::run_slots(const SchedulerView& view, Time max_slots) {
         ready_width_ +=
             static_cast<std::int64_t>(arena_.ready(id).size()) - ready_before;
         executed_total_ -= wasted;
-        flows_.unrecord(id, wasted);
         wasted_[j] += wasted;
         ++result_.stats.job_rollbacks;
         result_.stats.wasted_subjob_slots += wasted;
@@ -345,7 +318,7 @@ Time SimDriver::run_slots(const SchedulerView& view, Time max_slots) {
       // A static DAG's ready set empties exactly when the job finishes;
       // only a job with held subjobs can run dry before that.
       if (arena_.ready(ref.job).empty()) {
-        if (arena_.done(ref.job) < work_[j]) {
+        if (arena_.done(ref.job) < arena_.nodes(ref.job)) {
           exhausted_.push_back(ref);
         } else {
           std::int64_t job_wasted = 0;
@@ -361,16 +334,14 @@ Time SimDriver::run_slots(const SchedulerView& view, Time max_slots) {
             }
           }
           ++finished_this_slot_;
-          if (track_finished_) {
-            finished_log_.push_back({ref.job, release_[j], slot_,
-                                     slot_ - release_[j], ref.node,
-                                     job_wasted});
-            retirable_.push_back(ref.job);
-          }
+          finish_[j] = slot_;
+          finished_log_.push_back({ref.job, release_[j], slot_,
+                                   slot_ - release_[j], ref.node,
+                                   job_wasted});
+          retirable_.push_back(ref.job);
           if constexpr (kObserved) completed_now_.push_back(ref.job);
         }
       }
-      flows_.record(slot_, ref.job);
       if constexpr (kRecordFull) result_.schedule->place(slot_, ref);
     }
     if (job_faults_.active()) {
@@ -425,6 +396,13 @@ Time SimDriver::advance(Time max_slots) {
   if (!begun_) begin();
   exhausted_.clear();
   if (max_slots <= 0 || idle()) return 0;
+  if (!arrivals_sorted_) {
+    std::sort(arrivals_.begin() + static_cast<std::ptrdiff_t>(next_arrival_),
+              arrivals_.end(), [this](JobId a, JobId b) {
+                return std::pair(release(a), a) < std::pair(release(b), b);
+              });
+    arrivals_sorted_ = true;
+  }
   SchedulerView view(*this, &hot_);
   // One loop instantiation per (observed, record-full) mode: unobserved
   // flow-only runs — the sweep/adversary configuration — compile to a
@@ -444,9 +422,9 @@ SimResult SimDriver::drain() {
     advance(std::numeric_limits<Time>::max());
   }
   finalized_ = true;
-  // Stats and flows are computed online in BOTH record modes (identical
-  // by construction; ComputeFlows over the materialized schedule yields
-  // the same numbers, as the driver-equivalence gate proves).
+  // Stats and finish slots are recorded online in BOTH record modes
+  // (ComputeFlows over a materialized schedule yields the same flows, as
+  // the engine-equivalence gate proves).
   result_.stats.horizon = last_busy_slot_;
   result_.stats.executed_subjobs = executed_total_;
   // Wasted (rolled-back) subjob slots occupied processors too: they are
@@ -454,7 +432,7 @@ SimResult SimDriver::drain() {
   result_.stats.idle_processor_slots =
       static_cast<std::int64_t>(m_) * last_busy_slot_ - executed_total_ -
       result_.stats.wasted_subjob_slots;
-  result_.flows = flows_.finish();
+  result_.flows = SummarizeFlows(release_, std::move(finish_));
   if (observer_ != nullptr) observer_->on_finish(result_);
   return std::move(result_);
 }
@@ -469,8 +447,7 @@ std::size_t SimDriver::retire_finished() {
     const std::size_t j = static_cast<std::size_t>(id);
     arena_.retire(id);
     dags_[j] = nullptr;
-    jobs_[j] = nullptr;
-    if (j < owned_.size()) owned_[j].reset();
+    jobs_[j].reset();
     ++retired;
   }
   retirable_.clear();

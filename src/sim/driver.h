@@ -12,23 +12,23 @@
 //   driver.retire_finished();       // recycle finished jobs' memory
 //   SimResult result = driver.drain();  // run to completion, finalize
 //
-// Simulate() (sim/engine.h) is a thin wrapper — submit_all + drain — so
-// the batch path and the tick path are literally the same code; the
-// driver-equivalence suite additionally proves advance(1) stepping is
-// bit-identical to one-shot Simulate across policies, record modes,
-// observers, and fault models.
+// submit() is the only way in: Simulate() (sim/engine.h) is submit_all
+// (a loop over submit) + drain, so a batch run and a stream are the same
+// code; the driver-equivalence suite additionally proves advance(1)
+// stepping is bit-identical to one-shot Simulate across policies, record
+// modes, observers, and fault models.
 //
 // Streaming semantics (the `otsched serve` daemon, src/serve):
 //   * submit() may be called between advances; the job's release must be
 //     >= now() (a release in the simulated past would diverge from an
-//     offline replay of the same arrival stream).  Arrivals are merged
-//     into the slot loop in (release, id) order — exactly the order
-//     Instance::release_order() feeds the batch path.
+//     offline replay of the same arrival stream).  Jobs arrive in
+//     (release, id) order whatever order they were submitted in — the
+//     order Instance::release_order() gives.
 //   * retire_finished() recycles finished jobs' DAG node regions through
 //     the ReadyArena free list and drops the driver's Job copies, so an
 //     unbounded stream runs in memory proportional to the live width of
-//     the stream plus O(1) residual per job (flow counters, region
-//     bases).  Retired jobs answer release/finished/done_work queries
+//     the stream plus O(1) residual per job (release, finish slot, region
+//     base).  Retired jobs answer release/finished/done_work queries
 //     but no longer expose ready sets, DAGs, or metrics.
 //
 // Held subjobs (the adaptive adversary, src/advsim): submit(job, shown)
@@ -43,8 +43,7 @@
 // observer delivery, flat-array scheduler reads via EngineHotState.
 #pragma once
 
-#include <memory>
-#include <queue>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -77,15 +76,13 @@ class SimDriver final : public EngineBackend {
   /// as Simulate, minus the instance: jobs are submitted, not bound.
   SimDriver(int m, Scheduler& scheduler, const RunContext& context = {});
 
-  /// Bulk-loads every job of `instance` (borrowed — the instance must
-  /// outlive the driver).  Only valid on a fresh driver; this is the
-  /// batch path and costs exactly what the monolithic engine's setup
-  /// cost.  Streaming callers use submit() instead.
+  /// Submits a copy of every job of `instance`, in id order, after
+  /// reserving the driver's and the arena's tables for all of them.
   void submit_all(const Instance& instance);
 
   /// Submits one job (the driver takes ownership).  Valid before the
   /// first advance and between advances; the release must be >= now().
-  /// Returns the job's dense id.  Enables finished-job tracking.
+  /// Returns the job's dense id.
   JobId submit(Job job) {
     const NodeId shown = job.dag().node_count();
     return submit(std::move(job), shown);
@@ -131,23 +128,13 @@ class SimDriver final : public EngineBackend {
   Time now() const { return slot_ > 0 ? slot_ - 1 : 0; }
 
   /// Jobs that finished since the previous call, in completion order
-  /// (ties: pick placement order within the slot).  Populated once
-  /// tracking is on — submit() turns it on; submit_all alone (the batch
-  /// path) leaves it off and pays nothing.
+  /// (ties: pick placement order within the slot).
   std::vector<FinishedJob> take_finished();
 
   /// Recycles the arena regions and Job storage of every job that
   /// finished since the previous call.  Returns how many jobs were
-  /// retired.  Requires finished-job tracking (i.e. a streaming driver).
+  /// retired.
   std::size_t retire_finished();
-
-  /// Stats accumulated so far (horizon fields are only final after
-  /// drain()).
-  const SimStats& stats() const { return result_.stats; }
-
-  /// Flow summary over everything recorded so far (snapshot; drain()
-  /// produces the authoritative one).
-  FlowSummary flows_snapshot() const { return flows_.finish(); }
 
   /// Outstanding (submitted, unexecuted) subjobs.
   std::int64_t pending_work() const { return total_work_ - executed_total_; }
@@ -174,13 +161,13 @@ class SimDriver final : public EngineBackend {
   }
   bool arrived(JobId id) const override { return release(id) < slot_; }
   bool finished(JobId id) const override {
-    return arena_.done(id) == work_[static_cast<std::size_t>(id)];
+    return arena_.done(id) == arena_.nodes(id);
   }
   std::span<const NodeId> ready(JobId id) const override {
     return arena_.ready(id);
   }
   std::int64_t remaining_work(JobId id) const override {
-    return work_[static_cast<std::size_t>(id)] - arena_.done(id);
+    return arena_.nodes(id) - arena_.done(id);
   }
   std::int64_t done_work(JobId id) const override { return arena_.done(id); }
   bool executed(JobId id, NodeId v) const override {
@@ -202,9 +189,6 @@ class SimDriver final : public EngineBackend {
   /// on_run_begin, enter slot 1.
   void begin();
 
-  /// Appends one job's per-job table entries (id == job_count()).
-  void track_job(const Job& job);
-
   /// Re-points the EngineHotState tables (the backing vectors may have
   /// reallocated after submit/append).
   void publish_hot();
@@ -213,8 +197,10 @@ class SimDriver final : public EngineBackend {
   /// formula the batch engine derived from its instance).
   Time horizon_bound() const;
 
-  /// Smallest (release, id) among undelivered arrivals, or nullopt.
-  std::optional<std::pair<Time, JobId>> next_pending_arrival() const;
+  /// Release of the next undelivered arrival (arrivals_ sorted).
+  Time next_release() const {
+    return release_[static_cast<std::size_t>(arrivals_[next_arrival_])];
+  }
 
   int m_;
   Scheduler& scheduler_;
@@ -233,29 +219,23 @@ class SimDriver final : public EngineBackend {
   Time slot_ = 0;
   Time last_busy_slot_ = 0;          // online horizon (== schedule horizon)
   SimResult result_;                 // schedule + stats accumulate here
-  FlowAccumulator flows_;            // online flow accounting, both modes
   ReadyArena arena_;                 // SoA per-job ready/executed state
   EngineHotState hot_;               // SchedulerView fast-path tables
 
-  // Per-job flat caches (no Job indirection in the per-slot loop).
-  // jobs_ entries are borrowed from the bulk instance or point into
-  // owned_; both are nulled by retire_finished().
-  std::vector<const Job*> jobs_;
-  std::vector<std::unique_ptr<Job>> owned_;  // streaming submissions
+  // Per-job tables; work lives in the arena (arena_.nodes).  jobs_
+  // entries (copies share the DAG block) and the dags_ cache of their
+  // DAGs are dropped by retire_finished().
+  std::vector<std::optional<Job>> jobs_;
   std::vector<const Dag*> dags_;
-  std::vector<std::int64_t> work_;
   std::vector<Time> release_;
+  std::vector<Time> finish_;          // finish slot, kNoTime until then
 
   std::vector<JobId> alive_;          // arrived, unfinished, FIFO order
-  std::vector<JobId> arrival_order_;  // bulk jobs by (release, id)
+  // Undelivered arrivals from next_arrival_ on; sorted by (release, id)
+  // at the next advance once a submission breaks that order.
+  std::vector<JobId> arrivals_;
   std::size_t next_arrival_ = 0;
-  // Streaming submissions pending arrival, min-heap on (release, id) —
-  // merged with arrival_order_ so mixed bulk+streaming runs still
-  // deliver in global (release, id) order.
-  std::priority_queue<std::pair<Time, JobId>,
-                      std::vector<std::pair<Time, JobId>>,
-                      std::greater<std::pair<Time, JobId>>>
-      late_arrivals_;
+  bool arrivals_sorted_ = true;
 
   std::int64_t executed_total_ = 0;
   std::int64_t total_work_ = 0;       // over all submitted jobs
@@ -271,7 +251,6 @@ class SimDriver final : public EngineBackend {
   std::vector<SubjobRef> picks_;      // per-slot scratch
   std::vector<SubjobRef> exhausted_;  // exhausted(): last advance only
 
-  bool track_finished_ = false;       // streaming: log finished jobs
   std::vector<FinishedJob> finished_log_;  // take_finished() backlog
   std::vector<JobId> retirable_;           // retire_finished() backlog
 };

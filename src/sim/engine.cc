@@ -53,11 +53,11 @@ const Schedule& SimResult::full_schedule() const {
   return *schedule;
 }
 
-/// Batch runs are the tick engine driven to completion: Simulate is a
-/// thin SimDriver loop (bulk submit + drain), so the batch path and the
-/// incremental path are the same compiled code — the bit-identity the
-/// driver-equivalence suite then re-proves slot by slot for advance(1)
-/// stepping.  The engine internals live in sim/driver.{h,cc}.
+/// Batch runs are the tick engine driven to completion: Simulate submits
+/// every job and drains, so a batch run and a stream enter the driver
+/// the same way — the bit-identity the driver-equivalence suite then
+/// re-proves slot by slot for advance(1) stepping.  The engine internals
+/// live in sim/driver.{h,cc}.
 SimResult Simulate(const Instance& instance, int m, Scheduler& scheduler,
                    const RunContext& context) {
   SimDriver driver(m, scheduler, context);

@@ -71,7 +71,7 @@ struct EngineHotState {
   const std::int64_t* node_off = nullptr; // job -> region base
   const std::int32_t* ready_len = nullptr;
   const std::int64_t* done = nullptr;     // per-job executed count
-  const std::int64_t* work = nullptr;     // per-job total work
+  const std::int32_t* work = nullptr;     // per-job total work (nodes)
   const Time* release = nullptr;          // per-job release time
 };
 

@@ -176,8 +176,8 @@ void ReferenceEngine::deliver_arrivals(const SchedulerView& view) {
     if (instance_.job(id).release() >= slot_) break;
     ++next_arrival_;
     alive_.push_back(id);
-    // Roots become ready on arrival: the full-DAG rescan the incremental
-    // engine replaces with precomputed root lists.
+    // Roots become ready on arrival: a rescan of the in-degree table, as
+    // SimDriver's arena scans its pending counters.
     const Dag& dag = instance_.job(id).dag();
     const std::size_t j = static_cast<std::size_t>(id);
     for (NodeId v = 0; v < dag.node_count(); ++v) {

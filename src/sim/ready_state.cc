@@ -41,55 +41,21 @@ void PendingCounters::init(const Dag& dag) {
   }
 }
 
-void ReadyArena::init(std::span<const Dag* const> dags) {
-  OTSCHED_CHECK(off_.empty(), "ReadyArena::init on a non-empty arena");
-  const std::size_t jobs = dags.size();
-  off_.resize(jobs);
-  nodes_.resize(jobs);
-  roots_off_.resize(jobs + 1);
-  std::int64_t total = 0;
-  for (std::size_t j = 0; j < jobs; ++j) {
-    off_[j] = total;
-    nodes_[j] = dags[j]->node_count();
-    total += dags[j]->node_count();
-  }
-  shown_.assign(nodes_.begin(), nodes_.end());
-  total_nodes_ = total;
-
-  pending_.assign(static_cast<std::size_t>(total), 0);
-  pos_.assign(static_cast<std::size_t>(total), kInvalidNode);
-  executed_.assign(static_cast<std::size_t>((total + 63) / 64), 0);
-  ready_.resize(static_cast<std::size_t>(total));
-  ready_len_.assign(jobs, 0);
-  done_.assign(jobs, 0);
-
-  // Two passes over the roots: count, then fill — keeps roots_ a single
-  // exact-size allocation.
-  std::int64_t root_total = 0;
-  for (std::size_t j = 0; j < jobs; ++j) {
-    const Dag& dag = *dags[j];
-    roots_off_[j] = root_total;
-    std::int32_t* pending = pending_.data() + off_[j];
-    for (NodeId v = 0; v < dag.node_count(); ++v) {
-      pending[static_cast<std::size_t>(v)] = dag.in_degree(v);
-      if (pending[static_cast<std::size_t>(v)] == 0) ++root_total;
-    }
-  }
+void ReadyArena::reserve(std::size_t jobs, std::int64_t nodes) {
+  const std::size_t j = off_.size() + jobs;
+  const std::size_t n = static_cast<std::size_t>(total_nodes_ + nodes);
+  off_.reserve(j);
+  nodes_.reserve(j);
+  shown_.reserve(j);
+  ready_len_.reserve(j);
+  done_.reserve(j);
+  pending_.reserve(n);
+  pos_.reserve(n);
+  ready_.reserve(n);
+  executed_.reserve((n + 63) / 64);
   if (commit_tracking_) {
-    committed_.assign(executed_.size(), 0);
-    committed_done_.assign(jobs, 0);
-  }
-
-  roots_off_[jobs] = root_total;
-  roots_.resize(static_cast<std::size_t>(root_total));
-  for (std::size_t j = 0; j < jobs; ++j) {
-    const std::int32_t* pending = pending_.data() + off_[j];
-    std::int64_t w = roots_off_[j];
-    for (NodeId v = 0; v < dags[j]->node_count(); ++v) {
-      if (pending[static_cast<std::size_t>(v)] == 0) {
-        roots_[static_cast<std::size_t>(w++)] = v;
-      }
-    }
+    committed_.reserve((n + 63) / 64);
+    committed_done_.reserve(j);
   }
 }
 
@@ -111,16 +77,27 @@ JobId ReadyArena::append(const Dag& dag, NodeId shown) {
     }
   }
   if (base < 0) {
+    // Grown words are zero, and no bit past the old end was ever set.
     base = total_nodes_;
     total_nodes_ += n;
+    const std::size_t words =
+        static_cast<std::size_t>((total_nodes_ + 63) / 64);
     pending_.resize(static_cast<std::size_t>(total_nodes_));
     pos_.resize(static_cast<std::size_t>(total_nodes_));
     ready_.resize(static_cast<std::size_t>(total_nodes_));
-    executed_.resize(static_cast<std::size_t>((total_nodes_ + 63) / 64), 0);
+    executed_.resize(words, 0);
+    if (commit_tracking_) committed_.resize(words, 0);
+  } else {
+    // A recycled region still holds its retired job's bits.
+    for (std::int64_t nv = base; nv < base + n; ++nv) {
+      const std::size_t w = static_cast<std::size_t>(nv >> 6);
+      const std::uint64_t keep = ~(std::uint64_t{1} << (nv & 63));
+      executed_[w] &= keep;
+      if (commit_tracking_) committed_[w] &= keep;
+    }
   }
   // (Re)initialize the region: in-degrees (plus the hold), no ready
-  // positions, executed bits cleared (the region may have hosted a
-  // retired job).
+  // positions.
   std::int32_t* pending = pending_.data() + base;
   NodeId* pos = pos_.data() + base;
   for (NodeId v = 0; v < n; ++v) {
@@ -128,18 +105,7 @@ JobId ReadyArena::append(const Dag& dag, NodeId shown) {
         dag.in_degree(v) + (v >= shown ? 1 : 0);
     pos[static_cast<std::size_t>(v)] = kInvalidNode;
   }
-  for (std::int64_t nv = base; nv < base + n; ++nv) {
-    executed_[static_cast<std::size_t>(nv >> 6)] &=
-        ~(std::uint64_t{1} << (nv & 63));
-  }
-  if (commit_tracking_) {
-    committed_.resize(executed_.size(), 0);
-    for (std::int64_t nv = base; nv < base + n; ++nv) {
-      committed_[static_cast<std::size_t>(nv >> 6)] &=
-          ~(std::uint64_t{1} << (nv & 63));
-    }
-    committed_done_.push_back(0);
-  }
+  if (commit_tracking_) committed_done_.push_back(0);
 
   const JobId j = static_cast<JobId>(off_.size());
   off_.push_back(base);
@@ -188,27 +154,14 @@ std::int32_t ReadyArena::activate(JobId j) {
   NodeId* pos = pos_.data() + off_[i];
   std::int32_t& len = ready_len_[i];
   OTSCHED_DCHECK(len == 0);
-  if (i + 1 < roots_off_.size()) {
-    // Bulk-initialized job: precomputed root list.
-    for (std::int64_t r = roots_off_[i]; r < roots_off_[i + 1]; ++r) {
-      const NodeId v = roots_[static_cast<std::size_t>(r)];
+  // The still-initial pending counters: a node with none is a root (a
+  // held node never is), in increasing node id.
+  const std::int32_t* pending = pending_.data() + off_[i];
+  for (NodeId v = 0; v < shown_[i]; ++v) {
+    if (pending[static_cast<std::size_t>(v)] == 0) {
       pos[static_cast<std::size_t>(v)] = static_cast<NodeId>(len);
       ready[static_cast<std::size_t>(len)] = v;
       ++len;
-    }
-  } else {
-    // Appended job: scan the still-initial pending counters.  Same order
-    // (increasing node id over the in-degree-0 nodes), one pass over the
-    // shown nodes (a held node is never a root) that replaces the
-    // root-list pass bulk init would have paid.
-    const std::int32_t* pending = pending_.data() + off_[i];
-    const NodeId shown = shown_[i];
-    for (NodeId v = 0; v < shown; ++v) {
-      if (pending[static_cast<std::size_t>(v)] == 0) {
-        pos[static_cast<std::size_t>(v)] = static_cast<NodeId>(len);
-        ready[static_cast<std::size_t>(len)] = v;
-        ++len;
-      }
     }
   }
   return len;

@@ -68,37 +68,34 @@ class PendingCounters {
   std::vector<NodeId> roots_;
 };
 
-/// Struct-of-arrays ready/executed state over ALL jobs of an instance —
-/// the engine's hot data, laid out as a handful of flat arrays instead
-/// of per-job heap objects (the former JobReadyState owned 4-5 vectors
-/// PER JOB; the arena owns ~9 vectors PER RUN regardless of job count).
-/// Per-job regions are CSR slices of node-indexed arrays: job j's nodes
-/// occupy [off(j), off(j+1)), its ready list lives in the same region of
-/// `ready_` (a job can never have more ready nodes than nodes), and the
-/// executed flags are one shared bitset.  All queries the EngineBackend
-/// contract needs are O(1); execute() additionally returns the ready-
-/// width delta so the engine can maintain the total ready width as a
-/// counter instead of the O(alive) sweep observers used to pay.
+/// Struct-of-arrays ready/executed state over ALL jobs of a run — the
+/// engine's hot data, laid out as a handful of flat arrays instead of
+/// per-job heap objects (the former JobReadyState owned 4-5 vectors PER
+/// JOB; the arena owns ~9 vectors PER RUN regardless of job count).
+/// Per-job regions are slices of node-indexed arrays: job j's nodes
+/// occupy [off(j), off(j) + nodes(j)), its ready list lives in the same
+/// region of `ready_` (a job can never have more ready nodes than nodes),
+/// and the executed flags are one shared bitset.  All queries the
+/// EngineBackend contract needs are O(1); execute() additionally returns
+/// the ready-width delta so the engine can maintain the total ready
+/// width as a counter instead of the O(alive) sweep observers used to
+/// pay.
 ///
 /// The determinism contract above holds per job region exactly as it did
 /// for the per-job vectors: same roots order, same swap-erase, same
 /// children order — the engine-equivalence gate proves it bit-for-bit.
-/// Streaming extension (SimDriver, sim/driver.h): jobs may additionally
-/// be append()ed one at a time after (or instead of) the bulk init, and
-/// finished jobs may be retire()d, which recycles their node region
-/// through a coalescing free list so an unbounded submission stream runs
-/// in memory proportional to the LIVE node count plus O(1) per job ever
-/// seen (the per-job base/len/done entries are never reclaimed — job ids
-/// are stable for the driver's lifetime).  Appended jobs activate by
-/// scanning their pending counters (identical root order: increasing
-/// node id); bulk jobs keep the precomputed root lists, so the batch
-/// path is untouched.
+/// Jobs enter one at a time through append(); activation scans the
+/// job's pending counters (roots in increasing node id).  Finished jobs
+/// may be retire()d, which recycles their node region through a
+/// coalescing free list so an unbounded submission stream runs in memory
+/// proportional to the LIVE node count plus O(1) per job ever seen (the
+/// per-job base/len/done entries are never reclaimed — job ids are
+/// stable for the arena's lifetime).
 class ReadyArena {
  public:
-  /// Builds counters/roots/flags for every dag.  Ready lists stay empty
-  /// until activate() — jobs contribute no ready subjobs before arrival.
-  /// Only valid on a fresh arena (no prior init/append).
-  void init(std::span<const Dag* const> dags);
+  /// Capacity hint: room for `jobs` more jobs totalling `nodes` more
+  /// nodes, so that many append()s never reallocate.
+  void reserve(std::size_t jobs, std::int64_t nodes);
 
   /// Adds one job after construction, reusing a retired region when one
   /// is large enough (first-fit with splitting) and growing the node
@@ -126,6 +123,11 @@ class ReadyArena {
   void retire(JobId j);
 
   std::size_t job_count() const { return off_.size(); }
+
+  /// Job j's node count (its total work).
+  std::int32_t nodes(JobId j) const {
+    return nodes_[static_cast<std::size_t>(j)];
+  }
 
   /// Node slots currently backing the arena (live + free-listed).  The
   /// retire-on-finish memory bound is asserted against this: it tracks
@@ -204,7 +206,7 @@ class ReadyArena {
   // activation uses, independent of the lost execution history.
 
   /// Turns on commit tracking.  Call before the run executes anything;
-  /// safe before or after init()/append() (later appends keep tracking).
+  /// safe before or after append() (later appends keep tracking).
   void enable_commit_tracking();
   bool commit_tracking() const { return commit_tracking_; }
 
@@ -227,10 +229,11 @@ class ReadyArena {
   std::int64_t rollback_to_checkpoint(const Dag& dag, JobId j);
 
   // Raw tables for the devirtualized scheduler fast path
-  // (EngineHotState in sim/engine.h).  Stable after init(): the arrays
-  // never reallocate during a run.
+  // (EngineHotState in sim/engine.h).  append() may reallocate them;
+  // nothing else does.
   const NodeId* ready_storage() const { return ready_.data(); }
   const std::int64_t* node_offsets() const { return off_.data(); }
+  const std::int32_t* node_counts() const { return nodes_.data(); }
   const std::int32_t* ready_lengths() const { return ready_len_.data(); }
   const std::int64_t* done_counts() const { return done_.data(); }
 
@@ -251,8 +254,6 @@ class ReadyArena {
   std::vector<std::int32_t> ready_len_;  // per-job ready count
   std::vector<std::int64_t> done_;       // per-job executed count
   std::vector<NodeId> shown_;            // per-job first held node
-  std::vector<NodeId> roots_;            // CSR root lists, bulk jobs only
-  std::vector<std::int64_t> roots_off_;  // bulk job -> root region (jobs+1)
   std::vector<FreeRegion> free_;         // retired regions, sorted by base
   std::int64_t total_nodes_ = 0;         // node slots backing the arena
 

@@ -92,38 +92,17 @@ std::vector<Time> Schedule::idle_slots(Time from, Time to,
   return result;
 }
 
-void FlowAccumulator::init(const Instance& instance) {
-  reset();
-  for (JobId id = 0; id < instance.job_count(); ++id) {
-    const Job& job = instance.job(id);
-    add_job(job.work(), job.release());
-  }
-}
-
-void FlowAccumulator::reset() {
-  work_.clear();
-  release_.clear();
-  placed_.clear();
-  last_slot_.clear();
-}
-
-JobId FlowAccumulator::add_job(std::int64_t work, Time release) {
-  work_.push_back(work);
-  release_.push_back(release);
-  placed_.push_back(0);
-  last_slot_.push_back(kNoTime);
-  return static_cast<JobId>(work_.size()) - 1;
-}
-
-FlowSummary FlowAccumulator::finish() const {
-  const std::size_t n = work_.size();
+FlowSummary SummarizeFlows(std::span<const Time> release,
+                           std::vector<Time> completion) {
+  const std::size_t n = completion.size();
+  OTSCHED_CHECK(release.size() == n, "flows of " << n << " jobs with "
+                                                << release.size()
+                                                << " releases");
   FlowSummary summary;
-  summary.completion.resize(n, kNoTime);
   summary.flow.resize(n, kInfiniteTime);
   for (std::size_t i = 0; i < n; ++i) {
-    if (placed_[i] == work_[i]) {
-      summary.completion[i] = last_slot_[i];
-      summary.flow[i] = last_slot_[i] - release_[i];
+    if (completion[i] != kNoTime) {
+      summary.flow[i] = completion[i] - release[i];
     } else {
       summary.all_completed = false;
     }
@@ -133,8 +112,29 @@ FlowSummary FlowAccumulator::finish() const {
       summary.max_flow_job = static_cast<JobId>(i);
     }
   }
-  if (n == 0) summary.max_flow = 0;
+  summary.completion = std::move(completion);
   return summary;
+}
+
+void FlowAccumulator::init(const Instance& instance) {
+  const std::size_t n = static_cast<std::size_t>(instance.job_count());
+  work_.resize(n);
+  release_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Job& job = instance.job(static_cast<JobId>(i));
+    work_[i] = job.work();
+    release_[i] = job.release();
+  }
+  placed_.assign(n, 0);
+  last_slot_.assign(n, kNoTime);
+}
+
+FlowSummary FlowAccumulator::finish() const {
+  std::vector<Time> completion(work_.size(), kNoTime);
+  for (std::size_t i = 0; i < completion.size(); ++i) {
+    if (placed_[i] == work_[i]) completion[i] = last_slot_[i];
+  }
+  return SummarizeFlows(release_, std::move(completion));
 }
 
 FlowSummary ComputeFlows(const Schedule& schedule, const Instance& instance) {

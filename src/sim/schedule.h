@@ -88,14 +88,17 @@ struct FlowSummary {
   bool all_completed = true;
 };
 
-/// Online flow accounting: feed it every executed subjob as it happens
-/// and finish() yields the same FlowSummary that ComputeFlows derives
-/// from a materialized schedule (ComputeFlows is implemented on top of
-/// it, so the two paths agree by construction).  This is what lets
-/// flow-only runs skip the schedule entirely.
-/// The accumulator owns per-job (work, release) copies rather than a
-/// borrowed Instance, so incremental engines (SimDriver) can add jobs as
-/// a stream submits them — finish() needs no Instance at all.
+/// The one summarizer: `completion[i]` is the slot job i finished in, or
+/// kNoTime if it never did (flow kInfiniteTime, saturating max_flow).
+/// SimDriver feeds it the finish slots it records online;
+/// FlowAccumulator feeds it the ones it derives from placements.
+FlowSummary SummarizeFlows(std::span<const Time> release,
+                           std::vector<Time> completion);
+
+/// Flow accounting from placements: feed it every executed subjob and
+/// finish() yields the instance's FlowSummary.  ComputeFlows runs it over
+/// a materialized schedule and the reference engine online, so both
+/// account flows separately from SimDriver's finish slots.
 class FlowAccumulator {
  public:
   FlowAccumulator() = default;
@@ -103,14 +106,6 @@ class FlowAccumulator {
 
   /// (Re)binds to an instance; resets all counters.
   void init(const Instance& instance);
-
-  /// Drops every job and all recorded placements.
-  void reset();
-
-  /// Registers one more job (dense ids, in call order).  Returns its id.
-  JobId add_job(std::int64_t work, Time release);
-
-  JobId job_count() const { return static_cast<JobId>(work_.size()); }
 
   /// One subjob of `job` ran during `slot`.  Slots need not be fed in
   /// order; completion is the LAST slot a job's subjob ran in.  Inline:
@@ -130,8 +125,7 @@ class FlowAccumulator {
   }
 
   /// Summarizes what has been recorded so far.  Jobs whose recorded count
-  /// is short of their work are unfinished: completion = kNoTime, flow =
-  /// kInfiniteTime (saturating max_flow).
+  /// is short of their work are unfinished.
   FlowSummary finish() const;
 
  private:

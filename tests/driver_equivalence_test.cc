@@ -169,9 +169,15 @@ TEST(DriverEquivalence, PoissonTreeMixAllPolicies) {
                         static_cast<NodeId>(5 + r.next_below(20)), r);
       },
       rng);
+  // The same jobs in reverse id order: releases fall as ids rise, so the
+  // arrival order is not the submission order.
+  const Instance reversed(
+      std::vector<Job>(instance.jobs().rbegin(), instance.jobs().rend()));
   for (int m : {1, 3}) {
     CheckMatrix(instance, m, /*semi_batched_certified=*/false,
                 /*known_opt=*/0, "tick-poisson");
+    CheckMatrix(reversed, m, /*semi_batched_certified=*/false,
+                /*known_opt=*/0, "tick-poisson-reversed");
   }
 }
 
@@ -192,30 +198,43 @@ TEST(DriverEquivalence, SaturatedCertifiedBatches) {
 // ---- streaming: submit() between advances ----
 
 TEST(DriverStreaming, MidRunSubmitMatchesBatchArrivalOrder) {
-  // Jobs released at 0, 2, 5; the batch path sees them all up front, the
-  // streaming path submits each one mid-run just before its release
-  // becomes current.  Identical schedules prove the (release, id) merge.
+  // Jobs released at 0, 2, 5, 3; the batch path sees them all up front,
+  // the streaming path submits each one mid-run before its release
+  // becomes current — the last two between the same two advances, out of
+  // release order.  Identical schedules prove the (release, id) order.
   Instance instance;
   instance.add_job(Job(MakeChain(4), 0));
   instance.add_job(Job(MakeStar(3), 2));
   instance.add_job(Job(MakeChain(3), 5));
+  instance.add_job(Job(MakeChain(2), 3));
 
   FifoScheduler batch_fifo;
   const SimResult batch = Simulate(instance, 2, batch_fifo);
 
   FifoScheduler tick_fifo;
-  SimDriver driver(2, tick_fifo);
+  SlotEventRecorder recorder;
+  RunContext context;
+  context.observer = &recorder;
+  SimDriver driver(2, tick_fifo, context);
   driver.submit(Job(MakeChain(4), 0));
   // Advance past slot 1, then submit the release-2 job (2 >= now()).
   ASSERT_GT(driver.advance(1), 0);
   ASSERT_EQ(driver.now(), 1);
   EXPECT_EQ(driver.submit(Job(MakeStar(3), 2)), 1);
   ASSERT_GT(driver.advance(2), 0);
+  ASSERT_EQ(driver.now(), 3);
   EXPECT_EQ(driver.submit(Job(MakeChain(3), 5)), 2);
+  EXPECT_EQ(driver.submit(Job(MakeChain(2), 3)), 3);
   while (driver.advance(1) > 0) {
   }
   const SimResult tick = driver.drain();
   ExpectSameRun(tick, batch, "mid-run submit");
+  // The release-3 job, submitted last, arrives before the release-5 one.
+  std::vector<JobId> arrivals;
+  for (const SlotEvent& event : recorder.stream()) {
+    if (event.kind == SlotEvent::Kind::kArrival) arrivals.push_back(event.job);
+  }
+  EXPECT_EQ(arrivals, (std::vector<JobId>{0, 1, 3, 2}));
 }
 
 TEST(DriverStreaming, TakeFinishedReportsEveryJobOnceWithExactFlows) {

@@ -429,11 +429,16 @@ TEST(EngineEquivalence, GeneralPoissonTreeMixes) {
                           static_cast<NodeId>(5 + r.next_below(20)), r);
         },
         rng);
+    // The same jobs in reverse id order: releases fall as ids rise.
+    const Instance reversed(
+        std::vector<Job>(instance.jobs().rbegin(), instance.jobs().rend()));
     for (int m : {1, 2, 3, 8}) {
       std::ostringstream label;
       label << "poisson-seed" << seed;
       CheckAllPolicies(instance, m, /*semi_batched_certified=*/false,
                        /*known_opt=*/0, label.str());
+      CheckAllPolicies(reversed, m, /*semi_batched_certified=*/false,
+                       /*known_opt=*/0, label.str() + "-reversed");
     }
   }
 }
