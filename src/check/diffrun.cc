@@ -3,16 +3,18 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "gen/arrivals.h"
 #include "gen/certified.h"
 #include "gen/random_trees.h"
 #include "job/serialize.h"
-#include "opt/brute_force.h"
 #include "opt/lower_bounds.h"
 #include "sched/registry.h"
 #include "sim/batch_runner.h"
@@ -22,85 +24,72 @@
 namespace otsched {
 namespace {
 
-constexpr NodeId kBruteForceNodeCap = 16;
-
 /// Pseudo-policy names for policy-independent checks.
 constexpr const char* kStructuralPolicy = "<lpf-structural>";
 constexpr const char* kLowerBoundsPolicy = "<lower-bounds>";
 constexpr const char* kOptCertificatePolicy = "<opt-certificate>";
 
-/// Exact OPT by exhaustive search when the instance is small enough;
-/// 0 when it is not (callers fall back to the lower-bound certificate).
-Time TryBruteOpt(const Instance& instance, int m) {
-  if (instance.empty() || instance.total_work() > kBruteForceNodeCap) {
-    return 0;
-  }
-  return BruteForceOpt(instance, m);
-}
-
-/// The flow floor: no feasible schedule can beat OPT, so a max flow below
-/// a certified OPT (or any certified lower bound on it) convicts either
-/// the certificate or the flow accounting.  Reported under the ratio
-/// oracle: both directions certify the same denominator machinery.
-OracleResult CheckFlowFloor(Time max_flow, Time floor, bool exact, int m) {
-  if (max_flow != kInfiniteTime && max_flow < floor) {
-    std::ostringstream detail;
-    detail << "achieved max flow " << max_flow << " beats the "
-           << (exact ? "certified OPT " : "certified lower bound ") << floor
-           << " on " << m << " processors";
-    return {OracleId::kRatioCeiling, false, detail.str()};
-  }
-  return {OracleId::kRatioCeiling, true, ""};
-}
-
-struct PolicyCaseConfig {
-  const PolicySpec* spec = nullptr;
-  std::uint64_t seed = 0;
+/// One fuzz case: everything CheckCase needs besides the instance.  A
+/// repro file's headers carry every field but `certified_opt`.
+struct FuzzCase {
+  /// A registry policy name or one of the pseudo-policies above.
+  std::string policy;
   int m = 1;
+  std::uint64_t seed = 0;
   /// Assumed optimum handed to semi-batched Algorithm A (stays valid
   /// under shrinking: removing work keeps releases on the OPT/2 grid).
   Time known_opt = 0;
-  /// Exact OPT certificate for floor/ceiling checks; 0 = derive from
-  /// lower bounds / brute force on the spot.
+  /// Generator-certified exact OPT for the floor, ceiling and certificate
+  /// checks; 0 = derive from lower bounds / brute force on the spot.  It
+  /// covers the unshrunk instance only, so shrinking and repros drop it.
   Time certified_opt = 0;
-  bool brute_cross_check = false;
-  /// Run the job-fault legs (FuzzOptions::job_faults threaded through so
-  /// shrinking and `--replay` rerun the identical trials).
+  /// The Section 5 reduction factor of the structural oracles.
+  int alpha = 4;
+  /// Cross-check against exhaustive search on small instances.
+  bool brute = true;
+  /// Add the job-fault legs to a registry policy's case.
   bool job_faults = false;
 };
 
-/// FNV-1a over (seed, m, policy): the case identity hash behind every
-/// derived trial dimension (record-mode toggle, fault leg).  Pure function
-/// of the case — never global state — so `--replay` of a repro file
-/// reproduces the exact same trials with no new headers.
-std::uint64_t CaseIdentityHash(const PolicyCaseConfig& cfg) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(cfg.seed);
-  mix(static_cast<std::uint64_t>(cfg.m));
-  for (const char c : cfg.spec->name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// FNV-1a over the eight bytes of `value`, least significant first.
+std::uint64_t Fnv1a(std::uint64_t h, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ ((value >> (8 * i)) & 0xff)) * kFnvPrime;
   }
   return h;
 }
 
+/// FNV-1a over the bytes of `text`.
+std::uint64_t Fnv1a(std::uint64_t h, std::string_view text) {
+  for (const char c : text) {
+    h = (h ^ static_cast<unsigned char>(c)) * kFnvPrime;
+  }
+  return h;
+}
+
+/// FNV-1a over (seed, m, policy): the case identity hash behind every
+/// derived trial dimension (record-mode toggle, fault leg).  Pure function
+/// of the case — never global state — so `--replay` of a repro file
+/// reproduces the exact same trials.
+std::uint64_t CaseIdentityHash(const FuzzCase& c) {
+  const std::uint64_t m = static_cast<std::uint64_t>(c.m);
+  return Fnv1a(Fnv1a(Fnv1a(kFnvOffset, c.seed), m), c.policy);
+}
+
 /// Whether a case also gets a flow-only rerun compared against the full
 /// run.
-bool FuzzRecordModeToggle(const PolicyCaseConfig& cfg) {
-  return (CaseIdentityHash(cfg) & 1) == 0;
+bool FuzzRecordModeToggle(const FuzzCase& c) {
+  return (CaseIdentityHash(c) & 1) == 0;
 }
 
 /// The case's fault-dimension spec: roughly half of all cases rerun under
 /// an active fault model, alternating kRandomBlip / kBurstOutage with
 /// hash-derived seed, rate and burst length.  Inactive (kNone) otherwise.
-FaultSpec FuzzFaultSpec(const PolicyCaseConfig& cfg) {
-  const std::uint64_t h = CaseIdentityHash(cfg);
+FaultSpec FuzzFaultSpec(const FuzzCase& c) {
+  const std::uint64_t h = CaseIdentityHash(c);
   FaultSpec spec;
   if (((h >> 1) & 1) != 0) return spec;  // kNone: no fault leg
   spec.model = (((h >> 2) & 1) == 0) ? FaultModel::kRandomBlip
@@ -110,7 +99,6 @@ FaultSpec FuzzFaultSpec(const PolicyCaseConfig& cfg) {
   spec.burst_len = 1 + static_cast<Time>((h >> 6) % 8);
   return spec;
 }
-
 /// The case's job-fault checkpoint policy, shared by both job-fault legs:
 /// always kEveryKSlots.  A commit fires every k slots no matter how the
 /// machine served the job, so every crash model is guaranteed to make
@@ -126,21 +114,16 @@ void DeriveCheckpointPolicy(std::uint64_t h, JobFaultSpec& spec) {
 
 /// Domain-separated case hash for the job-fault dimension (distinct from
 /// the capacity-fault stream so the two legs draw independent bits).
-std::uint64_t JobFaultCaseHash(const PolicyCaseConfig& cfg) {
-  std::uint64_t h = CaseIdentityHash(cfg);
-  for (const char c : {'j', 'b', 'f'}) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+std::uint64_t JobFaultCaseHash(const FuzzCase& c) {
+  return Fnv1a(CaseIdentityHash(c), "jbf");
 }
 
 /// The armed-but-silent spec for the kNoLostWorkWhenHealthy leg: the
 /// fault machinery (commit tracking, checkpoint commits) runs, but
 /// random-crash at rate 0 never fires, so the run must be bit-identical
 /// to the plain one.
-JobFaultSpec FuzzArmedJobFaultSpec(const PolicyCaseConfig& cfg) {
-  const std::uint64_t h = JobFaultCaseHash(cfg);
+JobFaultSpec FuzzArmedJobFaultSpec(const FuzzCase& c) {
+  const std::uint64_t h = JobFaultCaseHash(c);
   JobFaultSpec spec;
   spec.model = JobFaultModel::kRandomCrash;
   spec.seed = h;
@@ -155,8 +138,8 @@ JobFaultSpec FuzzArmedJobFaultSpec(const PolicyCaseConfig& cfg) {
 /// interval is well below the periodic-crash period, so each run is
 /// guaranteed to make progress (the horizon-trip livelock check stays a
 /// real-bug detector, not a fuzz flake).
-JobFaultSpec FuzzActiveJobFaultSpec(const PolicyCaseConfig& cfg) {
-  const std::uint64_t h = JobFaultCaseHash(cfg);
+JobFaultSpec FuzzActiveJobFaultSpec(const FuzzCase& c) {
+  const std::uint64_t h = JobFaultCaseHash(c);
   JobFaultSpec spec;
   spec.seed = h;
   switch (h % 3) {
@@ -177,103 +160,64 @@ JobFaultSpec FuzzActiveJobFaultSpec(const PolicyCaseConfig& cfg) {
   return spec;
 }
 
-/// Slot-by-slot, entry-by-entry schedule equality (same subjobs in the
-/// same order within every slot).
-bool SchedulesEqual(const Schedule& a, const Schedule& b) {
-  if (a.horizon() != b.horizon() || a.total_placed() != b.total_placed()) {
-    return false;
+/// The certificate oracle's fault leg: a deterministic BudgetTrace
+/// derived purely from (seed, m).  Roughly half the cells get an empty
+/// trace (healthy-machine sandwich only); the rest pin a short prefix of
+/// slots to hash-derived capacities in [0, m], including hard m_t = 0
+/// stalls.  Pure function of the cell, so a replayed repro regenerates
+/// the identical trace from its `# seed:` / `# m:` headers.
+BudgetTrace CertificateBudgetTrace(std::uint64_t seed, int m) {
+  // Domain-separated from CaseIdentityHash by the trailing constant.
+  const std::uint64_t h = Fnv1a(
+      Fnv1a(Fnv1a(kFnvOffset, seed), static_cast<std::uint64_t>(m)),
+      std::uint64_t{0x6365727469ULL});
+  BudgetTrace trace;
+  if ((h & 1) != 0) return trace;
+  const int pins = 1 + static_cast<int>((h >> 1) % 6);
+  Time slot = 1 + static_cast<Time>((h >> 4) % 3);
+  for (int i = 0; i < pins; ++i) {
+    const int capacity =
+        static_cast<int>((h >> (8 + 4 * i)) % static_cast<std::uint64_t>(m + 1));
+    trace.set(slot, capacity);
+    slot += 1 + static_cast<Time>((h >> (12 + 4 * i)) % 3);
   }
-  for (Time t = 1; t <= a.horizon(); ++t) {
-    const auto lhs = a.at(t);
-    const auto rhs = b.at(t);
-    if (lhs.size() != rhs.size()) return false;
-    for (std::size_t i = 0; i < lhs.size(); ++i) {
-      if (!(lhs[i] == rhs[i])) return false;
-    }
-  }
-  return true;
+  return trace;
 }
 
-/// Compares the faulted incremental run against the faulted reference
-/// run: schedules, FlowSummary and SimStats (including the fault
-/// counters) must be bit-identical — the engine-equivalence gate extended
-/// to fluctuating budgets.
-OracleResult CheckFaultedEquivalenceOracle(const SimResult& fast,
-                                           const SimResult& reference) {
-  std::ostringstream detail;
-  if (fast.flows.completion != reference.flows.completion ||
-      fast.flows.flow != reference.flows.flow ||
-      fast.flows.max_flow != reference.flows.max_flow ||
-      fast.flows.max_flow_job != reference.flows.max_flow_job ||
-      fast.flows.all_completed != reference.flows.all_completed) {
-    detail << "faulted FlowSummary diverges between engines (max_flow "
-           << fast.flows.max_flow << " vs " << reference.flows.max_flow
-           << ")";
-    return {OracleId::kFaultedEngineEquivalence, false, detail.str()};
+/// The flow floor: no feasible schedule can beat OPT, so a max flow below
+/// a certified OPT (or any certified lower bound on it) convicts either
+/// the certificate or the flow accounting.  Reported under the ratio
+/// oracle: both directions certify the same denominator machinery.
+OracleResult CheckFlowFloor(Time max_flow, Time floor, bool exact, int m) {
+  if (max_flow != kInfiniteTime && max_flow < floor) {
+    std::ostringstream detail;
+    detail << "achieved max flow " << max_flow << " beats the "
+           << (exact ? "certified OPT " : "certified lower bound ") << floor
+           << " on " << m << " processors";
+    return {OracleId::kRatioCeiling, false, detail.str()};
   }
-  if (fast.stats.horizon != reference.stats.horizon ||
-      fast.stats.executed_subjobs != reference.stats.executed_subjobs ||
-      fast.stats.idle_processor_slots !=
-          reference.stats.idle_processor_slots ||
-      fast.stats.busy_slots != reference.stats.busy_slots ||
-      fast.stats.faulted_slots != reference.stats.faulted_slots ||
-      fast.stats.capacity_shortfall != reference.stats.capacity_shortfall) {
-    detail << "faulted SimStats diverge between engines (faulted_slots "
-           << fast.stats.faulted_slots << " vs "
-           << reference.stats.faulted_slots << ", horizon "
-           << fast.stats.horizon << " vs " << reference.stats.horizon << ")";
-    return {OracleId::kFaultedEngineEquivalence, false, detail.str()};
-  }
-  if (fast.has_schedule() != reference.has_schedule() ||
-      (fast.has_schedule() &&
-       !SchedulesEqual(fast.full_schedule(), reference.full_schedule()))) {
-    return {OracleId::kFaultedEngineEquivalence, false,
-            "faulted schedules diverge between engines"};
-  }
-  return {OracleId::kFaultedEngineEquivalence, true, ""};
+  return {OracleId::kRatioCeiling, true, ""};
 }
 
-/// Compares a flow-only rerun against the recorded full run: FlowSummary
-/// and SimStats must be bit-identical (the engines compute both online,
-/// so any divergence convicts the record-mode plumbing).
-OracleResult CheckRecordModeOracle(const SimResult& full,
-                                   const SimResult& flow_only) {
-  std::ostringstream detail;
-  if (flow_only.has_schedule()) {
-    return {OracleId::kRecordModeEquivalence, false,
-            "flow-only run materialized a schedule"};
-  }
-  if (full.flows.completion != flow_only.flows.completion ||
-      full.flows.flow != flow_only.flows.flow ||
-      full.flows.max_flow != flow_only.flows.max_flow ||
-      full.flows.max_flow_job != flow_only.flows.max_flow_job ||
-      full.flows.all_completed != flow_only.flows.all_completed) {
-    detail << "flow-only FlowSummary diverges from the full run (max_flow "
-           << flow_only.flows.max_flow << " vs " << full.flows.max_flow
-           << ")";
-    return {OracleId::kRecordModeEquivalence, false, detail.str()};
-  }
-  if (full.stats.horizon != flow_only.stats.horizon ||
-      full.stats.executed_subjobs != flow_only.stats.executed_subjobs ||
-      full.stats.idle_processor_slots != flow_only.stats.idle_processor_slots ||
-      full.stats.busy_slots != flow_only.stats.busy_slots) {
-    detail << "flow-only SimStats diverge from the full run (horizon "
-           << flow_only.stats.horizon << " vs " << full.stats.horizon << ")";
-    return {OracleId::kRecordModeEquivalence, false, detail.str()};
-  }
-  return {OracleId::kRecordModeEquivalence, true, ""};
+/// A verdict from a run comparison: ok iff `difference` is empty.
+OracleResult SameRunVerdict(OracleId id, std::string difference) {
+  return {id, difference.empty(), std::move(difference)};
 }
 
-/// Runs one (policy, m, instance) case and returns every oracle verdict.
-std::vector<OracleResult> RunPolicyCase(const PolicyCaseConfig& cfg,
+/// Runs one registry-policy case and returns every oracle verdict.
+std::vector<OracleResult> RunPolicyCase(const FuzzCase& c,
+                                        const PolicySpec& spec,
                                         const Instance& instance,
                                         std::int64_t* simulations) {
   std::vector<OracleResult> results;
   if (instance.empty()) return results;
 
-  std::unique_ptr<Scheduler> scheduler =
-      cfg.spec->needs_semi_batched ? cfg.spec->make_semi_batched(cfg.known_opt)
-                                   : cfg.spec->make(cfg.seed);
+  // Every leg runs a fresh, identically seeded scheduler.
+  const auto make_scheduler = [&spec, &c]() {
+    return spec.needs_semi_batched ? spec.make_semi_batched(c.known_opt)
+                                   : spec.make(c.seed);
+  };
+  const std::unique_ptr<Scheduler> scheduler = make_scheduler();
   // Every fuzz case doubles as an observability check: stream the trace
   // through the observer hooks and hold it against DeriveTrace below.
   // The schedule-dependent oracles need a full-mode run.
@@ -281,8 +225,8 @@ std::vector<OracleResult> RunPolicyCase(const PolicyCaseConfig& cfg,
   StreamingTraceObserver tracer(streamed);
   RunContext context;
   context.observer = &tracer;
-  const SimResult run = Simulate(instance, cfg.m, *scheduler, context);
-  if (simulations != nullptr) ++*simulations;
+  const SimResult run = Simulate(instance, c.m, *scheduler, context);
+  ++*simulations;
 
   // Full-record run: the feasibility and trace-equivalence oracles walk
   // the materialized schedule.
@@ -290,21 +234,20 @@ std::vector<OracleResult> RunPolicyCase(const PolicyCaseConfig& cfg,
   results.push_back(
       CheckTraceEquivalenceOracle(streamed, run.full_schedule(), instance));
 
-  if (FuzzRecordModeToggle(cfg)) {
-    // Flow-only leg: a fresh identically-seeded scheduler rerun with
-    // RecordMode::kFlowOnly must reproduce the full run's aggregates.
-    std::unique_ptr<Scheduler> flow_scheduler =
-        cfg.spec->needs_semi_batched
-            ? cfg.spec->make_semi_batched(cfg.known_opt)
-            : cfg.spec->make(cfg.seed);
+  if (FuzzRecordModeToggle(c)) {
+    // Flow-only leg: a rerun with RecordMode::kFlowOnly must reproduce the
+    // full run's aggregates.
     const SimResult flow_only =
-        Simulate(instance, cfg.m, *flow_scheduler, FlowOnlyOptions());
-    if (simulations != nullptr) ++*simulations;
-    results.push_back(CheckRecordModeOracle(run, flow_only));
+        Simulate(instance, c.m, *make_scheduler(), FlowOnlyOptions());
+    ++*simulations;
+    results.push_back(SameRunVerdict(
+        OracleId::kRecordModeEquivalence,
+        flow_only.has_schedule() ? "the flow-only run materialized a schedule"
+                                 : FirstRunDifference(run, flow_only)));
   }
 
   SimOptions faulted_options;
-  faulted_options.faults = FuzzFaultSpec(cfg);
+  faulted_options.faults = FuzzFaultSpec(c);
   if (faulted_options.faults.active() &&
       RunSupportError(*scheduler, faulted_options).empty()) {
     // Fault dimension: rerun the case under a fluctuating budget on BOTH
@@ -313,29 +256,24 @@ std::vector<OracleResult> RunPolicyCase(const PolicyCaseConfig& cfg,
     // bit-for-bit — the counter-based fault models make the streams a
     // pure function of (seed, slot), so any divergence convicts the
     // capacity plumbing, not the model.
-    std::unique_ptr<Scheduler> faulted_scheduler =
-        cfg.spec->needs_semi_batched
-            ? cfg.spec->make_semi_batched(cfg.known_opt)
-            : cfg.spec->make(cfg.seed);
     const SimResult faulted =
-        Simulate(instance, cfg.m, *faulted_scheduler, faulted_options);
-    std::unique_ptr<Scheduler> faulted_reference_scheduler =
-        cfg.spec->needs_semi_batched
-            ? cfg.spec->make_semi_batched(cfg.known_opt)
-            : cfg.spec->make(cfg.seed);
-    const SimResult faulted_reference = ReferenceSimulate(
-        instance, cfg.m, *faulted_reference_scheduler, faulted_options);
-    if (simulations != nullptr) *simulations += 2;
+        Simulate(instance, c.m, *make_scheduler(), faulted_options);
+    const SimResult faulted_reference =
+        ReferenceSimulate(instance, c.m, *make_scheduler(), faulted_options);
+    *simulations += 2;
     results.push_back(
         CheckFeasibilityOracle(faulted.full_schedule(), instance));
-    results.push_back(
-        CheckFaultedEquivalenceOracle(faulted, faulted_reference));
+    results.push_back(SameRunVerdict(
+        OracleId::kFaultedEngineEquivalence,
+        faulted.has_schedule() != faulted_reference.has_schedule()
+            ? "only one engine recorded a schedule"
+            : FirstRunDifference(faulted, faulted_reference)));
   }
 
   RunContext faulted_context;
   faulted_context.options = FlowOnlyOptions();
-  faulted_context.options.job_faults = FuzzActiveJobFaultSpec(cfg);
-  if (cfg.job_faults &&
+  faulted_context.options.job_faults = FuzzActiveJobFaultSpec(c);
+  if (c.job_faults &&
       RunSupportError(*scheduler, faulted_context.options).empty()) {
     // Job-fault dimension (sim/job_faults.h), two legs:
     //
@@ -343,19 +281,12 @@ std::vector<OracleResult> RunPolicyCase(const PolicyCaseConfig& cfg,
     //     machinery ARMED (commit tracking on, checkpoints firing) but a
     //     rate-0 crash model must be bit-identical to a plain flow-only
     //     run — arming alone may never change behaviour.
-    auto rerun_scheduler = [&cfg]() {
-      return cfg.spec->needs_semi_batched
-                 ? cfg.spec->make_semi_batched(cfg.known_opt)
-                 : cfg.spec->make(cfg.seed);
-    };
-    std::unique_ptr<Scheduler> plain_scheduler = rerun_scheduler();
     const SimResult plain =
-        Simulate(instance, cfg.m, *plain_scheduler, FlowOnlyOptions());
+        Simulate(instance, c.m, *make_scheduler(), FlowOnlyOptions());
     SimOptions armed_options = FlowOnlyOptions();
-    armed_options.job_faults = FuzzArmedJobFaultSpec(cfg);
-    std::unique_ptr<Scheduler> armed_scheduler = rerun_scheduler();
+    armed_options.job_faults = FuzzArmedJobFaultSpec(c);
     const SimResult armed =
-        Simulate(instance, cfg.m, *armed_scheduler, armed_options);
+        Simulate(instance, c.m, *make_scheduler(), armed_options);
     results.push_back(CheckNoLostWorkWhenHealthyOracle(plain, armed));
 
     // (b) committed feasibility: an actively crashing run, streamed, must
@@ -364,39 +295,95 @@ std::vector<OracleResult> RunPolicyCase(const PolicyCaseConfig& cfg,
     EventTrace faulted_trace;
     StreamingTraceObserver faulted_tracer(faulted_trace);
     faulted_context.observer = &faulted_tracer;
-    std::unique_ptr<Scheduler> crash_scheduler = rerun_scheduler();
     const SimResult crashed =
-        Simulate(instance, cfg.m, *crash_scheduler, faulted_context);
+        Simulate(instance, c.m, *make_scheduler(), faulted_context);
     results.push_back(CheckCommittedFeasibilityOracle(
-        faulted_trace, instance, cfg.m, crashed.stats));
-    if (simulations != nullptr) *simulations += 3;
+        faulted_trace, instance, c.m, crashed.stats));
+    *simulations += 3;
   }
 
-  Time exact = cfg.certified_opt;
-  if (exact == 0 && cfg.brute_cross_check) {
-    exact = TryBruteOpt(instance, cfg.m);
-  }
-  const Time floor =
-      exact > 0 ? exact : MaxFlowLowerBound(instance, cfg.m);
-  results.push_back(
-      CheckFlowFloor(run.flows.max_flow, floor, exact > 0, cfg.m));
+  Time exact = c.certified_opt;
+  if (exact == 0 && c.brute) exact = TryBruteOpt(instance, c.m);
+  const Time floor = exact > 0 ? exact : MaxFlowLowerBound(instance, c.m);
+  results.push_back(CheckFlowFloor(run.flows.max_flow, floor, exact > 0, c.m));
 
-  if (cfg.spec->ratio_ceiling > 0) {
-    results.push_back(CheckRatioCeilingOracle(instance, cfg.m,
-                                              run.flows.max_flow,
-                                              cfg.spec->ratio_ceiling,
-                                              exact));
+  if (spec.ratio_ceiling > 0) {
+    results.push_back(CheckRatioCeilingOracle(
+        instance, c.m, run.flows.max_flow, spec.ratio_ceiling, exact));
   }
   return results;
 }
 
-bool AnyFailed(const std::vector<OracleResult>& results, OracleId target,
-               std::string* detail) {
+/// "" when the case can run on `instance`, otherwise why it cannot.  The
+/// grid skips refused cases; `--replay` reports them as malformed repros.
+std::string CaseError(const FuzzCase& c, const Instance& instance) {
+  if (c.m < 1) return "m must be at least 1";
+  if (c.alpha < 2) return "alpha must be at least 2";
+  if (instance.empty()) return "the instance has no job";
+  if (c.policy == kStructuralPolicy || c.policy == kLowerBoundsPolicy ||
+      c.policy == kOptCertificatePolicy) {
+    return "";
+  }
+  const PolicySpec* spec = FindPolicy(c.policy);
+  if (spec == nullptr) return "unknown policy '" + c.policy + "'";
+  if (!PolicyApplies(*spec, instance.all_out_forests(), c.known_opt > 0,
+                     c.m)) {
+    return "policy '" + c.policy + "' does not apply at m = " +
+           std::to_string(c.m) +
+           " (check its out-forest, 4 | m and known-opt preconditions)";
+  }
+  if (spec->needs_semi_batched &&
+      (c.known_opt % 2 != 0 || !instance.is_batched(c.known_opt / 2))) {
+    return "semi-batched case needs an even known-opt and every release a "
+           "multiple of known-opt / 2";
+  }
+  return "";
+}
+
+/// Every oracle verdict of one case on one instance; adds the simulations
+/// it ran to `*simulations`.  Requires CaseError(c, instance) to be empty
+/// (shrinking preserves that).  Each pseudo-policy's check is written
+/// here once, for the grid, the shrinker and `--replay` alike; a registry
+/// policy goes to RunPolicyCase.
+std::vector<OracleResult> CheckCase(const FuzzCase& c,
+                                    const Instance& instance,
+                                    std::int64_t* simulations) {
+  if (c.policy == kStructuralPolicy) {
+    // Corollary 5.4 and Lemmas 5.2 / 5.5 on the instance's only job.
+    if (instance.empty()) return {};
+    return CheckSingleJobOracles(instance.job(0).dag(), c.m, c.alpha,
+                                 c.brute);
+  }
+  if (c.policy == kLowerBoundsPolicy) {
+    // Certificate soundness: the lower bounds may never exceed true OPT.
+    const Time brute = c.brute ? TryBruteOpt(instance, c.m) : 0;
+    if (brute == 0) return {};
+    const Time lb = MaxFlowLowerBound(instance, c.m);
+    if (lb <= brute) return {{OracleId::kRatioCeiling, true, ""}};
+    std::ostringstream detail;
+    detail << "lower bound " << lb << " exceeds brute-force OPT " << brute
+           << " on " << c.m << " processors";
+    return {{OracleId::kRatioCeiling, false, detail.str()}};
+  }
+  if (c.policy == kOptCertificatePolicy) {
+    // The certified lower-bound sandwich, healthy or under the cell's
+    // CertificateBudgetTrace.  `certified_opt` > 0 additionally pits the
+    // certificates against the generator's exact OPT — which covers a
+    // HEALTHY machine only: under a degraded budget the true optimum may
+    // exceed it, so that cross-check only applies to healthy cells.
+    const BudgetTrace trace = CertificateBudgetTrace(c.seed, c.m);
+    OptBoundCheckOptions check;
+    check.budget = trace.empty() ? nullptr : &trace;
+    check.cross_check_brute_force = c.brute;
+    check.certified_opt = trace.empty() ? c.certified_opt : 0;
+    return {CheckOptLowerBoundOracle(instance, c.m, check)};
+  }
+  return RunPolicyCase(c, *FindPolicy(c.policy), instance, simulations);
+}
+
+bool AnyFailed(const std::vector<OracleResult>& results, OracleId target) {
   for (const OracleResult& r : results) {
-    if (r.id == target && !r.ok) {
-      if (detail != nullptr) *detail = r.detail;
-      return true;
-    }
+    if (r.id == target && !r.ok) return true;
   }
   return false;
 }
@@ -527,41 +514,98 @@ std::string SanitizeForFilename(std::string text) {
   return text;
 }
 
-void RecordFailure(const FuzzOptions& options, SeedOutcome& outcome,
-                   const std::string& policy, int m, std::uint64_t seed,
-                   OracleId oracle, const std::string& detail,
-                   const Instance& instance, const std::string& kind,
-                   Time known_opt, const FailurePredicate& still_fails) {
-  FuzzFailure failure;
-  failure.policy = policy;
-  failure.m = m;
-  failure.seed = seed;
-  failure.oracle = oracle;
-  failure.detail = detail;
+/// The repro headers that select a case: every FuzzCase field except
+/// `certified_opt`, the optional ones only when they differ from their
+/// defaults.
+std::string CaseHeaders(const FuzzCase& c) {
+  const FuzzCase d;
+  std::ostringstream out;
+  out << "# policy: " << c.policy << "\n"
+      << "# m: " << c.m << "\n"
+      << "# seed: " << c.seed << "\n";
+  if (c.known_opt != d.known_opt) {
+    out << "# known-opt: " << c.known_opt << '\n';
+  }
+  if (c.alpha != d.alpha) out << "# alpha: " << c.alpha << '\n';
+  if (c.brute != d.brute) out << "# brute-force: 0\n";
+  if (c.job_faults != d.job_faults) out << "# job-faults: 1\n";
+  return out.str();
+}
 
-  Instance shrunk =
-      still_fails ? ShrinkInstance(instance, still_fails,
-                                   options.max_shrink_evals,
-                                   &outcome.shrink_evals)
-                  : instance;
+/// Reads CaseHeaders' lines back into `*c` (other `# key: value` lines
+/// are ignored); returns "" or what is wrong with the headers.
+std::string ParseCaseHeaders(const std::string& text, FuzzCase* c) {
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t colon = line.find(": ");
+    if (line.rfind("# ", 0) != 0 || colon == std::string::npos) continue;
+    const std::string key = line.substr(2, colon - 2);
+    const std::string value = line.substr(colon + 2);
+    const auto parse_flag = [&value](bool* out) {
+      if (value != "0" && value != "1") return false;
+      *out = value == "1";
+      return true;
+    };
+    bool ok = true;
+    if (key == "policy") {
+      c->policy = value;
+    } else if (key == "m") {
+      ok = ParseNonNegative(value, &c->m);
+    } else if (key == "seed") {
+      ok = ParseNonNegative(value, &c->seed);
+    } else if (key == "known-opt") {
+      ok = ParseNonNegative(value, &c->known_opt);
+    } else if (key == "alpha") {
+      ok = ParseNonNegative(value, &c->alpha);
+    } else if (key == "brute-force") {
+      ok = parse_flag(&c->brute);
+    } else if (key == "job-faults") {
+      ok = parse_flag(&c->job_faults);
+    }
+    if (!ok) {
+      return "bad value '" + value + "' in the '# " + key + ":' header";
+    }
+  }
+  if (c->policy.empty()) {
+    return "repro file is missing the '# policy:' header";
+  }
+  return "";
+}
+
+/// Shrinks a violation of `result` by `c` on `instance` and records it,
+/// with its repro, in `outcome`.
+void RecordFailure(const FuzzOptions& options, SeedOutcome& outcome,
+                   const FuzzCase& c, const OracleResult& result,
+                   const Instance& instance, const std::string& kind) {
+  // Shrink against the same case, minus the exact-OPT certificate: it
+  // only covers the original instance.
+  FuzzCase shrink_case = c;
+  shrink_case.certified_opt = 0;
+  const Instance shrunk = ShrinkInstance(
+      instance,
+      [&shrink_case, &result](const Instance& candidate) {
+        std::int64_t simulations = 0;
+        return AnyFailed(CheckCase(shrink_case, candidate, &simulations),
+                         result.id);
+      },
+      options.max_shrink_evals, &outcome.shrink_evals);
 
   std::ostringstream text;
   text << "# otsched_fuzz repro (deterministic; re-run with"
        << " `otsched_fuzz --replay <this file>`)\n"
-       << "# policy: " << policy << "\n"
-       << "# m: " << m << "\n"
-       << "# seed: " << seed << "\n";
-  if (known_opt > 0) text << "# known-opt: " << known_opt << "\n";
-  text << "# oracle: " << ToString(oracle) << "\n"
-       << "# detail: " << detail << "\n"
+       << CaseHeaders(c) << "# oracle: " << ToString(result.id) << "\n"
+       << "# detail: " << result.detail << "\n"
        << InstanceToText(shrunk);
-  failure.instance_text = text.str();
+  FuzzFailure failure{c.policy,      c.m,        c.seed, result.id,
+                      result.detail, text.str(), /*repro_path=*/""};
 
   if (!options.repro_dir.empty()) {
     std::ostringstream name;
-    name << "repro_seed" << seed << "_m" << m << '_'
-         << SanitizeForFilename(policy) << '_'
-         << SanitizeForFilename(ToString(oracle)) << '_' << kind << ".inst";
+    name << "repro_seed" << c.seed << "_m" << c.m << '_'
+         << SanitizeForFilename(c.policy) << '_'
+         << SanitizeForFilename(ToString(result.id)) << '_' << kind
+         << ".inst";
     const std::filesystem::path path =
         std::filesystem::path(options.repro_dir) / name.str();
     std::ofstream out(path);
@@ -573,125 +617,51 @@ void RecordFailure(const FuzzOptions& options, SeedOutcome& outcome,
   outcome.failures.push_back(std::move(failure));
 }
 
-/// The certificate oracle's fault leg: a deterministic BudgetTrace
-/// derived purely from (seed, m).  Roughly half the cells get an empty
-/// trace (healthy-machine sandwich only); the rest pin a short prefix of
-/// slots to hash-derived capacities in [0, m], including hard m_t = 0
-/// stalls.  Pure function of the cell — a replayed repro regenerates the
-/// identical trace from its `# seed:` / `# m:` headers, so the
-/// certificate leg needs no new repro state.
-BudgetTrace CertificateBudgetTrace(std::uint64_t seed, int m) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(seed);
-  mix(static_cast<std::uint64_t>(m));
-  mix(0x6365727469ULL);  // domain-separate from CaseIdentityHash
-  BudgetTrace trace;
-  if ((h & 1) != 0) return trace;
-  const int pins = 1 + static_cast<int>((h >> 1) % 6);
-  Time slot = 1 + static_cast<Time>((h >> 4) % 3);
-  for (int i = 0; i < pins; ++i) {
-    const int capacity =
-        static_cast<int>((h >> (8 + 4 * i)) % static_cast<std::uint64_t>(m + 1));
-    trace.set(slot, capacity);
-    slot += 1 + static_cast<Time>((h >> (12 + 4 * i)) % 3);
+/// Runs one grid case, unless CaseError refuses it, and records each
+/// violation until the seed reaches its failure cap.
+void RunCase(const FuzzOptions& options, SeedOutcome& outcome,
+             const FuzzCase& c, const Instance& instance,
+             const std::string& kind) {
+  if (outcome.failures.size() >= kMaxFailuresPerSeed ||
+      !CaseError(c, instance).empty()) {
+    return;
   }
-  return trace;
-}
-
-/// The certified lower-bound leg: runs CheckOptLowerBoundOracle on one
-/// (instance, m) cell — healthy or, on hash-selected cells, under the
-/// deterministic CertificateBudgetTrace — and records any violation under
-/// the "<opt-certificate>" pseudo-policy.  `certified_opt` > 0
-/// additionally pits the certificates against a generator-certified exact
-/// OPT (the differential direction: certificate vs construction).
-void RunCertificateCheck(const FuzzOptions& options, SeedOutcome& outcome,
-                         std::uint64_t seed, int m, const Instance& instance,
-                         const std::string& kind, Time certified_opt) {
-  if (outcome.failures.size() >= kMaxFailuresPerSeed) return;
-  const BudgetTrace trace = CertificateBudgetTrace(seed, m);
-  OptBoundCheckOptions check;
-  check.budget = trace.empty() ? nullptr : &trace;
-  check.cross_check_brute_force = options.cross_check_brute_force;
-  // The generator certifies OPT on a HEALTHY machine; under a degraded
-  // budget the true optimum (and so the certified bound) may exceed it,
-  // so the exact-OPT cross-check only applies to healthy cells.
-  check.certified_opt = trace.empty() ? certified_opt : 0;
-  ++outcome.oracle_checks;
-  const OracleResult result = CheckOptLowerBoundOracle(instance, m, check);
-  if (result.ok) return;
-  const int m_local = m;
-  const bool brute = options.cross_check_brute_force;
-  const std::uint64_t seed_local = seed;
-  RecordFailure(
-      options, outcome, kOptCertificatePolicy, m, seed, result.id,
-      result.detail, instance, kind, /*known_opt=*/0,
-      // Shrink against the same cell, but drop the exact-OPT certificate:
-      // it only covers the original instance.
-      [m_local, brute, seed_local](const Instance& candidate) {
-        if (candidate.empty()) return false;
-        const BudgetTrace rerun_trace =
-            CertificateBudgetTrace(seed_local, m_local);
-        OptBoundCheckOptions rerun;
-        rerun.budget = rerun_trace.empty() ? nullptr : &rerun_trace;
-        rerun.cross_check_brute_force = brute;
-        return !CheckOptLowerBoundOracle(candidate, m_local, rerun).ok;
-      });
-}
-
-/// Runs every applicable policy on one instance and records violations.
-void RunPolicyGrid(const FuzzOptions& options, SeedOutcome& outcome,
-                   std::uint64_t seed, int m, const Instance& instance,
-                   const std::string& kind, Time certified_opt,
-                   Time known_opt, bool semi_batched_certified) {
-  for (const PolicySpec& spec : AllPolicies()) {
+  const std::vector<OracleResult> results =
+      CheckCase(c, instance, &outcome.simulations);
+  outcome.oracle_checks += static_cast<std::int64_t>(results.size());
+  for (const OracleResult& result : results) {
+    if (result.ok) continue;
     if (outcome.failures.size() >= kMaxFailuresPerSeed) return;
-    if (!PolicyApplies(spec, instance.all_out_forests(),
-                       semi_batched_certified, m)) {
-      continue;
-    }
-    PolicyCaseConfig cfg;
-    cfg.spec = &spec;
-    cfg.seed = seed;
-    cfg.m = m;
-    cfg.known_opt = known_opt;
-    cfg.certified_opt = certified_opt;
-    cfg.brute_cross_check = options.cross_check_brute_force;
-    cfg.job_faults = options.job_faults;
-
-    const std::vector<OracleResult> results =
-        RunPolicyCase(cfg, instance, &outcome.simulations);
-    outcome.oracle_checks += static_cast<std::int64_t>(results.size());
-
-    for (const OracleResult& result : results) {
-      if (result.ok) continue;
-      // Shrink against the same case, but re-derive the floor/ceiling
-      // denominators per candidate: the exact-OPT certificate only covers
-      // the original instance.
-      PolicyCaseConfig shrink_cfg = cfg;
-      shrink_cfg.certified_opt = 0;
-      const OracleId target = result.id;
-      FailurePredicate still_fails =
-          [shrink_cfg, target](const Instance& candidate) {
-            const std::vector<OracleResult> rerun =
-                RunPolicyCase(shrink_cfg, candidate, nullptr);
-            return AnyFailed(rerun, target, nullptr);
-          };
-      RecordFailure(options, outcome, spec.name, m, seed, result.id,
-                    result.detail, instance, kind, known_opt, still_fails);
-      if (outcome.failures.size() >= kMaxFailuresPerSeed) return;
-    }
+    RecordFailure(options, outcome, c, result, instance, kind);
   }
 }
 
 SeedOutcome RunSeed(const FuzzOptions& options, std::uint64_t seed) {
   SeedOutcome outcome;
   Rng rng(options.seed_base + seed * 0x9E3779B97F4A7C15ULL);
+  const auto capped = [&outcome]() {
+    return outcome.failures.size() >= kMaxFailuresPerSeed;
+  };
+  const auto make_case = [&options, seed](const std::string& policy, int m) {
+    FuzzCase c;
+    c.policy = policy;
+    c.m = m;
+    c.seed = seed;
+    c.brute = options.cross_check_brute_force;
+    return c;
+  };
+  // Every registry policy on one (instance, m) cell; `opt` > 0 is the
+  // generator-certified OPT of a semi-batched instance.
+  const auto run_policies = [&](int m, const Instance& instance,
+                                const std::string& kind, Time opt) {
+    for (const PolicySpec& spec : AllPolicies()) {
+      FuzzCase c = make_case(spec.name, m);
+      c.known_opt = opt;
+      c.certified_opt = opt;
+      c.job_faults = options.job_faults;
+      RunCase(options, outcome, c, instance, kind);
+    }
+  };
 
   // ---- instance 1: general online mix ----
   const int jobs =
@@ -708,110 +678,52 @@ SeedOutcome RunSeed(const FuzzOptions& options, std::uint64_t seed) {
                         r);
       },
       rng);
-  {
-    std::ostringstream name;
-    name << "fuzz-general-seed" << seed;
-    general.set_name(name.str());
-  }
+  general.set_name("fuzz-general-seed" + std::to_string(seed));
 
   for (int m : options.machine_sizes) {
-    if (outcome.failures.size() >= kMaxFailuresPerSeed) return outcome;
-
-    // Certificate soundness: the lower bounds may never exceed true OPT.
-    if (options.cross_check_brute_force) {
-      const Time brute = TryBruteOpt(general, m);
-      if (brute > 0) {
-        ++outcome.oracle_checks;
-        const Time lb = MaxFlowLowerBound(general, m);
-        if (lb > brute) {
-          std::ostringstream detail;
-          detail << "lower bound " << lb << " exceeds brute-force OPT "
-                 << brute << " on " << m << " processors";
-          const int m_local = m;
-          RecordFailure(
-              options, outcome, kLowerBoundsPolicy, m, seed,
-              OracleId::kRatioCeiling, detail.str(), general, "gen",
-              /*known_opt=*/0, [m_local](const Instance& candidate) {
-                const Time candidate_brute = TryBruteOpt(candidate, m_local);
-                return candidate_brute > 0 &&
-                       MaxFlowLowerBound(candidate, m_local) >
-                           candidate_brute;
-              });
-        }
-      }
-    }
-
-    // Certified-bound sandwich on the same cell (healthy + derived
-    // budget-trace legs).
+    if (capped()) return outcome;
+    RunCase(options, outcome, make_case(kLowerBoundsPolicy, m), general,
+            "gen");
     if (options.opt_certificates) {
-      RunCertificateCheck(options, outcome, seed, m, general, "gen",
-                          /*certified_opt=*/0);
+      RunCase(options, outcome, make_case(kOptCertificatePolicy, m), general,
+              "gen");
     }
-
-    RunPolicyGrid(options, outcome, seed, m, general, "gen",
-                  /*certified_opt=*/0, /*known_opt=*/0,
-                  /*semi_batched_certified=*/false);
+    run_policies(m, general, "gen", /*opt=*/0);
   }
 
   // ---- instance 2: certified semi-batched (exact OPT known) ----
   for (int m : options.machine_sizes) {
-    if (outcome.failures.size() >= kMaxFailuresPerSeed) return outcome;
+    if (capped()) return outcome;
     if (m % 4 != 0 || m < 2) continue;  // pipelined gen needs m even;
                                         // Algorithm A needs alpha | m
     const Time delta = 1 + static_cast<Time>(rng.next_below(3));
     const int batches = 2 + static_cast<int>(rng.next_below(3));
     CertifiedInstance certified =
         MakePipelinedSemiBatchedInstance(m, delta, batches, rng);
-    {
-      std::ostringstream name;
-      name << "fuzz-certified-seed" << seed << "-m" << m;
-      certified.instance.set_name(name.str());
-    }
+    certified.instance.set_name("fuzz-certified-seed" + std::to_string(seed) +
+                                "-m" + std::to_string(m));
     // The differential direction: the certificates must stay below the
     // generator-certified exact OPT.
     if (options.opt_certificates) {
-      RunCertificateCheck(options, outcome, seed, m, certified.instance,
-                          "cert", /*certified_opt=*/certified.opt);
+      FuzzCase c = make_case(kOptCertificatePolicy, m);
+      c.certified_opt = certified.opt;
+      RunCase(options, outcome, c, certified.instance, "cert");
     }
-    RunPolicyGrid(options, outcome, seed, m, certified.instance, "cert",
-                  /*certified_opt=*/certified.opt,
-                  /*known_opt=*/certified.opt,
-                  /*semi_batched_certified=*/true);
+    run_policies(m, certified.instance, "cert", certified.opt);
   }
 
   // ---- single-job structural oracles on the generated trees ----
-  const int alpha = options.alpha;
   const JobId structural_jobs = std::min<JobId>(2, general.job_count());
   for (JobId j = 0; j < structural_jobs; ++j) {
+    Instance single;
+    single.add_job(Job(Dag(general.job(j).dag()), 0));
+    single.set_name("fuzz-structural-seed" + std::to_string(seed) + "-job" +
+                    std::to_string(j));
     for (int m : options.machine_sizes) {
-      if (outcome.failures.size() >= kMaxFailuresPerSeed) return outcome;
-      const Dag& dag = general.job(j).dag();
-      const std::vector<OracleResult> results = CheckSingleJobOracles(
-          dag, m, alpha, options.cross_check_brute_force);
-      outcome.oracle_checks += static_cast<std::int64_t>(results.size());
-      for (const OracleResult& result : results) {
-        if (result.ok) continue;
-        Instance single;
-        single.add_job(Job(Dag(dag), 0));
-        {
-          std::ostringstream name;
-          name << "fuzz-structural-seed" << seed << "-job" << j;
-          single.set_name(name.str());
-        }
-        const OracleId target = result.id;
-        const int m_local = m;
-        const bool brute = options.cross_check_brute_force;
-        RecordFailure(
-            options, outcome, kStructuralPolicy, m, seed, result.id,
-            result.detail, single, "tree",
-            /*known_opt=*/0,
-            [target, m_local, alpha, brute](const Instance& candidate) {
-              if (candidate.empty()) return false;
-              const std::vector<OracleResult> rerun = CheckSingleJobOracles(
-                  candidate.job(0).dag(), m_local, alpha, brute);
-              return AnyFailed(rerun, target, nullptr);
-            });
-      }
+      if (capped()) return outcome;
+      FuzzCase c = make_case(kStructuralPolicy, m);
+      c.alpha = options.alpha;
+      RunCase(options, outcome, c, single, "tree");
     }
   }
   return outcome;
@@ -852,9 +764,11 @@ FuzzReport RunDifferentialFuzz(const FuzzOptions& options) {
                            << options.repro_dir << ": " << ec.message());
   }
 
-  const BatchRunner runner(options.workers);
-  std::vector<SeedOutcome> outcomes = runner.Map<SeedOutcome>(
-      static_cast<std::size_t>(options.seeds), [&](std::size_t i) {
+  const std::size_t seeds = static_cast<std::size_t>(options.seeds);
+  const BatchRunner runner(
+      options.workers == 0 ? 0 : std::min(options.workers, seeds));
+  std::vector<SeedOutcome> outcomes =
+      runner.Map<SeedOutcome>(seeds, [&](std::size_t i) {
         return RunSeed(options, static_cast<std::uint64_t>(i));
       });
 
@@ -870,116 +784,29 @@ FuzzReport RunDifferentialFuzz(const FuzzOptions& options) {
   return report;
 }
 
-FuzzReport ReplayRepro(const std::string& repro_text,
-                       const FuzzOptions& options) {
-  // Parse the provenance headers the harness wrote.
-  std::string policy;
-  int m = 1;
-  std::uint64_t seed = 0;
-  Time known_opt = 0;
-  {
-    std::istringstream in(repro_text);
-    std::string line;
-    while (std::getline(in, line)) {
-      auto field = [&line](const char* key) -> std::string {
-        const std::string prefix = std::string("# ") + key + ": ";
-        if (line.rfind(prefix, 0) != 0) return "";
-        return line.substr(prefix.size());
-      };
-      if (std::string v = field("policy"); !v.empty()) policy = v;
-      if (std::string v = field("m"); !v.empty()) m = std::stoi(v);
-      if (std::string v = field("seed"); !v.empty()) seed = std::stoull(v);
-      if (std::string v = field("known-opt"); !v.empty()) {
-        known_opt = std::stoll(v);
-      }
-    }
-  }
+FuzzReport ReplayRepro(const std::string& repro_text) {
+  FuzzCase c;
+  std::string error = ParseCaseHeaders(repro_text, &c);
+  std::optional<Instance> instance;
+  if (error.empty()) instance = TryInstanceFromText(repro_text, &error);
+  if (error.empty()) error = CaseError(c, *instance);
+
   FuzzReport report;
-  // Repro files are hand-editable; a broken header is a reported failure,
+  const auto report_failure = [&](const std::string& policy, OracleId oracle,
+                                  const std::string& detail) {
+    report.failures.push_back({policy, c.m, c.seed, oracle, detail,
+                               repro_text, /*repro_path=*/""});
+  };
+  // Repro files are hand-editable; a broken one is a reported failure,
   // not a contract violation.
-  auto malformed = [&](const std::string& detail) {
-    FuzzFailure failure;
-    failure.policy = "<malformed-repro>";
-    failure.m = m;
-    failure.seed = seed;
-    failure.detail = detail;
-    failure.instance_text = repro_text;
-    report.failures.push_back(std::move(failure));
-    return report;
-  };
-  if (policy.empty()) {
-    return malformed("repro file is missing the '# policy:' header");
-  }
-  const Instance instance = InstanceFromText(repro_text);
-
-  auto record = [&](const OracleResult& result) {
-    ++report.oracle_checks;
-    if (result.ok) return;
-    FuzzFailure failure;
-    failure.policy = policy;
-    failure.m = m;
-    failure.seed = seed;
-    failure.oracle = result.id;
-    failure.detail = result.detail;
-    failure.instance_text = repro_text;
-    report.failures.push_back(std::move(failure));
-  };
-
-  if (policy == kStructuralPolicy) {
-    if (instance.empty()) return malformed("structural repro has no job");
-    for (const OracleResult& result :
-         CheckSingleJobOracles(instance.job(0).dag(), m, options.alpha,
-                               options.cross_check_brute_force)) {
-      record(result);
-    }
+  if (!error.empty()) {
+    report_failure("<malformed-repro>", OracleId::kFeasibility, error);
     return report;
   }
-  if (policy == kOptCertificatePolicy) {
-    // Re-derive the cell's budget trace from the headers (pure function
-    // of seed and m) and re-run the certificate sandwich.  The exact-OPT
-    // cross-check is dropped: the generator's certificate covered the
-    // original, unshrunk instance only.
-    const BudgetTrace trace = CertificateBudgetTrace(seed, m);
-    OptBoundCheckOptions check;
-    check.budget = trace.empty() ? nullptr : &trace;
-    check.cross_check_brute_force = options.cross_check_brute_force;
-    record(CheckOptLowerBoundOracle(instance, m, check));
-    return report;
-  }
-  if (policy == kLowerBoundsPolicy) {
-    const Time brute = TryBruteOpt(instance, m);
-    const Time lb = MaxFlowLowerBound(instance, m);
-    OracleResult result{OracleId::kRatioCeiling, true, ""};
-    if (brute > 0 && lb > brute) {
-      std::ostringstream detail;
-      detail << "lower bound " << lb << " exceeds brute-force OPT " << brute
-             << " on " << m << " processors";
-      result = {OracleId::kRatioCeiling, false, detail.str()};
-    }
-    record(result);
-    return report;
-  }
-
-  const PolicySpec* spec = nullptr;
-  for (const PolicySpec& candidate : AllPolicies()) {
-    if (candidate.name == policy) spec = &candidate;
-  }
-  if (spec == nullptr) {
-    return malformed("unknown policy in repro: " + policy);
-  }
-  if (spec->needs_semi_batched && known_opt <= 0) {
-    return malformed("semi-batched repro is missing the '# known-opt:' header");
-  }
-  PolicyCaseConfig cfg;
-  cfg.spec = spec;
-  cfg.seed = seed;
-  cfg.m = m;
-  cfg.known_opt = known_opt;
-  cfg.brute_cross_check = options.cross_check_brute_force;
-  cfg.job_faults = options.job_faults;
   for (const OracleResult& result :
-       RunPolicyCase(cfg, instance, &report.simulations)) {
-    record(result);
+       CheckCase(c, *instance, &report.simulations)) {
+    ++report.oracle_checks;
+    if (!result.ok) report_failure(c.policy, result.id, result.detail);
   }
   return report;
 }

@@ -18,10 +18,13 @@
 // cells additionally under a deterministic fluctuating BudgetTrace, and
 // on certified instances against the generator's exact OPT.
 //
-// The seed grid is drained in parallel over common/thread_pool.  On
-// failure the harness greedily shrinks the instance — dropping whole jobs,
-// then subtrees — while the violation persists, and serializes a minimal
-// deterministic repro via job/serialize.
+// Each of those checks is one fuzz case — a policy or pseudo-policy, m,
+// seed and the settings it ran with — checked by one function that the
+// grid, the shrinker and ReplayRepro all call.  The seed grid is drained
+// in parallel over common/thread_pool.  On failure the harness greedily
+// shrinks the instance — dropping whole jobs, then subtrees — while the
+// violation persists, and serializes a minimal deterministic repro via
+// job/serialize whose `# key: value` headers carry the whole case.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +57,8 @@ struct FuzzOptions {
   /// run (kNoLostWorkWhenHealthy), plus an actively crashing rerun whose
   /// streamed trace must pass Section 3 feasibility over committed work
   /// and reconcile executes == total work + wasted.  Both legs derive
-  /// their specs purely from (seed, m, policy), so `--replay` reruns
-  /// them with no extra repro state.
+  /// their specs purely from (seed, m, policy); a repro of such a case
+  /// carries `# job-faults: 1`, which makes `--replay` rerun them.
   bool job_faults = false;
   /// Thread-pool width; 0 = hardware concurrency.
   std::size_t workers = 0;
@@ -67,7 +70,8 @@ struct FuzzOptions {
 
 struct FuzzFailure {
   /// Registry policy name, or a pseudo-policy for policy-independent
-  /// checks ("<lpf-structural>", "<lower-bounds>", "<opt-certificate>").
+  /// checks ("<lpf-structural>", "<lower-bounds>", "<opt-certificate>"),
+  /// or "<malformed-repro>" for a repro ReplayRepro cannot run.
   std::string policy;
   int m = 0;
   std::uint64_t seed = 0;
@@ -94,12 +98,15 @@ struct FuzzReport {
 /// does not affect the outcome, only the wall clock).
 FuzzReport RunDifferentialFuzz(const FuzzOptions& options);
 
-/// Re-runs one repro exactly as serialized by the harness (the `# policy`,
-/// `# m`, `# seed`, `# known-opt` comment headers select the case) and
-/// reports any violation that is still present.  Deterministic: the same
-/// file yields the same verdict on every machine.
-FuzzReport ReplayRepro(const std::string& repro_text,
-                       const FuzzOptions& options);
+/// Re-runs one repro exactly as serialized by the harness and reports any
+/// violation that is still present.  The comment headers select the case
+/// (`# policy`, `# m`, `# seed`, and when they differ from the defaults
+/// `# known-opt`, `# alpha`, `# brute-force: 0`, `# job-faults: 1`), so
+/// the file alone decides the verdict, the same on every machine.  A
+/// malformed header or instance, or a case no grid would run (m < 1,
+/// alpha < 2, an unknown policy or one whose preconditions the instance
+/// does not meet), is reported as one "<malformed-repro>" failure.
+FuzzReport ReplayRepro(const std::string& repro_text);
 
 // ---- exposed for unit tests ----
 

@@ -23,10 +23,6 @@ OracleResult Fail(OracleId id, const std::string& detail) {
   return {id, false, detail};
 }
 
-/// Upper cap so the brute-force cross-check stays in the microsecond
-/// range inside the fuzz harness's inner loop.
-constexpr NodeId kBruteForceNodeCap = 16;
-
 }  // namespace
 
 const char* ToString(OracleId id) {
@@ -59,64 +55,86 @@ const char* ToString(OracleId id) {
   return "unknown-oracle";
 }
 
-OracleResult CheckNoLostWorkWhenHealthyOracle(const SimResult& baseline,
-                                              const SimResult& armed) {
-  OracleResult result;
-  result.id = OracleId::kNoLostWorkWhenHealthy;
-  const auto fail = [&result](std::string detail) {
-    result.ok = false;
-    result.detail = std::move(detail);
+Time TryBruteOpt(const Instance& instance, int m) {
+  if (instance.empty() || instance.total_work() > 16) return 0;
+  return BruteForceOpt(instance, m);
+}
+
+namespace {
+
+/// Slot-by-slot, entry-by-entry schedule equality (same subjobs in the
+/// same order within every slot).
+bool SchedulesEqual(const Schedule& a, const Schedule& b) {
+  if (a.horizon() != b.horizon() || a.total_placed() != b.total_placed()) {
+    return false;
+  }
+  for (Time t = 1; t <= a.horizon(); ++t) {
+    const auto lhs = a.at(t);
+    const auto rhs = b.at(t);
+    if (lhs.size() != rhs.size()) return false;
+    for (std::size_t i = 0; i < lhs.size(); ++i) {
+      if (!(lhs[i] == rhs[i])) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+std::string FirstRunDifference(const SimResult& a, const SimResult& b) {
+  std::ostringstream out;
+  const auto differ = [&out](const char* name, auto lhs, auto rhs) {
+    if (lhs != rhs) out << name << ' ' << lhs << " vs " << rhs;
+    return lhs != rhs;
   };
-  if (armed.stats.job_rollbacks != 0) {
-    fail("armed-but-silent run reported " +
-         std::to_string(armed.stats.job_rollbacks) + " rollbacks");
-    return result;
-  }
-  if (armed.stats.wasted_subjob_slots != 0) {
-    fail("armed-but-silent run reported " +
-         std::to_string(armed.stats.wasted_subjob_slots) + " wasted slots");
-    return result;
-  }
-  if (armed.flows.max_flow != baseline.flows.max_flow) {
-    fail("max flow diverged: baseline " +
-         std::to_string(baseline.flows.max_flow) + " vs armed " +
-         std::to_string(armed.flows.max_flow));
-    return result;
-  }
-  if (armed.flows.flow != baseline.flows.flow) {
-    for (std::size_t i = 0; i < baseline.flows.flow.size(); ++i) {
-      if (i >= armed.flows.flow.size() ||
-          armed.flows.flow[i] != baseline.flows.flow[i]) {
-        fail("flow of job " + std::to_string(i) + " diverged: baseline " +
-             std::to_string(baseline.flows.flow[i]) + " vs armed " +
-             (i < armed.flows.flow.size()
-                  ? std::to_string(armed.flows.flow[i])
-                  : std::string("<missing>")));
-        return result;
+  const auto differ_per_job = [&](const char* name,
+                                  const std::vector<Time>& lhs,
+                                  const std::vector<Time>& rhs) {
+    if (differ("job count", lhs.size(), rhs.size())) return true;
+    for (std::size_t j = 0; j < lhs.size(); ++j) {
+      if (lhs[j] != rhs[j]) {
+        out << name << " of job " << j << ' ' << lhs[j] << " vs " << rhs[j];
+        return true;
       }
     }
-    fail("armed run has extra per-job flows");
-    return result;
-  }
-  const auto check_stat = [&](const char* name, std::int64_t want,
-                              std::int64_t got) {
-    if (result.ok && want != got) {
-      fail(std::string(name) + " diverged: baseline " + std::to_string(want) +
-           " vs armed " + std::to_string(got));
-    }
+    return false;
   };
-  check_stat("horizon", baseline.stats.horizon, armed.stats.horizon);
-  check_stat("executed_subjobs", baseline.stats.executed_subjobs,
-             armed.stats.executed_subjobs);
-  check_stat("idle_processor_slots", baseline.stats.idle_processor_slots,
-             armed.stats.idle_processor_slots);
-  check_stat("busy_slots", baseline.stats.busy_slots, armed.stats.busy_slots);
-  check_stat("faulted_slots", baseline.stats.faulted_slots,
-             armed.stats.faulted_slots);
-  check_stat("capacity_shortfall", baseline.stats.capacity_shortfall,
-             armed.stats.capacity_shortfall);
-  // stats.checkpoints intentionally unchecked: commits are bookkeeping.
-  return result;
+  const SimStats& sa = a.stats;
+  const SimStats& sb = b.stats;
+  if (differ("max_flow", a.flows.max_flow, b.flows.max_flow) ||
+      differ("max_flow_job", a.flows.max_flow_job, b.flows.max_flow_job) ||
+      differ("all_completed", a.flows.all_completed, b.flows.all_completed) ||
+      differ_per_job("flow", a.flows.flow, b.flows.flow) ||
+      differ_per_job("completion", a.flows.completion, b.flows.completion) ||
+      differ("horizon", sa.horizon, sb.horizon) ||
+      differ("executed_subjobs", sa.executed_subjobs, sb.executed_subjobs) ||
+      differ("idle_processor_slots", sa.idle_processor_slots,
+             sb.idle_processor_slots) ||
+      differ("busy_slots", sa.busy_slots, sb.busy_slots) ||
+      differ("faulted_slots", sa.faulted_slots, sb.faulted_slots) ||
+      differ("capacity_shortfall", sa.capacity_shortfall,
+             sb.capacity_shortfall) ||
+      differ("job_rollbacks", sa.job_rollbacks, sb.job_rollbacks) ||
+      differ("wasted_subjob_slots", sa.wasted_subjob_slots,
+             sb.wasted_subjob_slots)) {
+    return out.str();
+  }
+  if (a.has_schedule() && b.has_schedule() &&
+      !SchedulesEqual(a.full_schedule(), b.full_schedule())) {
+    return "schedules differ";
+  }
+  return "";
+}
+
+OracleResult CheckNoLostWorkWhenHealthyOracle(const SimResult& baseline,
+                                              const SimResult& armed) {
+  const OracleId id = OracleId::kNoLostWorkWhenHealthy;
+  if (armed.stats.job_rollbacks != 0 || armed.stats.wasted_subjob_slots != 0) {
+    return Fail(id, "the armed-but-silent run rolled back work");
+  }
+  const std::string difference = FirstRunDifference(baseline, armed);
+  if (difference.empty()) return Pass(id);
+  return Fail(id, "armed run diverges from the baseline: " + difference);
 }
 
 OracleResult CheckCommittedFeasibilityOracle(const EventTrace& trace,
@@ -260,12 +278,11 @@ OracleResult CheckLpfValueOracle(const Dag& dag, int m,
            << " != Corollary 5.4 value " << closed_form;
     return Fail(OracleId::kLpfValue, detail.str());
   }
-  if (cross_check_brute_force && dag.node_count() > 0 &&
-      dag.node_count() <= kBruteForceNodeCap) {
+  if (cross_check_brute_force) {
     Instance single;
     single.add_job(Job(Dag(dag), 0));
-    const Time brute = BruteForceOpt(single, m);
-    if (brute != closed_form) {
+    const Time brute = TryBruteOpt(single, m);
+    if (brute > 0 && brute != closed_form) {
       std::ostringstream detail;
       detail << "Corollary 5.4 value " << closed_form
              << " != brute-force OPT " << brute << " on " << m
@@ -551,10 +568,9 @@ OracleResult CheckOptLowerBoundOracle(const Instance& instance, int m,
     return fail(detail.str());
   }
 
-  if (options.cross_check_brute_force && options.budget == nullptr &&
-      instance.total_work() <= options.brute_force_node_cap) {
-    const Time opt = BruteForceOpt(instance, m);
-    if (flow.value > opt) {
+  if (options.cross_check_brute_force && options.budget == nullptr) {
+    const Time opt = TryBruteOpt(instance, m);
+    if (opt > 0 && flow.value > opt) {
       detail << "max-flow certificate " << flow.value
              << " exceeds brute-force OPT " << opt << " on " << m
              << " processors";

@@ -167,16 +167,22 @@ OracleResult CheckRatioCeilingOracle(const Instance& instance, int m,
                                      Time max_flow, double ceiling,
                                      Time certified_opt = 0);
 
+// ---- exact OPT on small instances ----
+
+/// Exact OPT by exhaustive search (opt/brute_force) when the instance has
+/// at most 16 subjobs in total, which keeps every cross-check in the
+/// microsecond range; 0 when the instance is empty or larger.
+Time TryBruteOpt(const Instance& instance, int m);
+
 // ---- certified lower bounds: flow network + dual fitting ----
 
 /// Options for CheckOptLowerBoundOracle.  `budget` degrades per-slot
 /// capacities (nullptr = healthy machine); brute-force cross-checks are
 /// skipped on faulted machines (opt/brute_force models full capacity)
-/// and on instances above `brute_force_node_cap` total subjobs.
+/// and on instances TryBruteOpt declines.
 struct OptBoundCheckOptions {
   const BudgetTrace* budget = nullptr;
   bool cross_check_brute_force = true;
-  std::int64_t brute_force_node_cap = 16;
   /// A trusted exact OPT (0 = none): the certified bounds must not
   /// exceed it.  Must refer to OPT under the SAME budget as `budget` —
   /// generator certificates cover the healthy machine only, so callers
@@ -199,15 +205,23 @@ struct OptBoundCheckOptions {
 OracleResult CheckOptLowerBoundOracle(const Instance& instance, int m,
                                       const OptBoundCheckOptions& options = {});
 
+// ---- runs that must be bit-identical ----
+
+/// The one comparator behind every "these two runs must agree" oracle:
+/// "" when `a` and `b` have the same FlowSummary (per-job completions and
+/// flows, max flow and its job, all_completed), the same SimStats
+/// counters except `checkpoints` (commits are bookkeeping, not
+/// behaviour), and — when both runs recorded one — the same schedule;
+/// otherwise a description of the first difference.
+std::string FirstRunDifference(const SimResult& a, const SimResult& b);
+
 // ---- job faults: no lost work when healthy ----
 
 /// The kNoLostWorkWhenHealthy contract of sim/job_faults.h: a run with the
 /// job-fault machinery ARMED but never firing (e.g. random-crash at rate 0)
-/// must match the plain run exactly — same per-job flows, same max flow,
-/// same busy/executed/idle slot accounting — and must itself report zero
-/// rollbacks and zero wasted slots.  `stats.checkpoints` is exempt: commits
-/// are bookkeeping, not behaviour, and the armed run legitimately counts
-/// them.  Pure over the two SimResults, so fuzz repros replay it verbatim.
+/// must report zero rollbacks and zero wasted slots and must not differ
+/// from the plain run under FirstRunDifference.  Pure over the two
+/// SimResults, so fuzz repros replay it verbatim.
 OracleResult CheckNoLostWorkWhenHealthyOracle(const SimResult& baseline,
                                               const SimResult& armed);
 

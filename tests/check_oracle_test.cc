@@ -374,8 +374,10 @@ TEST(DifferentialFuzz, TinyGridIsClean) {
   options.workers = 2;
   const FuzzReport report = RunDifferentialFuzz(options);
   EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_GT(report.simulations, 0);
-  EXPECT_GT(report.oracle_checks, report.simulations);
+  // Pinned: any drift in which cases the grid runs, or in the legs a
+  // case derives from its identity hash, changes these counts.
+  EXPECT_EQ(report.simulations, 356);
+  EXPECT_EQ(report.oracle_checks, 719);
 }
 
 TEST(DifferentialFuzz, ReplayRoundTripsThroughSerializedRepro) {
@@ -392,8 +394,7 @@ TEST(DifferentialFuzz, ReplayRoundTripsThroughSerializedRepro) {
   const std::string repro = "# policy: fifo/first-ready\n# m: 2\n"
                             "# seed: 11\n" +
                             InstanceToText(instance);
-  FuzzOptions options;
-  const FuzzReport report = ReplayRepro(repro, options);
+  const FuzzReport report = ReplayRepro(repro);
   EXPECT_TRUE(report.ok()) << report.summary();
   // The extra legs (record-mode rerun, faulted engine-equivalence pair)
   // are pure functions of the case identity, so replay re-runs exactly
@@ -402,9 +403,95 @@ TEST(DifferentialFuzz, ReplayRoundTripsThroughSerializedRepro) {
   EXPECT_EQ(report.simulations, 3);
   EXPECT_GT(report.oracle_checks, 0);
   // Replay is deterministic: a second pass reproduces the same counts.
-  const FuzzReport again = ReplayRepro(repro, options);
+  const FuzzReport again = ReplayRepro(repro);
   EXPECT_EQ(again.simulations, report.simulations);
   EXPECT_EQ(again.oracle_checks, report.oracle_checks);
+
+  // The `# job-faults: 1` header alone adds the job-fault legs: the
+  // plain, armed and crashing flow-only runs, with one oracle each for
+  // no-lost-work and committed feasibility.
+  const std::string faulted_repro = "# job-faults: 1\n" + repro;
+  const FuzzReport faulted = ReplayRepro(faulted_repro);
+  EXPECT_TRUE(faulted.ok()) << faulted.summary();
+  EXPECT_EQ(faulted.simulations, report.simulations + 3);
+  EXPECT_EQ(faulted.oracle_checks, report.oracle_checks + 2);
+}
+
+TEST(DifferentialFuzz, ReplayReportsMalformedReprosWithoutAborting) {
+  // Repro files are hand-editable: every broken header, instance or
+  // inapplicable case is one "<malformed-repro>" failure, never an abort.
+  const std::string body =
+      "otsched-instance-v1\nname malformed\njob 0 2\n0 1\nend\n";
+  const std::string bad_edge =
+      "otsched-instance-v1\nname malformed\njob 0 2\n0 5\nend\n";
+  const struct {
+    const char* what;
+    std::string text;
+  } cases[] = {
+      {"non-numeric m", "# policy: fifo/first-ready\n# m: x\n" + body},
+      {"zero m", "# policy: fifo/first-ready\n# m: 0\n" + body},
+      {"m not divisible by alpha", "# policy: alg-a/general\n# m: 3\n" + body},
+      {"edge out of range", "# policy: fifo/first-ready\n# m: 2\n" + bad_edge},
+      {"negative seed", "# policy: fifo/first-ready\n# seed: -1\n" + body},
+      {"non-numeric known-opt",
+       "# policy: fifo/first-ready\n# known-opt: abc\n" + body},
+      {"overflowing m",
+       "# policy: fifo/first-ready\n# m: 4294967298\n" + body},
+      {"unknown policy", "# policy: no-such-policy\n# m: 2\n" + body},
+      {"missing policy", "# m: 2\n# seed: 1\n" + body},
+      {"semi-batched without known-opt",
+       "# policy: alg-a/semi-batched\n# m: 4\n" + body},
+      {"semi-batched with an odd known-opt",
+       "# policy: alg-a/semi-batched\n# m: 4\n# known-opt: 3\n" + body},
+      {"structural alpha below 2",
+       "# policy: <lpf-structural>\n# m: 2\n# alpha: 1\n" + body},
+  };
+  for (const auto& c : cases) {
+    const FuzzReport report = ReplayRepro(c.text);
+    ASSERT_EQ(report.failures.size(), 1u) << c.what << "\n"
+                                          << report.summary();
+    EXPECT_EQ(report.failures[0].policy, "<malformed-repro>") << c.what;
+    EXPECT_FALSE(report.failures[0].detail.empty()) << c.what;
+    EXPECT_EQ(report.simulations, 0) << c.what;
+  }
+}
+
+TEST(RunComparator, FlagsEveryComparedFieldButCheckpoints) {
+  const Artifacts a = MakeArtifacts(/*seed=*/3, /*m=*/2);
+  FifoScheduler fifo;
+  const SimResult run = Simulate(a.instance, a.m, fifo);
+  const auto differs = [&run](auto mutate) {
+    SimResult changed = run;
+    mutate(changed);
+    return !FirstRunDifference(run, changed).empty();
+  };
+  EXPECT_FALSE(differs([](SimResult&) {}));
+  EXPECT_TRUE(differs([](SimResult& r) { ++r.flows.completion[0]; }));
+  EXPECT_TRUE(differs([](SimResult& r) { ++r.flows.flow[0]; }));
+  EXPECT_TRUE(differs([](SimResult& r) { ++r.flows.max_flow; }));
+  EXPECT_TRUE(differs([](SimResult& r) { r.flows.max_flow_job = 1; }));
+  EXPECT_TRUE(differs([](SimResult& r) { r.flows.all_completed = false; }));
+  EXPECT_TRUE(differs([](SimResult& r) { ++r.stats.horizon; }));
+  EXPECT_TRUE(differs([](SimResult& r) { ++r.stats.executed_subjobs; }));
+  EXPECT_TRUE(differs([](SimResult& r) { ++r.stats.idle_processor_slots; }));
+  EXPECT_TRUE(differs([](SimResult& r) { ++r.stats.busy_slots; }));
+  EXPECT_TRUE(differs([](SimResult& r) { ++r.stats.faulted_slots; }));
+  EXPECT_TRUE(differs([](SimResult& r) { ++r.stats.capacity_shortfall; }));
+  EXPECT_TRUE(differs([](SimResult& r) { ++r.stats.job_rollbacks; }));
+  EXPECT_TRUE(differs([](SimResult& r) { ++r.stats.wasted_subjob_slots; }));
+  EXPECT_TRUE(differs([](SimResult& r) {
+    const SubjobRef ref = r.schedule->at(1)[0];
+    r.schedule->place(r.schedule->horizon() + 1, ref);
+  }));
+  // Commits are bookkeeping, and a flow-only side has no schedule.
+  EXPECT_FALSE(differs([](SimResult& r) { ++r.stats.checkpoints; }));
+  EXPECT_FALSE(differs([](SimResult& r) { r.schedule.reset(); }));
+
+  // The no-lost-work oracle compares through it, so a completion slot
+  // alone now convicts an armed run.
+  SimResult armed = run;
+  ++armed.flows.completion[0];
+  EXPECT_FALSE(CheckNoLostWorkWhenHealthyOracle(run, armed).ok);
 }
 
 TEST(DifferentialFuzz, ReplaysOptCertificateRepro) {
@@ -422,12 +509,11 @@ TEST(DifferentialFuzz, ReplaysOptCertificateRepro) {
   const std::string repro = "# policy: <opt-certificate>\n# m: 2\n"
                             "# seed: 5\n" +
                             InstanceToText(instance);
-  FuzzOptions options;
-  const FuzzReport report = ReplayRepro(repro, options);
+  const FuzzReport report = ReplayRepro(repro);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.simulations, 0);
   EXPECT_EQ(report.oracle_checks, 1);
-  const FuzzReport again = ReplayRepro(repro, options);
+  const FuzzReport again = ReplayRepro(repro);
   EXPECT_EQ(again.oracle_checks, report.oracle_checks);
 }
 

@@ -445,3 +445,19 @@ expect_diagnostic("incompatible"
                   --checkpoint ${WORKDIR}/x.ckpt --metrics ${WORKDIR}/x.json)
 expect_diagnostic("requires --checkpoint"
                   ${CLI} sweep ${INST} fifo/first-ready --resume)
+
+# otsched_fuzz parses every number strictly (no sign, no truncation to a
+# narrower type) and keeps --replay alone: the repro file carries the
+# whole case, so a grid flag next to it would be silently ignored.
+expect_diagnostic("--seeds needs an integer >= 1, got '-1'"
+                  ${FUZZ} --seeds -1)
+expect_diagnostic("--seeds needs an integer >= 1, got '4294967297'"
+                  ${FUZZ} --seeds 4294967297)
+expect_diagnostic("--machines needs an integer >= 1, got 'x'"
+                  ${FUZZ} --machines 2,x)
+expect_diagnostic("--machines needs an integer >= 1, got '4294967298'"
+                  ${FUZZ} --machines 4294967298)
+expect_diagnostic("--workers needs an integer >= 0, got '-1'"
+                  ${FUZZ} --workers -1)
+expect_diagnostic("--replay takes no other flag"
+                  ${FUZZ} --replay ${WORKDIR}/no-such.inst --alpha 8)

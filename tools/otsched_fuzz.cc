@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "check/diffrun.h"
+#include "common/parse.h"
 
 namespace {
 
@@ -38,17 +39,21 @@ namespace {
       "  --no-opt-certificates  skip the certified lower-bound oracle\n"
       "  --job-faults        add the job-fault legs (no-lost-work +\n"
       "                      committed feasibility) to every case\n"
-      "  --replay FILE       re-run one serialized repro and exit\n",
+      "  --replay FILE       re-run one serialized repro and exit (takes\n"
+      "                      no other flag: the file carries the case)\n",
       argv0);
   std::exit(2);
 }
 
-long long ParseInt(const char* argv0, const char* flag, const char* value) {
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "%s: bad integer for %s: '%s'\n", argv0, flag,
-                 value);
+/// Parses `value` as an integer >= `lo` that fits `Int` (digits only:
+/// no sign, no blanks); anything else exits 2 with one diagnostic line.
+template <typename Int>
+Int ParseInt(const char* argv0, const char* flag, const std::string& value,
+             Int lo) {
+  Int parsed = 0;
+  if (!otsched::ParseNonNegative(value, &parsed) || parsed < lo) {
+    std::fprintf(stderr, "%s: %s needs an integer >= %lld, got '%s'\n",
+                 argv0, flag, static_cast<long long>(lo), value.c_str());
     std::exit(2);
   }
   return parsed;
@@ -56,12 +61,10 @@ long long ParseInt(const char* argv0, const char* flag, const char* value) {
 
 std::vector<int> ParseMachineList(const char* argv0, const char* value) {
   std::vector<int> machines;
-  std::stringstream in(value);
-  std::string cell;
-  while (std::getline(in, cell, ',')) {
-    if (cell.empty()) continue;
-    machines.push_back(
-        static_cast<int>(ParseInt(argv0, "--machines", cell.c_str())));
+  for (const std::string& cell : otsched::SplitFields(value, ',')) {
+    if (!cell.empty()) {
+      machines.push_back(ParseInt(argv0, "--machines", cell, 1));
+    }
   }
   if (machines.empty()) {
     std::fprintf(stderr, "%s: --machines needs at least one size\n", argv0);
@@ -77,68 +80,55 @@ int main(int argc, char** argv) {
   options.repro_dir = "results/fuzz-repros";
   std::string replay_path;
 
+  bool other_flags = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     auto value = [&]() -> const char* {
       if (i + 1 >= argc) Usage(argv[0]);
       return argv[++i];
     };
+    if (std::strcmp(arg, "--replay") == 0) {
+      replay_path = value();
+      continue;
+    }
+    other_flags = true;
     if (std::strcmp(arg, "--seeds") == 0) {
-      options.seeds = static_cast<int>(ParseInt(argv[0], arg, value()));
+      options.seeds = ParseInt(argv[0], arg, value(), 1);
     } else if (std::strcmp(arg, "--seed-base") == 0) {
-      options.seed_base =
-          static_cast<std::uint64_t>(ParseInt(argv[0], arg, value()));
+      options.seed_base = ParseInt<std::uint64_t>(argv[0], arg, value(), 0);
     } else if (std::strcmp(arg, "--max-jobs") == 0) {
-      options.max_jobs = static_cast<int>(ParseInt(argv[0], arg, value()));
+      options.max_jobs = ParseInt(argv[0], arg, value(), 1);
     } else if (std::strcmp(arg, "--max-nodes") == 0) {
       options.max_job_nodes =
-          static_cast<otsched::NodeId>(ParseInt(argv[0], arg, value()));
+          ParseInt<otsched::NodeId>(argv[0], arg, value(), 1);
     } else if (std::strcmp(arg, "--machines") == 0) {
       options.machine_sizes = ParseMachineList(argv[0], value());
     } else if (std::strcmp(arg, "--alpha") == 0) {
-      options.alpha = static_cast<int>(ParseInt(argv[0], arg, value()));
+      options.alpha = ParseInt(argv[0], arg, value(), 2);
     } else if (std::strcmp(arg, "--workers") == 0) {
-      options.workers =
-          static_cast<std::size_t>(ParseInt(argv[0], arg, value()));
+      options.workers = ParseInt<std::size_t>(argv[0], arg, value(), 0);
     } else if (std::strcmp(arg, "--repro-dir") == 0) {
       options.repro_dir = value();
     } else if (std::strcmp(arg, "--shrink-evals") == 0) {
-      options.max_shrink_evals =
-          static_cast<int>(ParseInt(argv[0], arg, value()));
+      options.max_shrink_evals = ParseInt(argv[0], arg, value(), 0);
     } else if (std::strcmp(arg, "--no-brute-force") == 0) {
       options.cross_check_brute_force = false;
     } else if (std::strcmp(arg, "--no-opt-certificates") == 0) {
       options.opt_certificates = false;
     } else if (std::strcmp(arg, "--job-faults") == 0) {
       options.job_faults = true;
-    } else if (std::strcmp(arg, "--replay") == 0) {
-      replay_path = value();
     } else {
       Usage(argv[0]);
     }
   }
 
-  // Map out-of-range values to a usage error here; the harness enforces
-  // the same contracts with OTSCHED_CHECK (abort), which is the wrong
-  // failure mode for a typo on the command line.
-  if (options.seeds < 1 || options.max_jobs < 1 ||
-      options.max_job_nodes < 1 || options.alpha < 2 ||
-      options.max_shrink_evals < 0) {
-    std::fprintf(stderr,
-                 "%s: --seeds/--max-jobs/--max-nodes need >= 1, --alpha "
-                 ">= 2, --shrink-evals >= 0\n",
-                 argv[0]);
-    return 2;
-  }
-  for (int m : options.machine_sizes) {
-    if (m < 1) {
-      std::fprintf(stderr, "%s: machine sizes must be positive, got %d\n",
-                   argv[0], m);
+  if (!replay_path.empty()) {
+    // The repro file carries the whole case; a grid flag next to it would
+    // be silently ignored.
+    if (other_flags) {
+      std::fprintf(stderr, "%s: --replay takes no other flag\n", argv[0]);
       return 2;
     }
-  }
-
-  if (!replay_path.empty()) {
     std::ifstream in(replay_path);
     if (!in.good()) {
       std::fprintf(stderr, "cannot open repro file %s\n",
@@ -148,7 +138,7 @@ int main(int argc, char** argv) {
     std::ostringstream text;
     text << in.rdbuf();
     const otsched::FuzzReport report =
-        otsched::ReplayRepro(text.str(), options);
+        otsched::ReplayRepro(text.str());
     if (report.ok()) {
       std::printf("replay of %s: violation no longer reproduces (%lld "
                   "oracle checks)\n",
