@@ -332,12 +332,7 @@ std::string CaseError(const FuzzCase& c, const Instance& instance) {
            std::to_string(c.m) +
            " (check its out-forest, 4 | m and known-opt preconditions)";
   }
-  if (spec->needs_semi_batched &&
-      (c.known_opt % 2 != 0 || !instance.is_batched(c.known_opt / 2))) {
-    return "semi-batched case needs an even known-opt and every release a "
-           "multiple of known-opt / 2";
-  }
-  return "";
+  return SemiBatchedError(*spec, instance, c.known_opt);
 }
 
 /// Every oracle verdict of one case on one instance; adds the simulations
@@ -601,13 +596,10 @@ void RecordFailure(const FuzzOptions& options, SeedOutcome& outcome,
                       result.detail, text.str(), /*repro_path=*/""};
 
   if (!options.repro_dir.empty()) {
-    std::ostringstream name;
-    name << "repro_seed" << c.seed << "_m" << c.m << '_'
-         << SanitizeForFilename(c.policy) << '_'
-         << SanitizeForFilename(ToString(result.id)) << '_' << kind
-         << ".inst";
     const std::filesystem::path path =
-        std::filesystem::path(options.repro_dir) / name.str();
+        std::filesystem::path(options.repro_dir) /
+        ReproFileName(c.seed, c.m, c.policy, result.id, kind,
+                      outcome.failures.size());
     std::ofstream out(path);
     if (out.good()) {
       out << failure.instance_text;
@@ -731,6 +723,17 @@ SeedOutcome RunSeed(const FuzzOptions& options, std::uint64_t seed) {
 
 }  // namespace
 
+std::string ReproFileName(std::uint64_t seed, int m,
+                          const std::string& policy, OracleId oracle,
+                          const std::string& kind, std::size_t ordinal) {
+  std::ostringstream name;
+  name << "repro_seed" << seed << "_m" << m << '_'
+       << SanitizeForFilename(policy) << '_'
+       << SanitizeForFilename(ToString(oracle)) << '_' << kind << '_'
+       << ordinal << ".inst";
+  return name.str();
+}
+
 std::string FuzzReport::summary() const {
   std::ostringstream out;
   out << "otsched_fuzz: " << simulations << " simulations, " << oracle_checks
@@ -738,7 +741,11 @@ std::string FuzzReport::summary() const {
       << failures.size() << " invariant violation"
       << (failures.size() == 1 ? "" : "s") << "\n";
   for (const FuzzFailure& failure : failures) {
-    out << "  [" << ToString(failure.oracle) << "] policy=" << failure.policy
+    out << "  ";
+    if (failure.oracle.has_value()) {
+      out << '[' << ToString(*failure.oracle) << "] ";
+    }
+    out << "policy=" << failure.policy
         << " m=" << failure.m << " seed=" << failure.seed << ": "
         << failure.detail << "\n";
     if (!failure.repro_path.empty()) {
@@ -792,7 +799,8 @@ FuzzReport ReplayRepro(const std::string& repro_text) {
   if (error.empty()) error = CaseError(c, *instance);
 
   FuzzReport report;
-  const auto report_failure = [&](const std::string& policy, OracleId oracle,
+  const auto report_failure = [&](const std::string& policy,
+                                  std::optional<OracleId> oracle,
                                   const std::string& detail) {
     report.failures.push_back({policy, c.m, c.seed, oracle, detail,
                                repro_text, /*repro_path=*/""});
@@ -800,7 +808,7 @@ FuzzReport ReplayRepro(const std::string& repro_text) {
   // Repro files are hand-editable; a broken one is a reported failure,
   // not a contract violation.
   if (!error.empty()) {
-    report_failure("<malformed-repro>", OracleId::kFeasibility, error);
+    report_failure("<malformed-repro>", std::nullopt, error);
     return report;
   }
   for (const OracleResult& result :

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,7 +76,8 @@ struct FuzzFailure {
   std::string policy;
   int m = 0;
   std::uint64_t seed = 0;
-  OracleId oracle = OracleId::kFeasibility;
+  /// The violated oracle; absent for "<malformed-repro>", which ran none.
+  std::optional<OracleId> oracle;
   std::string detail;
   /// The shrunk instance, serialized (with provenance comments).
   std::string instance_text;
@@ -93,6 +95,14 @@ struct FuzzReport {
   /// Human-readable multi-line summary.
   std::string summary() const;
 };
+
+/// The repro file name of a seed's `ordinal`-th recorded failure
+/// (0-based, in grid order): the case (seed, m, policy), the violated
+/// oracle, the instance kind and the ordinal.  Distinct for every failure
+/// of one run, and independent of the worker count.
+std::string ReproFileName(std::uint64_t seed, int m,
+                          const std::string& policy, OracleId oracle,
+                          const std::string& kind, std::size_t ordinal);
 
 /// Runs the whole grid.  Deterministic for fixed options (worker count
 /// does not affect the outcome, only the wall clock).

@@ -537,10 +537,13 @@ OracleResult CheckOptLowerBoundOracle(const Instance& instance, int m,
   std::ostringstream detail;
   // The heuristic bounds assume a healthy machine but remain valid
   // under faults (removing capacity never decreases OPT), so the
-  // sandwich holds with or without a budget.
-  if (heuristic > dual.value) {
+  // sandwich holds with or without a budget.  On a healthy machine the
+  // dual fit's search lands on the heuristic closed forms exactly.
+  const bool healthy_machine = options.budget == nullptr;
+  if (healthy_machine ? heuristic != dual.value : heuristic > dual.value) {
     detail << "heuristic lower bound " << heuristic
-           << " exceeds dual-fit certificate " << dual.value << " on " << m
+           << (healthy_machine ? " differs from" : " exceeds")
+           << " dual-fit certificate " << dual.value << " on " << m
            << " processors";
     return fail(detail.str());
   }

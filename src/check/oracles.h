@@ -193,7 +193,7 @@ struct OptBoundCheckOptions {
 
 /// The certified lower-bound sandwich on one (instance, m) pair:
 ///
-///   opt/lower_bounds best  <=  DualFitCertificate.value
+///   opt/lower_bounds best  <=  DualFitCertificate.value  (== when healthy)
 ///                          <=  MaxFlowCertificate.value
 ///                          <=  brute-force OPT (healthy, small instances)
 ///

@@ -1,11 +1,11 @@
 #include "opt/dual_fitting.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "common/assert.h"
 #include "dag/metrics.h"
+#include "opt/lower_bounds.h"
 
 namespace otsched {
 
@@ -125,58 +125,38 @@ Certificate DualFitCertificate(const Instance& instance, int m,
   std::vector<DualInterval> best_witness;
 
   // Enumerate 0/1 witnesses T(a, b, d, B) = [a + d + 1, b + B - 1] over
-  // distinct release pairs and depths, mirroring the depth x interval
-  // enumeration of opt/lower_bounds but with exact (possibly faulted)
-  // capacity sums.  For fixed (a, b, d) the capacity of T grows with B
-  // while the demand W stays put, so the best certified B is found by
-  // binary search on "capacity < W".
-  std::map<Time, std::vector<const Job*>> by_release;
-  for (const Job& job : instance.jobs()) {
-    by_release[job.release()].push_back(&job);
-  }
-  std::vector<Time> releases;
-  releases.reserve(by_release.size());
-  for (const auto& [release, jobs] : by_release) releases.push_back(release);
-
-  const std::int64_t max_span = instance.max_span();
+  // the release windows and depths of opt/lower_bounds, but with exact
+  // (possibly faulted) capacity sums.  For fixed (a, b, d) the capacity
+  // of T grows with B while the demand W stays put, so the best
+  // certified B is found by binary search on "capacity < W".
   const Time trace_len = budget == nullptr ? 0 : budget->length();
-  std::vector<std::int64_t> profile;
-  for (std::size_t ai = 0; ai < releases.size(); ++ai) {
-    const Time a = releases[ai];
-    profile.assign(static_cast<std::size_t>(max_span) + 1, 0);
-    for (std::size_t bi = ai; bi < releases.size(); ++bi) {
-      const Time b = releases[bi];
-      for (const Job* job : by_release[b]) {
-        const DagMetrics& metrics = job->metrics();
-        for (std::int64_t d = 0; d <= metrics.span; ++d) {
-          profile[static_cast<std::size_t>(d)] += metrics.w_deeper(d);
-        }
+  ForEachReleaseWindow(instance, [&](Time a, Time b,
+                                     const std::vector<std::int64_t>&
+                                         profile) {
+    for (std::size_t di = 0; di < profile.size() && profile[di] > 0; ++di) {
+      const Time d = static_cast<Time>(di);
+      const std::int64_t demand = profile[di];
+      const auto capacity = [&](Time bound) {
+        return SlotCapacitySum(budget, a + d + 1, b + bound - 1, m);
+      };
+      // Smallest B making T nonempty; larger B only adds capacity.
+      Time lo = std::max<Time>(1, d + 2 - (b - a));
+      if (capacity(lo) >= demand) continue;
+      // Beyond the trace every slot supplies m >= 1 units, so the
+      // bound saturates within demand + trace_len extra slots.
+      Time hi = lo + demand + trace_len + 1;
+      OTSCHED_CHECK(capacity(hi) >= demand,
+                    "dual-fit search horizon too small");
+      while (hi - lo > 1) {
+        const Time mid = lo + (hi - lo) / 2;
+        (capacity(mid) < demand ? lo : hi) = mid;
       }
-      for (std::int64_t d = 0; d <= max_span; ++d) {
-        const std::int64_t demand = profile[static_cast<std::size_t>(d)];
-        if (demand == 0) break;  // profiles are non-increasing in d
-        const auto capacity = [&](Time bound) {
-          return SlotCapacitySum(budget, a + d + 1, b + bound - 1, m);
-        };
-        // Smallest B making T nonempty; larger B only adds capacity.
-        Time lo = std::max<Time>(1, d + 2 - (b - a));
-        if (capacity(lo) >= demand) continue;
-        // Beyond the trace every slot supplies m >= 1 units, so the
-        // bound saturates within demand + trace_len extra slots.
-        Time hi = lo + demand + trace_len + 1;
-        OTSCHED_CHECK(capacity(hi) >= demand,
-                      "dual-fit search horizon too small");
-        while (hi - lo > 1) {
-          const Time mid = lo + (hi - lo) / 2;
-          (capacity(mid) < demand ? lo : hi) = mid;
-        }
-        if (lo > best) {
-          best = lo;
-          best_witness = {{a + d + 1, b + lo - 1, 1}};
-        }
+      if (lo > best) {
+        best = lo;
+        best_witness = {{a + d + 1, b + lo - 1, 1}};
       }
     }
-  }
+  });
 
   cert.value = best;
   cert.witness = std::move(best_witness);

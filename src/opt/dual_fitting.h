@@ -32,10 +32,11 @@
 //
 // The 0/1-weight case is exactly a Hall-condition deficiency witness: a
 // set T of slots whose contained windows demand more units than T can
-// supply.  opt/flow_network extracts such witnesses from min cuts;
-// DualFitCertificate below builds them directly from an
-// interval-times-depth enumeration, generalizing every closed-form
-// bound in opt/lower_bounds to per-slot capacities.
+// supply.  opt/flow_network reads one such interval off the first
+// deadline its earliest-deadline-first sweep misses; DualFitCertificate
+// below builds them directly from the release-window enumeration of
+// opt/lower_bounds (ForEachReleaseWindow), generalizing every
+// closed-form bound there to per-slot capacities.
 #pragma once
 
 #include <cstdint>
@@ -94,10 +95,10 @@ struct Certificate {
 /// times a <= b and depth d, the subjobs deeper than d of jobs released
 /// in [a, b] all have windows inside T, so whenever their count exceeds
 /// the capacity sum of T the bound B is certified.  With full capacity
-/// this reproduces (and its best value dominates) the span, work,
-/// interval, depth-profile, and depth-interval bounds of
-/// opt/lower_bounds; with a BudgetTrace the capacity sums shrink and the
-/// bound strengthens accordingly.  The result always passes verify().
+/// the search lands on d + ceil(W / m) - (b - a) for each window, so the
+/// value equals ComputeLowerBounds(...).best() of opt/lower_bounds
+/// exactly; with a BudgetTrace the capacity sums shrink and the bound can
+/// only strengthen.  The result always passes verify().
 Certificate DualFitCertificate(const Instance& instance, int m,
                                const BudgetTrace* budget = nullptr);
 

@@ -1,46 +1,12 @@
 #include "opt/flow_network.h"
 
 #include <algorithm>
-#include <map>
-#include <utility>
+#include <functional>
+#include <queue>
 
 #include "common/assert.h"
-#include "opt/maxflow.h"
 
 namespace otsched {
-namespace {
-
-struct RelaxationNetwork {
-  /// Distinct (earliest, latest) windows with their subjob counts.
-  std::vector<std::pair<SlotWindow, std::int64_t>> groups;
-  /// Elementary intervals [first, last] induced by window endpoints,
-  /// ascending and disjoint.
-  std::vector<std::pair<Time, Time>> intervals;
-};
-
-RelaxationNetwork BuildNetwork(const std::vector<SlotWindow>& windows) {
-  RelaxationNetwork net;
-  std::map<std::pair<Time, Time>, std::int64_t> counts;
-  std::vector<Time> boundaries;
-  for (const SlotWindow& w : windows) {
-    ++counts[{w.earliest, w.latest}];
-    boundaries.push_back(w.earliest);
-    boundaries.push_back(w.latest + 1);
-  }
-  net.groups.reserve(counts.size());
-  for (const auto& [window, count] : counts) {
-    net.groups.push_back({{window.first, window.second}, count});
-  }
-  std::sort(boundaries.begin(), boundaries.end());
-  boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
-                   boundaries.end());
-  for (std::size_t i = 0; i + 1 < boundaries.size(); ++i) {
-    net.intervals.push_back({boundaries[i], boundaries[i + 1] - 1});
-  }
-  return net;
-}
-
-}  // namespace
 
 bool FlowRelaxationFeasible(const Instance& instance, int m, Time flow_bound,
                             const BudgetTrace* budget,
@@ -49,77 +15,65 @@ bool FlowRelaxationFeasible(const Instance& instance, int m, Time flow_bound,
   if (hall_witness != nullptr) hall_witness->clear();
   if (instance.empty()) return true;
 
-  const std::vector<SlotWindow> windows =
+  std::vector<SlotWindow> windows =
       ComputeSubjobWindows(instance, flow_bound);
   for (const SlotWindow& w : windows) {
     // Below the longest chain through some subjob: infeasible with no
     // slot-set witness needed (Certificate::verify's empty-window rule).
     if (w.earliest > w.latest) return false;
   }
+  std::sort(windows.begin(), windows.end(),
+            [](const SlotWindow& x, const SlotWindow& y) {
+              return x.earliest < y.earliest;
+            });
 
-  const RelaxationNetwork net = BuildNetwork(windows);
-  const std::int64_t total_work = instance.total_work();
-  const int group_count = static_cast<int>(net.groups.size());
-  const int interval_count = static_cast<int>(net.intervals.size());
-
-  // Node layout: 0 = source, 1 .. G = window groups, G + 1 .. G + K =
-  // elementary intervals, G + K + 1 = sink.
-  const int source = 0;
-  const int sink = group_count + interval_count + 1;
-  MaxFlowGraph graph(sink + 1);
-  for (int g = 0; g < group_count; ++g) {
-    graph.add_edge(source, 1 + g, net.groups[static_cast<std::size_t>(g)].second);
-  }
-  // Window -> interval edges get capacity total_work + 1 so no minimum
-  // cut ever severs them: cuts consist purely of source-side group
-  // edges and interval->sink capacity edges, which is what makes the
-  // cut readable as a Hall deficiency witness below.
-  for (int g = 0; g < group_count; ++g) {
-    const SlotWindow& w = net.groups[static_cast<std::size_t>(g)].first;
-    for (int k = 0; k < interval_count; ++k) {
-      const auto& [first, last] = net.intervals[static_cast<std::size_t>(k)];
-      if (first >= w.earliest && last <= w.latest) {
-        graph.add_edge(1 + g, 1 + group_count + k, total_work + 1);
-      }
+  // Pending deadlines (window `latest`), smallest first.  A busy run is
+  // a maximal stretch of slots that all end with a pending deadline; it
+  // starts with an empty queue, and within it every slot is full (a slot
+  // that pops fewer than its capacity empties the queue and ends the
+  // run).  `largest_popped[t - run_start]` is the largest deadline slot
+  // t served, which the witness below needs.
+  std::priority_queue<Time, std::vector<Time>, std::greater<>> deadlines;
+  std::vector<Time> largest_popped;
+  Time run_start = 0;
+  std::size_t next = 0;
+  for (Time t = 0; next < windows.size() || !deadlines.empty(); ++t) {
+    if (deadlines.empty()) {
+      t = windows[next].earliest;
+      run_start = t;
+      largest_popped.clear();
     }
-  }
-  for (int k = 0; k < interval_count; ++k) {
-    const auto& [first, last] = net.intervals[static_cast<std::size_t>(k)];
-    graph.add_edge(1 + group_count + k, sink,
-                   SlotCapacitySum(budget, first, last, m));
-  }
-
-  const std::int64_t flow = graph.max_flow(source, sink);
-  OTSCHED_CHECK(flow <= total_work, "relaxation flow exceeds total work");
-  if (flow == total_work) return true;
-
-  if (hall_witness != nullptr) {
-    // Min-cut side S (residual-reachable from the source).  Every group
-    // in S keeps its infinite edges uncut, so all its intervals are in
-    // S too: the windows of S-groups sit inside T = union of S-side
-    // intervals, and cut value < total_work gives demand(T) >
-    // capacity(T).
-    const std::vector<char> in_cut = graph.min_cut_source_side(source);
-    Time open_first = 0;
-    Time open_last = -1;
-    bool open = false;
-    for (int k = 0; k < interval_count; ++k) {
-      if (!in_cut[static_cast<std::size_t>(1 + group_count + k)]) continue;
-      const auto& [first, last] = net.intervals[static_cast<std::size_t>(k)];
-      if (open && first == open_last + 1) {
-        open_last = last;
-      } else {
-        if (open) hall_witness->push_back({open_first, open_last, 1});
-        open_first = first;
-        open_last = last;
-        open = true;
-      }
+    for (; next < windows.size() && windows[next].earliest == t; ++next) {
+      deadlines.push(windows[next].latest);
     }
-    if (open) hall_witness->push_back({open_first, open_last, 1});
-    OTSCHED_CHECK(!hall_witness->empty(),
-                  "infeasible relaxation produced an empty cut witness");
+    const int capacity = budget == nullptr ? m : budget->capacity_at(t, m);
+    Time largest = t - 1;  // below every deadline still pending at t
+    for (int k = 0; k < capacity && !deadlines.empty(); ++k) {
+      largest = deadlines.top();
+      deadlines.pop();
+    }
+    largest_popped.push_back(largest);
+    if (deadlines.empty() || deadlines.top() > t) continue;
+
+    // Deadline L = t missed.  Let u be the last slot of the run that
+    // served a deadline beyond L (EDF then left only deadlines beyond L
+    // pending), or run_start - 1.  Every window served in (u, L] or
+    // still pending with deadline <= L opened after u and closes by L,
+    // and every slot of (u, L] is full, so T = [u + 1, L] holds more
+    // windows than capacity: a Hall deficiency.
+    if (hall_witness != nullptr) {
+      Time first = run_start;
+      for (Time u = t; u >= run_start; --u) {
+        if (largest_popped[static_cast<std::size_t>(u - run_start)] > t) {
+          first = u + 1;
+          break;
+        }
+      }
+      hall_witness->push_back({first, t, 1});
+    }
+    return false;
   }
-  return false;
+  return true;
 }
 
 Certificate MaxFlowCertificate(const Instance& instance, int m,

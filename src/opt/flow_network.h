@@ -9,22 +9,21 @@
 // while using at most c_t processors in slot t (c_t = m, or the
 // BudgetTrace capacity on a degraded machine).  Dropping the precedence
 // constraints WITHIN a window leaves a bipartite transportation problem
-// — subjobs on one side, slots with capacities on the other — whose
-// feasibility is decided exactly by a max-flow computation over the
-// opt/maxflow core:
-//
-//   source --count--> window groups --inf--> slot intervals --cap--> sink
-//
-// where slots are compressed into the elementary intervals induced by
-// the window endpoints (every window either contains an elementary
-// interval or misses it entirely, so the compression is lossless).
-// Feasibility is monotone in F (windows only widen), so the smallest
-// feasible F* is found by binary search and OPT >= F*.
+// — subjobs on one side, slots with capacities on the other.  With
+// interval windows it needs no general max-flow solver: an
+// earliest-deadline-first sweep over the slots (each slot serves up to
+// c_t pending windows with the smallest `latest`) schedules every window
+// iff any assignment does, in O(N log N) for N subjobs.  Feasibility is
+// monotone in F (windows only widen), so the smallest feasible F* is
+// found by binary search and OPT >= F*.  Certificates keep the method
+// tag "max-flow": the bound is the max-flow value of that network,
+// whatever algorithm decides it.
 //
 // The subsystem never asks anyone to trust the solver: infeasibility of
-// F* - 1 is exported as a Hall-condition deficiency witness read off the
-// final residual graph's minimum cut — the slot set T of cut-side
-// intervals satisfies demand(T) > capacity(T) — and packaged as an
+// F* - 1 is exported as a Hall-condition deficiency witness — the one
+// slot interval T = [s, L] that ends at the first missed deadline L and
+// starts after the last slot that emptied the queue or served a window
+// closing after L, so demand(T) > capacity(T) — and packaged as an
 // opt/dual_fitting Certificate whose verify() re-checks that inequality
 // from the instance alone.
 //
@@ -43,10 +42,10 @@ namespace otsched {
 
 /// Decides the window-assignment relaxation at `flow_bound`.  When the
 /// relaxation is infeasible and `hall_witness` is non-null, fills it
-/// with a 0/1 dual witness (sorted, disjoint intervals T with
-/// demand(T) > capacity(T)); the witness is empty when some window is
-/// already empty (flow_bound below a longest chain — no slot set is
-/// needed to prove that).  `budget` degrades per-slot capacities;
+/// with a 0/1 dual witness (one slot interval T with demand(T) >
+/// capacity(T)); the witness is empty when some window is already empty
+/// (flow_bound below a longest chain — no slot set is needed to prove
+/// that).  `budget` degrades per-slot capacities;
 /// nullptr means a healthy machine.
 bool FlowRelaxationFeasible(const Instance& instance, int m, Time flow_bound,
                             const BudgetTrace* budget = nullptr,

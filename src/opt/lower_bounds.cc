@@ -1,7 +1,7 @@
 #include "opt/lower_bounds.h"
 
 #include <algorithm>
-#include <map>
+#include <functional>
 
 #include "common/assert.h"
 
@@ -49,6 +49,40 @@ Time DepthProfileBound(const Job& job, int m) {
   return best;
 }
 
+void ForEachReleaseWindow(
+    const Instance& instance,
+    const std::function<void(Time first, Time last,
+                             const std::vector<std::int64_t>& profile)>&
+        visit) {
+  std::vector<const Job*> by_release;
+  by_release.reserve(static_cast<std::size_t>(instance.job_count()));
+  for (const Job& job : instance.jobs()) by_release.push_back(&job);
+  std::sort(by_release.begin(), by_release.end(),
+            [](const Job* x, const Job* y) {
+              return x->release() < y->release();
+            });
+
+  // For each first release a, extend the window one release group at a
+  // time, adding the group's depth profiles to a running sum.
+  std::vector<std::int64_t> profile;
+  for (std::size_t a = 0; a < by_release.size();) {
+    const Time first = by_release[a]->release();
+    profile.assign(static_cast<std::size_t>(instance.max_span()) + 1, 0);
+    std::size_t b = a;
+    while (b < by_release.size()) {
+      const Time last = by_release[b]->release();
+      for (; b < by_release.size() && by_release[b]->release() == last; ++b) {
+        const DagMetrics& metrics = by_release[b]->metrics();
+        for (std::int64_t d = 0; d < metrics.span; ++d) {
+          profile[static_cast<std::size_t>(d)] += metrics.w_deeper(d);
+        }
+      }
+      visit(first, last, profile);
+    }
+    while (a < by_release.size() && by_release[a]->release() == first) ++a;
+  }
+}
+
 LowerBounds ComputeLowerBounds(const Instance& instance, int m) {
   OTSCHED_CHECK(m >= 1, "lower bounds need a machine: m >= 1, got " << m);
   LowerBounds bounds;
@@ -60,56 +94,20 @@ LowerBounds ComputeLowerBounds(const Instance& instance, int m) {
         std::max(bounds.depth_profile_bound, DepthProfileBound(job, m));
   }
 
-  // Interval bound over distinct release times, via a prefix sum of work
-  // in release order.
-  std::map<Time, std::int64_t> work_at_release;
-  for (const Job& job : instance.jobs()) {
-    work_at_release[job.release()] += job.work();
-  }
-  std::vector<Time> releases;
-  std::vector<std::int64_t> prefix = {0};
-  releases.reserve(work_at_release.size());
-  for (const auto& [release, work] : work_at_release) {
-    releases.push_back(release);
-    prefix.push_back(prefix.back() + work);
-  }
-  for (std::size_t a = 0; a < releases.size(); ++a) {
-    for (std::size_t b = a; b < releases.size(); ++b) {
-      const std::int64_t window_work = prefix[b + 1] - prefix[a];
-      const Time bound =
-          (window_work + m - 1) / m - (releases[b] - releases[a]);
-      bounds.interval_bound = std::max(bounds.interval_bound, bound);
-    }
-  }
-
-  // Combined depth x interval bound.  For each window [a, b] sum the
-  // depth profiles of its jobs and scan d up to the window's max span.
-  // O(R^2 * maxspan) over distinct release times — the experiment
-  // instance families keep this tiny.
-  const std::int64_t max_span = instance.max_span();
-  std::vector<std::int64_t> window_profile;
-  for (std::size_t a = 0; a < releases.size(); ++a) {
-    window_profile.assign(static_cast<std::size_t>(max_span) + 1, 0);
-    for (std::size_t b = a; b < releases.size(); ++b) {
-      // Add jobs released exactly at releases[b] to the running profile.
-      for (const Job& job : instance.jobs()) {
-        if (job.release() != releases[b]) continue;
-        const DagMetrics& metrics = job.metrics();
-        for (std::int64_t d = 0; d <= metrics.span; ++d) {
-          window_profile[static_cast<std::size_t>(d)] +=
-              metrics.w_deeper(d);
+  // The interval bound is the d = 0 row of the depth x interval bound.
+  ForEachReleaseWindow(
+      instance, [&](Time first, Time last,
+                    const std::vector<std::int64_t>& profile) {
+        const Time width = last - first;
+        bounds.interval_bound = std::max(bounds.interval_bound,
+                                         (profile[0] + m - 1) / m - width);
+        for (std::size_t d = 0; d < profile.size() && profile[d] > 0; ++d) {
+          const Time bound =
+              static_cast<Time>(d) + (profile[d] + m - 1) / m - width;
+          bounds.depth_interval_bound =
+              std::max(bounds.depth_interval_bound, bound);
         }
-      }
-      const Time width = releases[b] - releases[a];
-      for (std::int64_t d = 0; d <= max_span; ++d) {
-        const std::int64_t w = window_profile[static_cast<std::size_t>(d)];
-        if (w == 0) break;  // profiles are non-increasing in d
-        const Time bound = d + (w + m - 1) / m - width;
-        bounds.depth_interval_bound =
-            std::max(bounds.depth_interval_bound, bound);
-      }
-    }
-  }
+      });
   return bounds;
 }
 

@@ -11,9 +11,14 @@
 //   interval bound  for release times a <= b, all work released in [a, b]
 //                   must fit into m * (b - a + F) processor-slots, so
 //                   F >= ceil(W[a,b] / m) - (b - a).
+//
+// The interval and depth x interval bounds, and the dual-fit certificate
+// of opt/dual_fitting, all read one enumeration: ForEachReleaseWindow.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "job/instance.h"
 
@@ -57,9 +62,22 @@ struct LowerBounds {
   BoundComponent best_component() const;
 };
 
-/// Computes all bounds.  The interval bound enumerates pairs of distinct
-/// release times, which is O(R^2) in the number of distinct releases with
-/// prefix sums — fine for every instance family used here.
+/// Calls visit(first, last, profile) once for every pair of distinct
+/// release times first <= last, ordered by first and then last, where
+/// profile[d] = sum over the jobs released in [first, last] of W(d), the
+/// work deeper than d, for d in [0, instance.max_span()].  profile[0] is
+/// the window's total work, and profiles are non-increasing in d, so a
+/// visitor may stop at the first zero.  O(R * sum of spans + R^2) for R
+/// distinct releases, plus what the visitor spends.
+void ForEachReleaseWindow(
+    const Instance& instance,
+    const std::function<void(Time first, Time last,
+                             const std::vector<std::int64_t>& profile)>&
+        visit);
+
+/// Computes all bounds.  The per-job components take one pass over the
+/// jobs; the interval and depth x interval bounds scan each release
+/// window's profile, O(R^2 * span) over R distinct releases.
 LowerBounds ComputeLowerBounds(const Instance& instance, int m);
 
 /// Shorthand for ComputeLowerBounds(...).best().

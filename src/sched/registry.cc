@@ -12,6 +12,10 @@
 namespace otsched {
 namespace {
 
+/// The known-opt MakePolicy hands a semi-batched policy when the caller
+/// has none.
+constexpr Time kFallbackKnownOpt = 2;
+
 PolicySpec Fifo(const std::string& name, FifoTieBreak tie_break,
                 std::string description) {
   PolicySpec spec;
@@ -154,7 +158,8 @@ std::unique_ptr<Scheduler> MakePolicy(std::string_view name,
   const PolicySpec* spec = FindPolicy(name);
   if (spec == nullptr) return nullptr;
   if (spec->needs_semi_batched) {
-    return spec->make_semi_batched(known_opt > 0 ? known_opt : 2);
+    return spec->make_semi_batched(known_opt > 0 ? known_opt
+                                                 : kFallbackKnownOpt);
   }
   return spec->make(seed);
 }
@@ -172,6 +177,17 @@ bool PolicyApplies(const PolicySpec& spec, bool all_out_forests,
   if (spec.needs_alpha_divides_m && m % 4 != 0) return false;
   if (spec.needs_semi_batched && !semi_batched_certified) return false;
   return true;
+}
+
+std::string SemiBatchedError(const PolicySpec& spec,
+                             const Instance& instance, Time known_opt) {
+  if (!spec.needs_semi_batched) return "";
+  const Time opt = known_opt > 0 ? known_opt : kFallbackKnownOpt;
+  if (opt % 2 != 0 || !instance.is_batched(opt / 2)) {
+    return "semi-batched case needs an even known-opt and every release a "
+           "multiple of known-opt / 2";
+  }
+  return "";
 }
 
 }  // namespace otsched

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "job/instance.h"
 #include "sim/engine.h"
 
 namespace otsched {
@@ -78,5 +79,13 @@ std::vector<std::string> ListPolicyNames();
 /// True when `spec` can run on (instance properties, m).
 bool PolicyApplies(const PolicySpec& spec, bool all_out_forests,
                    bool semi_batched_certified, int m);
+
+/// "" unless `spec` is semi-batched and cannot run `instance` with the
+/// assumed optimum `known_opt` (<= 0 takes MakePolicy's fallback), else
+/// why: Algorithm A needs an even known-opt and every release on its
+/// known-opt / 2 grid, and aborts otherwise.  Drivers check it before
+/// MakePolicy.
+std::string SemiBatchedError(const PolicySpec& spec,
+                             const Instance& instance, Time known_opt);
 
 }  // namespace otsched

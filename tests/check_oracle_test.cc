@@ -417,6 +417,19 @@ TEST(DifferentialFuzz, ReplayRoundTripsThroughSerializedRepro) {
   EXPECT_EQ(faulted.oracle_checks, report.oracle_checks + 2);
 }
 
+TEST(DifferentialFuzz, ReproFileNamesCarryTheFailureOrdinal) {
+  // Two failures of one seed with the same case, oracle and kind (two
+  // jobs' structural checks, say) must not share a file.
+  EXPECT_EQ(ReproFileName(7, 4, "alg-a/general", OracleId::kFeasibility,
+                          "online", 0),
+            "repro_seed7_m4_alg-a-general_feasibility-S3-axioms-_online_0"
+            ".inst");
+  EXPECT_NE(ReproFileName(7, 4, "<lpf-structural>", OracleId::kLpfValue,
+                          "tree", 0),
+            ReproFileName(7, 4, "<lpf-structural>", OracleId::kLpfValue,
+                          "tree", 1));
+}
+
 TEST(DifferentialFuzz, ReplayReportsMalformedReprosWithoutAborting) {
   // Repro files are hand-editable: every broken header, instance or
   // inapplicable case is one "<malformed-repro>" failure, never an abort.
@@ -452,6 +465,16 @@ TEST(DifferentialFuzz, ReplayReportsMalformedReprosWithoutAborting) {
                                           << report.summary();
     EXPECT_EQ(report.failures[0].policy, "<malformed-repro>") << c.what;
     EXPECT_FALSE(report.failures[0].detail.empty()) << c.what;
+    // No oracle ran, so the printed line names none.
+    EXPECT_FALSE(report.failures[0].oracle.has_value()) << c.what;
+    const std::string line = "\n  policy=<malformed-repro> m=" +
+                             std::to_string(report.failures[0].m) +
+                             " seed=" +
+                             std::to_string(report.failures[0].seed) + ": " +
+                             report.failures[0].detail + "\n";
+    EXPECT_NE(report.summary().find(line), std::string::npos)
+        << c.what << "\n"
+        << report.summary();
     EXPECT_EQ(report.simulations, 0) << c.what;
   }
 }

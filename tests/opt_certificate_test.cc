@@ -1,17 +1,19 @@
-// Certified OPT lower bounds (opt/maxflow, opt/flow_network,
-// opt/dual_fitting) and the kOptLowerBound oracle.
+// Certified OPT lower bounds (opt/flow_network, opt/dual_fitting) and
+// the kOptLowerBound oracle.
 //
 // The load-bearing property, fuzzed over thousands of small instances
 // (out-trees, general DAGs, scattered releases, faulted budgets):
 //
 //   heuristic bounds <= dual-fit certificate <= max-flow certificate
-//                    <= brute-force OPT,
+//                    <= brute-force OPT
 //
-// with every certificate passing Certificate::verify() — and with
+// (the first <= an equality on a healthy machine), with every
+// certificate passing Certificate::verify() — and with
 // verify() REJECTING deliberately corrupted certificates, so a passing
 // sandwich can never be explained by a vacuous checker.
 #include "gtest_compat.h"
 
+#include <functional>
 #include <limits>
 
 #include "check/oracles.h"
@@ -24,7 +26,6 @@
 #include "opt/dual_fitting.h"
 #include "opt/flow_network.h"
 #include "opt/lower_bounds.h"
-#include "opt/maxflow.h"
 #include "opt/single_batch.h"
 
 namespace otsched {
@@ -171,13 +172,15 @@ TEST(MaxFlowCertificate, CarriesAHallWitnessWhenSpanDoesNotBind) {
 }
 
 TEST(DualFitCertificate, DominatesEveryHeuristicComponent) {
+  // On a healthy machine the binary search lands on the closed form
+  // d + ceil(W / m) - (b - a) per window, so "dominates" is equality.
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed * 2654435761ULL);
     const Instance instance =
         RandomSmallInstance(rng, /*node_budget=*/14, /*max_release=*/4);
     for (int m : {1, 2, 4}) {
       const Certificate dual = DualFitCertificate(instance, m);
-      EXPECT_GE(dual.value, MaxFlowLowerBound(instance, m))
+      EXPECT_EQ(dual.value, MaxFlowLowerBound(instance, m))
           << InstanceToText(instance);
       EXPECT_TRUE(dual.verify(instance));
     }
@@ -305,38 +308,135 @@ TEST(FlowRelaxation, WitnessDeficiencyIsRealOnHandInstance) {
   EXPECT_EQ(witness[0].last, 7);
 }
 
-// ---- the Dinic core ----
-
-TEST(MaxFlowGraph, HandNetwork) {
-  // Classic 4-node diamond with a bottleneck.
-  MaxFlowGraph graph(4);
-  graph.add_edge(0, 1, 3);
-  graph.add_edge(0, 2, 2);
-  graph.add_edge(1, 2, 5);
-  graph.add_edge(1, 3, 2);
-  graph.add_edge(2, 3, 3);
-  EXPECT_EQ(graph.max_flow(0, 3), 5);
+/// Certificate claiming flow_bound + 1 on the relaxation's own witness;
+/// verify() re-checks it from the instance alone.
+bool WitnessVerifies(const Instance& instance, int m, Time flow_bound,
+                     const BudgetTrace* budget) {
+  Certificate cert;
+  cert.value = flow_bound + 1;
+  cert.m = m;
+  EXPECT_FALSE(FlowRelaxationFeasible(instance, m, flow_bound, budget,
+                                      &cert.witness));
+  return cert.verify(instance, budget);
 }
 
-TEST(MaxFlowGraph, MinCutSeparatesSourceFromSink) {
-  MaxFlowGraph graph(4);
-  graph.add_edge(0, 1, 10);
-  graph.add_edge(1, 2, 1);  // the cut
-  graph.add_edge(2, 3, 10);
-  EXPECT_EQ(graph.max_flow(0, 3), 1);
-  const std::vector<char> side = graph.min_cut_source_side(0);
-  EXPECT_TRUE(side[0]);
-  EXPECT_TRUE(side[1]);
-  EXPECT_FALSE(side[2]);
-  EXPECT_FALSE(side[3]);
+TEST(FlowRelaxation, WitnessStartsAfterTheLastGapBetweenWindows) {
+  // m = 1: the blob released at 10 needs [11, 12] for 3 units; the
+  // released-at-0 windows end long before, so T starts at 11.
+  Instance instance;
+  instance.add_job(Job(MakeParallelBlob(2), 0));
+  instance.add_job(Job(MakeParallelBlob(3), 10));
+  std::vector<DualInterval> witness;
+  ASSERT_FALSE(FlowRelaxationFeasible(instance, 1, 2, nullptr, &witness));
+  ASSERT_EQ(witness.size(), 1u);
+  EXPECT_EQ(witness[0].first, 11);
+  EXPECT_EQ(witness[0].last, 12);
+  EXPECT_TRUE(WitnessVerifies(instance, 1, 2, nullptr));
+  EXPECT_TRUE(FlowRelaxationFeasible(instance, 1, 3));
 }
 
-TEST(MaxFlowGraph, ZeroCapacityEdgesCarryNoFlow) {
-  MaxFlowGraph graph(3);
-  const int e = graph.add_edge(0, 1, 0);
-  graph.add_edge(1, 2, 4);
-  EXPECT_EQ(graph.max_flow(0, 2), 0);
-  EXPECT_EQ(graph.flow_on(e), 0);
+TEST(FlowRelaxation, WitnessSkipsASlotThatServedALaterDeadline) {
+  // m = 1, F = 3: slot 1 serves one of the blob's windows [1, 3] and
+  // leaves the other pending; the two chain roots released at 1 both need
+  // slot 2 (window [2, 2]).  The miss is at L = 2 and slot 1 served a
+  // deadline beyond it, so T = [2, 2] although the sweep was busy since 1.
+  Instance instance;
+  instance.add_job(Job(MakeParallelBlob(2), 0));
+  instance.add_job(Job(MakeChain(3), 1));
+  instance.add_job(Job(MakeChain(3), 1));
+  std::vector<DualInterval> witness;
+  ASSERT_FALSE(FlowRelaxationFeasible(instance, 1, 3, nullptr, &witness));
+  ASSERT_EQ(witness.size(), 1u);
+  EXPECT_EQ(witness[0].first, 2);
+  EXPECT_EQ(witness[0].last, 2);
+  EXPECT_TRUE(WitnessVerifies(instance, 1, 3, nullptr));
+}
+
+TEST(FlowRelaxation, ZeroCapacityStretchesDelayTheSweep) {
+  // Slots 2 and 3 are stalled: at F = 3 only slot 1 serves [1, 3], so the
+  // witness is the whole window; slot 4 restores two processors.
+  const Instance instance = SingleJob(MakeParallelBlob(3));
+  BudgetTrace stall;
+  stall.set(2, 0);
+  stall.set(3, 0);
+  std::vector<DualInterval> witness;
+  ASSERT_FALSE(FlowRelaxationFeasible(instance, 2, 3, &stall, &witness));
+  ASSERT_EQ(witness.size(), 1u);
+  EXPECT_EQ(witness[0].first, 1);
+  EXPECT_EQ(witness[0].last, 3);
+  EXPECT_TRUE(WitnessVerifies(instance, 2, 3, &stall));
+  EXPECT_TRUE(FlowRelaxationFeasible(instance, 2, 4, &stall));
+  EXPECT_EQ(MaxFlowCertificate(instance, 2, &stall).value, 4);
+
+  // A stall before any window opens costs nothing.
+  BudgetTrace early;
+  early.set(1, 0);
+  const Instance late = SingleJob(MakeParallelBlob(3), /*release=*/4);
+  EXPECT_TRUE(FlowRelaxationFeasible(late, 2, 2, &early));
+}
+
+/// The relaxation decided by augmenting paths over one node per unit of
+/// slot capacity: the textbook bipartite-matching definition, independent
+/// of the sweep.
+bool MatchingFeasible(const Instance& instance, int m, Time flow_bound,
+                      const BudgetTrace* budget) {
+  const std::vector<SlotWindow> windows =
+      ComputeSubjobWindows(instance, flow_bound);
+  std::vector<Time> units;  // the slot of each capacity unit
+  Time horizon = 0;
+  for (const SlotWindow& w : windows) {
+    if (w.earliest > w.latest) return false;
+    horizon = std::max(horizon, w.latest);
+  }
+  for (Time t = 1; t <= horizon; ++t) {
+    const int capacity = budget == nullptr ? m : budget->capacity_at(t, m);
+    units.insert(units.end(), static_cast<std::size_t>(capacity), t);
+  }
+  std::vector<int> owner(units.size(), -1);
+  std::vector<char> seen;
+  const std::function<bool(int)> augment = [&](int i) {
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      const SlotWindow& w = windows[static_cast<std::size_t>(i)];
+      if (seen[u] || units[u] < w.earliest || units[u] > w.latest) continue;
+      seen[u] = 1;
+      if (owner[u] < 0 || augment(owner[u])) {
+        owner[u] = i;
+        return true;
+      }
+    }
+    return false;
+  };
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    seen.assign(units.size(), 0);
+    if (!augment(static_cast<int>(i))) return false;
+  }
+  return true;
+}
+
+TEST(FlowRelaxation, SweepAgreesWithBipartiteMatching) {
+  int infeasible = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed * 0x2545F4914F6CDD1DULL + 5);
+    const Instance instance =
+        RandomSmallInstance(rng, /*node_budget=*/10, /*max_release=*/6);
+    const int m = 1 + static_cast<int>(rng.next_below(3));
+    const BudgetTrace trace = RandomTrace(rng, m, /*max_len=*/14);
+    const BudgetTrace* budget = seed % 2 == 0 ? &trace : nullptr;
+    for (Time flow_bound = 1; flow_bound <= 12; ++flow_bound) {
+      const bool feasible =
+          FlowRelaxationFeasible(instance, m, flow_bound, budget);
+      ASSERT_EQ(feasible, MatchingFeasible(instance, m, flow_bound, budget))
+          << "F=" << flow_bound << " m=" << m << "\n"
+          << InstanceToText(instance);
+      if (!feasible) {
+        ++infeasible;
+        ASSERT_TRUE(WitnessVerifies(instance, m, flow_bound, budget))
+            << "F=" << flow_bound << " m=" << m << "\n"
+            << InstanceToText(instance);
+      }
+    }
+  }
+  EXPECT_GE(infeasible, 300);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // and the brute-force exact solver they are checked against.
 #include "gtest_compat.h"
 
+#include <set>
+
 #include "dag/builders.h"
 #include "gen/random_trees.h"
 #include "opt/brute_force.h"
@@ -234,6 +236,78 @@ TEST(LowerBoundsBest, AttributionAlwaysMatchesBestValue) {
       }
     }
   }
+}
+
+/// The five components straight from their definitions: every pair of
+/// distinct releases a <= b and every depth d sums W(d) over the jobs
+/// released in [a, b], with no shared enumeration or running profile.
+LowerBounds DefinitionLowerBounds(const Instance& instance, int m) {
+  LowerBounds bounds;
+  std::set<Time> releases;
+  for (const Job& job : instance.jobs()) {
+    releases.insert(job.release());
+    bounds.span_bound = std::max<Time>(bounds.span_bound, job.span());
+    bounds.work_bound =
+        std::max<Time>(bounds.work_bound, (job.work() + m - 1) / m);
+    for (Time d = 0; d <= job.span(); ++d) {
+      bounds.depth_profile_bound = std::max<Time>(
+          bounds.depth_profile_bound,
+          d + (job.metrics().w_deeper(d) + m - 1) / m);
+    }
+  }
+  for (const Time a : releases) {
+    for (const Time b : releases) {
+      if (b < a) continue;
+      for (Time d = 0; d <= instance.max_span(); ++d) {
+        std::int64_t w = 0;
+        for (const Job& job : instance.jobs()) {
+          if (job.release() >= a && job.release() <= b) {
+            w += job.metrics().w_deeper(d);
+          }
+        }
+        if (w == 0) continue;
+        const Time bound = d + (w + m - 1) / m - (b - a);
+        if (d == 0) {
+          bounds.interval_bound = std::max(bounds.interval_bound, bound);
+        }
+        bounds.depth_interval_bound =
+            std::max(bounds.depth_interval_bound, bound);
+      }
+    }
+  }
+  return bounds;
+}
+
+TEST(LowerBounds, EveryComponentMatchesItsDefinition) {
+  int cases = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed * 104729 + 17);
+    Instance instance;
+    const int jobs = 1 + static_cast<int>(rng.next_below(6));
+    // Releases from a small range, so most instances share some.
+    const Time max_release = static_cast<Time>(rng.next_below(6));
+    for (int j = 0; j < jobs; ++j) {
+      const auto size = static_cast<NodeId>(rng.next_in_range(1, 12));
+      Dag dag = rng.next_below(2) == 0
+                    ? MakeAttachmentTree(size, 0.5, rng)
+                    : MakeRandomForest(size, size >= 2 ? 2 : 1, 0.4, rng);
+      instance.add_job(
+          Job(std::move(dag), rng.next_in_range(0, max_release)));
+    }
+    for (int m : {1, 2, 3}) {
+      const LowerBounds got = ComputeLowerBounds(instance, m);
+      const LowerBounds want = DefinitionLowerBounds(instance, m);
+      ASSERT_EQ(got.span_bound, want.span_bound) << "seed " << seed;
+      ASSERT_EQ(got.work_bound, want.work_bound) << "seed " << seed;
+      ASSERT_EQ(got.depth_profile_bound, want.depth_profile_bound)
+          << "seed " << seed;
+      ASSERT_EQ(got.interval_bound, want.interval_bound) << "seed " << seed;
+      ASSERT_EQ(got.depth_interval_bound, want.depth_interval_bound)
+          << "seed " << seed << " m " << m;
+      ++cases;
+    }
+  }
+  EXPECT_GE(cases, 500);
 }
 
 TEST(LowerBoundsDeath, DiagnosesNonPositiveMachineCount) {

@@ -358,6 +358,37 @@ expect_diagnostic("needs explicit per-slot budgets"
 # Non-positive machine counts get a diagnostic too.
 expect_diagnostic("m >= 1" ${CLI} bounds ${INST} 0)
 
+# A 1,000-job stream certifies in seconds: the relaxation's sweep is
+# O(N log N) per probe, so both certificates verify well inside CTest's
+# timeout.
+run_step(${CLI} gen trees 1000 40 7 1 ${WORKDIR}/cli_trees1000.inst)
+execute_process(COMMAND ${CLI} bounds ${WORKDIR}/cli_trees1000.inst 8
+                --certify
+                RESULT_VARIABLE code OUTPUT_VARIABLE big_cert_out
+                WORKING_DIRECTORY ${WORKDIR})
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "bounds --certify on 1000 jobs failed (${code})")
+endif()
+foreach(which dual-fit max-flow)
+  if(NOT big_cert_out MATCHES "${which} certificate : [0-9]+ \\(verified\\)")
+    message(FATAL_ERROR
+            "1000-job ${which} certificate not verified:\n${big_cert_out}")
+  endif()
+endforeach()
+
+# Semi-batched Algorithm A needs an even --opt and every release on its
+# /2 grid; run, sweep and trace refuse other values (exit 2) before the
+# scheduler is built.  The saturated instance releases on a 3-slot grid.
+foreach(bad_opt 3 6)
+  expect_diagnostic("semi-batched case needs an even known-opt"
+                    ${CLI} run ${INST} 4 alg-a/semi-batched --opt ${bad_opt})
+endforeach()
+expect_diagnostic("semi-batched case needs an even known-opt"
+                  ${CLI} sweep ${INST} alg-a/semi-batched --m 4 --seeds 1
+                  --opt 3)
+expect_diagnostic("semi-batched case needs an even known-opt"
+                  ${CLI} trace ${INST} 4 alg-a/semi-batched --opt 3)
+
 # ---- serve durability flags (docs/SERVING.md) ----
 
 # --help documents the daemon without starting it.

@@ -403,17 +403,27 @@ void ListPolicies() {
   }
 }
 
-/// MakePolicy, or the unknown-policy diagnostic and null (the caller
-/// exits 2); shared by run/sweep/trace/serve.
-std::unique_ptr<Scheduler> MakePolicyOrComplain(const std::string& name,
-                                                std::uint64_t seed,
-                                                Time known_opt = 0) {
-  std::unique_ptr<Scheduler> policy = MakePolicy(name, seed, known_opt);
-  if (!policy) {
+/// MakePolicy, or a diagnostic and null (the caller exits 2): an unknown
+/// policy, or a --opt that the registry's semi-batched precondition
+/// refuses for `instance` (Algorithm A would abort on it).  Shared by
+/// run/sweep/trace/serve; serve has no instance up front.
+std::unique_ptr<Scheduler> MakePolicyOrComplain(
+    const std::string& name, std::uint64_t seed, Time known_opt = 0,
+    const Instance* instance = nullptr) {
+  const PolicySpec* spec = FindPolicy(name);
+  if (spec == nullptr) {
     std::fprintf(stderr, "unknown policy '%s' (try `otsched list-policies`)\n",
                  name.c_str());
+    return nullptr;
   }
-  return policy;
+  if (instance != nullptr) {
+    const std::string error = SemiBatchedError(*spec, *instance, known_opt);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return nullptr;
+    }
+  }
+  return MakePolicy(name, seed, known_opt);
 }
 
 int CmdGen(int argc, char** argv) {
@@ -646,7 +656,7 @@ int CmdRun(int argc, char** argv) {
   const bool job_faulted = sim.job_faults.active();
 
   std::unique_ptr<Scheduler> policy =
-      MakePolicyOrComplain(policy_name, seed, known_opt);
+      MakePolicyOrComplain(policy_name, seed, known_opt, &instance);
   if (!policy) return 2;
   // Job faults force flow-only recording; an unset --record follows along,
   // an explicit --record full diagnoses.
@@ -852,7 +862,7 @@ int CmdSweep(int argc, char** argv) {
   }
   {
     const std::unique_ptr<Scheduler> probe =
-        MakePolicyOrComplain(policy_name, 1, known_opt);
+        MakePolicyOrComplain(policy_name, 1, known_opt, &instance);
     if (!probe) return 2;
     if (!CheckRunSupportOrComplain(*probe, sweep_options, sim)) return 2;
   }
@@ -995,7 +1005,7 @@ int CmdTrace(int argc, char** argv) {
   if (!loaded.has_value()) return 2;
   const Instance& instance = *loaded;
   std::unique_ptr<Scheduler> policy =
-      MakePolicyOrComplain(policy_name, seed, known_opt);
+      MakePolicyOrComplain(policy_name, seed, known_opt, &instance);
   if (!policy) return 2;
   EventTrace streamed;
   StreamingTraceObserver trace_observer(streamed);
