@@ -16,9 +16,11 @@
 #include "sim/trace.h"
 #include "core/most_children.h"
 #include "dag/metrics.h"
+#include "gen/arrivals.h"
 #include "gen/certified.h"
 #include "gen/random_trees.h"
 #include "lbsim/lbsim.h"
+#include "opt/lower_bounds.h"
 #include "sched/fifo.h"
 #include "sim/engine.h"
 #include "sim/job_faults.h"
@@ -428,6 +430,27 @@ void BM_EngineSparseRollback(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * horizon);
 }
 BENCHMARK(BM_EngineSparseRollback)->Arg(512)->Arg(2048);
+
+/// The OPT lower bound every reported ratio divides by: ComputeLowerBounds
+/// at m = 8 on the stream of `otsched gen trees N 40 7 1` (N mixed
+/// 40-node out-trees, job i released at 7i, so every release is
+/// distinct).  The instance is built outside the timed loop.  Registered
+/// after the baseline rows so their family indices stay stable.
+void BM_LowerBounds(benchmark::State& state) {
+  Rng rng(1);
+  const Instance instance = MakePeriodicArrivals(
+      state.range(0), 7,
+      [](std::int64_t i, Rng& r) {
+        return MakeTree(static_cast<TreeFamily>(i % 4), 40, r);
+      },
+      rng);
+  for (const Job& job : instance.jobs()) job.metrics();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeLowerBounds(instance, 8).best());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_LowerBounds)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace otsched

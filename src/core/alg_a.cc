@@ -145,24 +145,29 @@ void AlgAPlanner::plan_slot(Time t, std::vector<SubjobRef>& out) {
   OTSCHED_CHECK(used <= m_, "planner over-committed: " << used << " > " << m_);
 }
 
+// Every batch before first_active_ is finished, and its MC violations
+// are already folded into mc_busy_violations_, so the queries below
+// start there.
+
 std::optional<Time> AlgAPlanner::oldest_unfinished_age(Time t) const {
-  for (const auto& batch : batches_) {
-    if (!batch->finished()) return t - batch->visible_release;
+  for (std::size_t k = first_active_; k < batches_.size(); ++k) {
+    if (!batches_[k]->finished()) return t - batches_[k]->visible_release;
   }
   return std::nullopt;
 }
 
 bool AlgAPlanner::all_finished() const {
-  return std::all_of(batches_.begin(), batches_.end(),
+  return std::all_of(batches_.begin() + first_active_, batches_.end(),
                      [](const auto& b) { return b->finished(); });
 }
 
 std::vector<JobId> AlgAPlanner::unfinished_members() const {
   std::vector<JobId> result;
-  for (const auto& batch : batches_) {
-    if (!batch->finished()) {
-      result.insert(result.end(), batch->members.begin(),
-                    batch->members.end());
+  for (std::size_t k = first_active_; k < batches_.size(); ++k) {
+    const PlanJob& batch = *batches_[k];
+    if (!batch.finished()) {
+      result.insert(result.end(), batch.members.begin(),
+                    batch.members.end());
     }
   }
   return result;
@@ -170,18 +175,10 @@ std::vector<JobId> AlgAPlanner::unfinished_members() const {
 
 std::int64_t AlgAPlanner::mc_busy_violations() const {
   std::int64_t total = mc_busy_violations_;
-  for (const auto& batch : batches_) {
-    if (batch->mc) total += batch->mc->busy_violations();
+  for (std::size_t k = first_active_; k < batches_.size(); ++k) {
+    if (batches_[k]->mc) total += batches_[k]->mc->busy_violations();
   }
   return total;
-}
-
-void AlgAPlanner::clear() {
-  // Preserve the violation count across restarts for experiment reports.
-  for (const auto& batch : batches_) {
-    if (batch->mc) mc_busy_violations_ += batch->mc->busy_violations();
-  }
-  batches_.clear();
 }
 
 // --- Semi-batched scheduler -------------------------------------------

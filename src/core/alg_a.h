@@ -72,9 +72,6 @@ class AlgAPlanner {
   /// Total Lemma 5.5 busy violations across all MC replayers (0 expected).
   std::int64_t mc_busy_violations() const;
 
-  /// Drops all batches (guess-and-double restart).
-  void clear();
-
  private:
   struct PlanJob {
     Time visible_release = 0;

@@ -34,9 +34,9 @@
 // set T of slots whose contained windows demand more units than T can
 // supply.  opt/flow_network reads one such interval off the first
 // deadline its earliest-deadline-first sweep misses; DualFitCertificate
-// below builds them directly from the release-window enumeration of
-// opt/lower_bounds (ForEachReleaseWindow), generalizing every
-// closed-form bound there to per-slot capacities.
+// below builds them directly by enumerating every pair of release times
+// and every depth, generalizing every closed-form bound of
+// opt/lower_bounds to per-slot capacities.
 #pragma once
 
 #include <cstdint>

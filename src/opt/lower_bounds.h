@@ -12,13 +12,13 @@
 //                   must fit into m * (b - a + F) processor-slots, so
 //                   F >= ceil(W[a,b] / m) - (b - a).
 //
-// The interval and depth x interval bounds, and the dual-fit certificate
-// of opt/dual_fitting, all read one enumeration: ForEachReleaseWindow.
+// The interval and depth x interval bounds come from one prefix sweep
+// per depth (ComputeLowerBounds); the dual-fit certificate of
+// opt/dual_fitting reaches the same value by enumerating every release
+// window, an independent cross-check.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "job/instance.h"
 
@@ -62,22 +62,19 @@ struct LowerBounds {
   BoundComponent best_component() const;
 };
 
-/// Calls visit(first, last, profile) once for every pair of distinct
-/// release times first <= last, ordered by first and then last, where
-/// profile[d] = sum over the jobs released in [first, last] of W(d), the
-/// work deeper than d, for d in [0, instance.max_span()].  profile[0] is
-/// the window's total work, and profiles are non-increasing in d, so a
-/// visitor may stop at the first zero.  O(R * sum of spans + R^2) for R
-/// distinct releases, plus what the visitor spends.
-void ForEachReleaseWindow(
-    const Instance& instance,
-    const std::function<void(Time first, Time last,
-                             const std::vector<std::int64_t>& profile)>&
-        visit);
-
-/// Computes all bounds.  The per-job components take one pass over the
-/// jobs; the interval and depth x interval bounds scan each release
-/// window's profile, O(R^2 * span) over R distinct releases.
+/// Computes all bounds in O(n log n + sum of spans) for n jobs, with
+/// O(1) state per depth row and nothing sized by m.
+///
+/// The per-job components take one pass over the jobs.  The interval and
+/// depth x interval bounds sweep the release groups in order, once per
+/// depth d (the interval bound is the d = 0 row).  Writing the W(d)
+/// released before group g as P_g = q_g * m + s_g with 0 <= s_g < m,
+///   ceil((P_{b+1} - P_a) / m) = q_{b+1} - q_a + [s_{b+1} > s_a],
+/// so the window [r_a, r_b] gives
+///   d + q_{b+1} - r_b + (key_a + [s_a < s_{b+1}]),  key_a = r_a - q_a.
+/// The indicator is 0 or 1 and keys are integers, so the best start for
+/// b is worth top + [low < s_{b+1}], where top is the largest key so far
+/// and low the smallest residue among the starts reaching it.
 LowerBounds ComputeLowerBounds(const Instance& instance, int m);
 
 /// Shorthand for ComputeLowerBounds(...).best().

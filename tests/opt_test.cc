@@ -2,6 +2,7 @@
 // and the brute-force exact solver they are checked against.
 #include "gtest_compat.h"
 
+#include <limits>
 #include <set>
 
 #include "dag/builders.h"
@@ -284,8 +285,12 @@ TEST(LowerBounds, EveryComponentMatchesItsDefinition) {
     Rng rng(seed * 104729 + 17);
     Instance instance;
     const int jobs = 1 + static_cast<int>(rng.next_below(6));
-    // Releases from a small range, so most instances share some.
-    const Time max_release = static_cast<Time>(rng.next_below(6));
+    // Odd seeds draw releases from a small range, so most instances
+    // share some; even seeds spread them up to 40, so window width and
+    // the wrap-around of the work's residue mod m both matter.
+    const Time max_release = seed % 2 == 1
+                                 ? static_cast<Time>(rng.next_below(6))
+                                 : static_cast<Time>(rng.next_in_range(8, 40));
     for (int j = 0; j < jobs; ++j) {
       const auto size = static_cast<NodeId>(rng.next_in_range(1, 12));
       Dag dag = rng.next_below(2) == 0
@@ -294,7 +299,8 @@ TEST(LowerBounds, EveryComponentMatchesItsDefinition) {
       instance.add_job(
           Job(std::move(dag), rng.next_in_range(0, max_release)));
     }
-    for (int m : {1, 2, 3}) {
+    // INT_MAX pins that no state is sized by m.
+    for (int m : {1, 2, 3, 5, 8, 64, std::numeric_limits<int>::max()}) {
       const LowerBounds got = ComputeLowerBounds(instance, m);
       const LowerBounds want = DefinitionLowerBounds(instance, m);
       ASSERT_EQ(got.span_bound, want.span_bound) << "seed " << seed;
@@ -307,7 +313,7 @@ TEST(LowerBounds, EveryComponentMatchesItsDefinition) {
       ++cases;
     }
   }
-  EXPECT_GE(cases, 500);
+  EXPECT_GE(cases, 1400);
 }
 
 TEST(LowerBoundsDeath, DiagnosesNonPositiveMachineCount) {

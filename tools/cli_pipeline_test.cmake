@@ -376,6 +376,19 @@ foreach(which dual-fit max-flow)
   endif()
 endforeach()
 
+# Plain bounds on a 10,000-job stream: the heuristic bounds sweep each
+# depth row once, so this stays well under a second in a Release build.
+run_step(${CLI} gen trees 10000 40 7 1 ${WORKDIR}/cli_trees10000.inst)
+execute_process(COMMAND ${CLI} bounds ${WORKDIR}/cli_trees10000.inst 8
+                RESULT_VARIABLE code OUTPUT_VARIABLE huge_bounds_out
+                WORKING_DIRECTORY ${WORKDIR})
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "bounds on 10000 jobs failed (${code})")
+endif()
+if(NOT huge_bounds_out MATCHES "\\| best +\\| [0-9]+ +\\|")
+  message(FATAL_ERROR "10000-job bounds has no best row:\n${huge_bounds_out}")
+endif()
+
 # Semi-batched Algorithm A needs an even --opt and every release on its
 # /2 grid; run, sweep and trace refuse other values (exit 2) before the
 # scheduler is built.  The saturated instance releases on a 3-slot grid.
