@@ -11,6 +11,7 @@
 #include "common/assert.h"
 #include "common/parse.h"
 #include "common/rng.h"
+#include "core/alg_a.h"
 #include "gen/arrivals.h"
 #include "gen/certified.h"
 #include "gen/random_trees.h"
@@ -214,8 +215,7 @@ std::vector<OracleResult> RunPolicyCase(const FuzzCase& c,
 
   // Every leg runs a fresh, identically seeded scheduler.
   const auto make_scheduler = [&spec, &c]() {
-    return spec.needs_semi_batched ? spec.make_semi_batched(c.known_opt)
-                                   : spec.make(c.seed);
+    return spec.make(c.seed, c.known_opt);
   };
   const std::unique_ptr<Scheduler> scheduler = make_scheduler();
   // Every fuzz case doubles as an observability check: stream the trace
@@ -326,13 +326,11 @@ std::string CaseError(const FuzzCase& c, const Instance& instance) {
   }
   const PolicySpec* spec = FindPolicy(c.policy);
   if (spec == nullptr) return "unknown policy '" + c.policy + "'";
-  if (!PolicyApplies(*spec, instance.all_out_forests(), c.known_opt > 0,
-                     c.m)) {
-    return "policy '" + c.policy + "' does not apply at m = " +
-           std::to_string(c.m) +
-           " (check its out-forest, 4 | m and known-opt preconditions)";
+  // Harness rule: the known-opt must be certified, never the fallback.
+  if (spec->needs_known_opt && c.known_opt <= 0) {
+    return "policy '" + c.policy + "' needs a certified known-opt";
   }
-  return SemiBatchedError(*spec, instance, c.known_opt);
+  return PolicyError(*spec, instance, c.m, c.known_opt);
 }
 
 /// Every oracle verdict of one case on one instance; adds the simulations
@@ -686,8 +684,8 @@ SeedOutcome RunSeed(const FuzzOptions& options, std::uint64_t seed) {
   // ---- instance 2: certified semi-batched (exact OPT known) ----
   for (int m : options.machine_sizes) {
     if (capped()) return outcome;
-    if (m % 4 != 0 || m < 2) continue;  // pipelined gen needs m even;
-                                        // Algorithm A needs alpha | m
+    // The pipelined generator needs m even; Algorithm A needs alpha | m.
+    if (m % kAlgAAlpha != 0 || m < 2) continue;
     const Time delta = 1 + static_cast<Time>(rng.next_below(3));
     const int batches = 2 + static_cast<int>(rng.next_below(3));
     CertifiedInstance certified =

@@ -28,6 +28,11 @@
 
 namespace otsched {
 
+/// The paper's processor reduction factor alpha (Section 5): batches plan
+/// on p = m / alpha processors, so alpha must divide m.  The default of
+/// both Algorithm A schedulers and the registry's precondition gate.
+inline constexpr int kAlgAAlpha = 4;
+
 /// Window/phase planner.  One instance manages the set of materialized
 /// batches ("plan jobs") and emits the subjobs to run at each engine slot.
 class AlgAPlanner {
@@ -106,7 +111,7 @@ class AlgAPlanner {
 class AlgASemiBatchedScheduler : public Scheduler {
  public:
   struct Options {
-    int alpha = 4;
+    int alpha = kAlgAAlpha;
     /// The known (or assumed) optimal maximum flow; must be even and >= 2
     /// so that W = known_opt / 2 is a positive integer.
     Time known_opt = 2;

@@ -29,7 +29,7 @@ namespace otsched {
 class AlgAScheduler : public Scheduler {
  public:
   struct Options {
-    int alpha = 4;
+    int alpha = kAlgAAlpha;
     /// Violation threshold multiplier; the paper's analysis uses
     /// beta = 258 with alpha = 4.  The threshold on a batch's age is
     /// beta * G (= beta * OPT'/2 for the assumed optimum OPT' = 2G).

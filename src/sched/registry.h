@@ -1,12 +1,15 @@
-// The single policy-construction API.
+// The single policy-construction API and the single precondition gate.
 //
-// Every driver — the CLI, the benches, the differential fuzz harness —
-// builds schedulers through this registry, so "the set of policies" is
-// defined in exactly one place: a new scheduler registers itself once and
-// inherits the CLI surface, the policy-zoo benches, and the full oracle
-// battery of the fuzz harness.  Specs also carry the preconditions
-// (out-forests, alpha | m, semi-batched certification) and theorem
-// ceilings a driver needs to run a policy safely.
+// Every driver — the CLI, the daemon, the benches, the differential fuzz
+// harness — builds schedulers through this registry, so "the set of
+// policies" is defined in exactly one place: a new scheduler registers
+// itself once and inherits the CLI surface, the policy-zoo benches, and
+// the full oracle battery of the fuzz harness.  It is also the one module
+// that knows what a policy needs of its input: Algorithm A (Section 5)
+// runs only out-forest jobs on m processors with alpha | m, its
+// semi-batched form also needs an even known OPT whose half-grid holds
+// every release, and it aborts on anything else.  Drivers ask PolicyError
+// first and turn its one-line reason into a diagnostic.
 #pragma once
 
 #include <functional>
@@ -35,24 +38,22 @@ struct PolicySpec {
   /// One-line summary for `otsched list-policies`.
   std::string description;
 
-  /// Builds a fresh scheduler; `seed` feeds randomized tie-breaking so the
-  /// fuzz harness explores different executions per fuzz seed.
-  std::function<std::unique_ptr<Scheduler>(std::uint64_t seed)> make;
+  /// Builds a fresh scheduler: `seed` feeds randomized tie-breaking, and
+  /// `known_opt` is a `needs_known_opt` policy's assumed optimum (<= 0
+  /// falls back to 2).  A scheduler built for a cell PolicyError refuses
+  /// aborts.
+  std::unique_ptr<Scheduler> make(std::uint64_t seed,
+                                  Time known_opt = 0) const;
+  /// make()'s body, handed a positive known-opt.
+  std::function<std::unique_ptr<Scheduler>(std::uint64_t, Time)> factory;
 
-  /// Requires every job DAG to be an out-forest (Section 5 algorithms).
-  bool needs_out_forests = false;
+  /// Algorithm A's alpha (kAlgAAlpha), 0 for the other policies: nonzero
+  /// means every job must be an out-forest and alpha must divide m.
+  int alpha = 0;
 
-  /// Requires alpha (= 4) to divide m (the AlgAPlanner precondition).
-  bool needs_alpha_divides_m = false;
-
-  /// Only runs on certified semi-batched instances (releases multiples of
-  /// known OPT / 2); the harness passes the certified OPT via
-  /// `make_semi_batched` instead of `make`.
-  bool needs_semi_batched = false;
-
-  /// For semi-batched policies: factory taking the certified OPT.
-  std::function<std::unique_ptr<Scheduler>(Time known_opt)>
-      make_semi_batched;
+  /// Plans with a known OPT (Theorem 5.6): it must be even, and every
+  /// release a multiple of OPT / 2.
+  bool needs_known_opt = false;
 
   /// Theorem ceiling on max_flow / OPT enforced by the ratio oracle
   /// (0 = no proven bound; only feasibility is checked).
@@ -66,9 +67,8 @@ const std::vector<PolicySpec>& AllPolicies();
 const PolicySpec* FindPolicy(std::string_view name);
 
 /// Builds a scheduler by registry name.  Returns nullptr for unknown
-/// names so CLIs can print their own diagnostic.  For semi-batched
-/// policies `known_opt` is the certified optimum (<= 0 falls back to the
-/// CLI default of 2; drivers with a real certificate must pass it).
+/// names so CLIs can print their own diagnostic.  `known_opt` as in
+/// PolicySpec::make.
 std::unique_ptr<Scheduler> MakePolicy(std::string_view name,
                                       std::uint64_t seed = 0,
                                       Time known_opt = 0);
@@ -76,16 +76,16 @@ std::unique_ptr<Scheduler> MakePolicy(std::string_view name,
 /// Registry names in registration order (the order AllPolicies returns).
 std::vector<std::string> ListPolicyNames();
 
-/// True when `spec` can run on (instance properties, m).
-bool PolicyApplies(const PolicySpec& spec, bool all_out_forests,
-                   bool semi_batched_certified, int m);
+/// The precondition gate: "" when `spec` can run on m processors with the
+/// assumed optimum `known_opt` (as in make), else a one-line reason.
+std::string PolicyError(const PolicySpec& spec, int m, Time known_opt = 0);
 
-/// "" unless `spec` is semi-batched and cannot run `instance` with the
-/// assumed optimum `known_opt` (<= 0 takes MakePolicy's fallback), else
-/// why: Algorithm A needs an even known-opt and every release on its
-/// known-opt / 2 grid, and aborts otherwise.  Drivers check it before
-/// MakePolicy.
-std::string SemiBatchedError(const PolicySpec& spec,
-                             const Instance& instance, Time known_opt);
+/// The per-job form, for each job `dag` released at `release`.
+std::string PolicyJobError(const PolicySpec& spec, const Dag& dag,
+                           Time release, Time known_opt = 0);
+
+/// The instance form: PolicyError, then PolicyJobError job by job.
+std::string PolicyError(const PolicySpec& spec, const Instance& instance,
+                        int m, Time known_opt = 0);
 
 }  // namespace otsched

@@ -149,6 +149,22 @@ bool ScheduleServer::replay_journal(std::string* error) {
           }
           return false;
         }
+        Dag::Builder builder(static_cast<NodeId>(record.job.nodes));
+        for (const auto& [from, to] : record.job.edges) {
+          builder.add_edge(static_cast<NodeId>(from),
+                           static_cast<NodeId>(to));
+        }
+        Dag dag = std::move(builder).build();
+        const std::string refusal =
+            PolicyJobError(*spec_, dag, record.job.release);
+        if (!refusal.empty()) {
+          if (error != nullptr) {
+            *error = "journal '" + options_.recover_path + "': job " +
+                     std::to_string(record.job.id) + " is refused: " +
+                     refusal;
+          }
+          return false;
+        }
         if (record.job.release < driver_.now()) {
           if (error != nullptr) {
             *error = "journal '" + options_.recover_path + "': job " +
@@ -159,13 +175,7 @@ bool ScheduleServer::replay_journal(std::string* error) {
           }
           return false;
         }
-        Dag::Builder builder(static_cast<NodeId>(record.job.nodes));
-        for (const auto& [from, to] : record.job.edges) {
-          builder.add_edge(static_cast<NodeId>(from),
-                           static_cast<NodeId>(to));
-        }
-        admit_job(std::move(builder).build(), record.job.release,
-                  record.job.tag);
+        admit_job(std::move(dag), record.job.release, record.job.tag);
         ++replayed_jobs;
         break;
       }
@@ -304,6 +314,14 @@ bool ScheduleServer::open_journal(std::string* error) {
 }
 
 bool ScheduleServer::start(std::string* error) {
+  spec_ = FindPolicy(options_.policy);
+  const std::string refusal =
+      spec_ == nullptr ? "unknown policy '" + options_.policy + "'"
+                       : PolicyError(*spec_, options_.m);
+  if (!refusal.empty()) {
+    if (error != nullptr) *error = refusal;
+    return false;
+  }
   // Flag coherence first, before the (possibly long) replay: appended
   // records must extend the history they follow.
   if (!options_.recover_path.empty() && !options_.journal_path.empty() &&
@@ -610,6 +628,19 @@ void ScheduleServer::process_lines(Connection& conn) {
       conn.out += FormatErrorReply(error);
       continue;
     }
+    // A release in the simulated past cannot be honored (those slots are
+    // gone); clamp up to the current slot.  The reply echoes the
+    // effective release, keeping offline replays faithful.
+    const Time release = std::max(request->release, driver_.now());
+    // A job the policy would abort on (Algorithm A and a DAG that is not
+    // an out-forest) is refused with a reply; nothing is journaled.
+    const std::string refusal =
+        PolicyJobError(*spec_, request->dag, release);
+    if (!refusal.empty()) {
+      registry_.counter("serve.refused_jobs").inc();
+      conn.out += FormatErrorReply(refusal);
+      continue;
+    }
     // A resubmission of a pending tag (its owner died, the daemon did,
     // or the line was duplicated in flight): deliver the parked reply,
     // adopt the in-flight job, or drop the duplicate — never run a
@@ -629,10 +660,6 @@ void ScheduleServer::process_lines(Connection& conn) {
           std::to_string(options_.max_pending_jobs) + "); resubmit later");
       continue;
     }
-    // A release in the simulated past cannot be honored (those slots are
-    // gone); clamp up to the current slot.  The reply echoes the
-    // effective release, keeping offline replays faithful.
-    const Time release = std::max(request->release, driver_.now());
     const JobId id =
         admit_job(std::move(request->dag), release, request->tag);
     pending_[static_cast<std::size_t>(id)].conn =

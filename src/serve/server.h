@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "sched/registry.h"
 #include "serve/journal.h"
 #include "sim/driver.h"
 
@@ -122,9 +123,11 @@ class ScheduleServer {
   ScheduleServer(const ScheduleServer&) = delete;
   ScheduleServer& operator=(const ScheduleServer&) = delete;
 
-  /// Replays recover_path (if set), opens the journal (if set), binds
-  /// and listens — in that order, so a recovery or journal problem is
-  /// diagnosed before the address is taken.  Returns false (with a
+  /// Asks the registry's precondition gate (PolicyError) whether
+  /// options.policy can run on options.m, replays recover_path (if set),
+  /// opens the journal (if set), binds and listens — in that order, so a
+  /// refused policy, a recovery or a journal problem is diagnosed before
+  /// the address is taken.  Returns false (with a
   /// diagnostic in `error`) on any failure; no partial state survives
   /// a bind failure.
   bool start(std::string* error);
@@ -224,6 +227,10 @@ class ScheduleServer {
 
   ServeOptions options_;
   std::unique_ptr<Scheduler> scheduler_;
+  /// options_.policy's registry entry, set by start(): its per-job gate
+  /// (PolicyJobError) refuses submissions and journal records the policy
+  /// would abort on.
+  const PolicySpec* spec_ = nullptr;
   MetricsRegistry registry_;
   SimDriver driver_;
 

@@ -7,8 +7,8 @@
 // the before/after rows of bench_micro_perf; production callers go
 // through Simulate().  It delivers the same SlotEvent stream as the
 // incremental engine (sim/observer.h) so the gate can also prove the two
-// streams identical.  Delete this file once the gate has soaked and
-// the equivalence corpus is considered exhaustive.
+// streams identical.  Keep it as long as that gate exists: it is the
+// independent implementation the incremental engine is compared with.
 #include <algorithm>
 
 #include "common/assert.h"

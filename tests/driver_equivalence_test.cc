@@ -48,10 +48,7 @@ void CheckTickEqualsBatch(const Instance& instance, int m,
                           const SimOptions& options,
                           const std::string& label) {
   const std::uint64_t seed = 12345;
-  const auto make = [&] {
-    return spec.needs_semi_batched ? spec.make_semi_batched(known_opt)
-                                   : spec.make(seed);
-  };
+  const auto make = [&] { return spec.make(seed, known_opt); };
 
   // Batch baseline.
   auto batch_scheduler = make();
@@ -110,9 +107,9 @@ void CheckTickEqualsBatch(const Instance& instance, int m,
 
 /// The full matrix on one corpus instance: every applicable policy ×
 /// both record modes × ±faults × ±job faults (each leg internally
-/// ±observers).
-void CheckMatrix(const Instance& instance, int m, bool semi_batched_certified,
-                 Time known_opt, const std::string& corpus_label) {
+/// ±observers).  `known_opt` is the corpus's certified OPT (0 = none).
+void CheckMatrix(const Instance& instance, int m, Time known_opt,
+                 const std::string& corpus_label) {
   FaultSpec blip;
   blip.model = FaultModel::kRandomBlip;
   blip.seed = 5;
@@ -125,10 +122,7 @@ void CheckMatrix(const Instance& instance, int m, bool semi_batched_certified,
   job_faulted.job_faults.checkpoint_every = 3;
 
   for (const PolicySpec& spec : AllPolicies()) {
-    if (!PolicyApplies(spec, instance.all_out_forests(),
-                       semi_batched_certified, m)) {
-      continue;
-    }
+    if (SkipCase(spec, instance, m, known_opt)) continue;
     std::ostringstream base;
     base << corpus_label << " / " << spec.name << " / m=" << m;
 
@@ -140,8 +134,7 @@ void CheckMatrix(const Instance& instance, int m, bool semi_batched_certified,
 
     // Fault legs for capacity-aware policies (window planners opt out of
     // fluctuating capacity and the engines CHECK that).
-    if (!spec.needs_semi_batched &&
-        spec.make(1)->supports_fluctuating_capacity()) {
+    if (spec.make(1)->supports_fluctuating_capacity()) {
       SimOptions faulted;
       faulted.faults = blip;
       CheckTickEqualsBatch(instance, m, spec, known_opt, faulted,
@@ -152,8 +145,7 @@ void CheckMatrix(const Instance& instance, int m, bool semi_batched_certified,
       CheckTickEqualsBatch(instance, m, spec, known_opt, faulted_flow,
                            base.str() + " faulted flow-only");
     }
-    if (!spec.needs_semi_batched &&
-        RunSupportError(*spec.make(1), job_faulted).empty()) {
+    if (RunSupportError(*spec.make(1), job_faulted).empty()) {
       CheckTickEqualsBatch(instance, m, spec, known_opt, job_faulted,
                            base.str() + " job-faulted");
     }
@@ -174,25 +166,21 @@ TEST(DriverEquivalence, PoissonTreeMixAllPolicies) {
   const Instance reversed(
       std::vector<Job>(instance.jobs().rbegin(), instance.jobs().rend()));
   for (int m : {1, 3}) {
-    CheckMatrix(instance, m, /*semi_batched_certified=*/false,
-                /*known_opt=*/0, "tick-poisson");
-    CheckMatrix(reversed, m, /*semi_batched_certified=*/false,
-                /*known_opt=*/0, "tick-poisson-reversed");
+    CheckMatrix(instance, m, /*known_opt=*/0, "tick-poisson");
+    CheckMatrix(reversed, m, /*known_opt=*/0, "tick-poisson-reversed");
   }
 }
 
 TEST(DriverEquivalence, CertifiedPipelinedSemiBatched) {
   Rng rng(42);
   CertifiedInstance cert = MakePipelinedSemiBatchedInstance(4, 2, 3, rng);
-  CheckMatrix(cert.instance, 4, /*semi_batched_certified=*/true, cert.opt,
-              "tick-pipelined");
+  CheckMatrix(cert.instance, 4, cert.opt, "tick-pipelined");
 }
 
 TEST(DriverEquivalence, SaturatedCertifiedBatches) {
   Rng rng(42);
   CertifiedInstance cert = MakeSpacedSaturatedInstance(4, 3, 3, rng);
-  CheckMatrix(cert.instance, 4, /*semi_batched_certified=*/false, cert.opt,
-              "tick-saturated");
+  CheckMatrix(cert.instance, 4, /*known_opt=*/0, "tick-saturated");
 }
 
 // ---- streaming: submit() between advances ----

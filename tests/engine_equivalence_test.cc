@@ -34,26 +34,19 @@ namespace otsched {
 namespace {
 
 /// Runs every applicable registry policy on (instance, m) through both
-/// engine paths and requires identical results.
-void CheckAllPolicies(const Instance& instance, int m,
-                      bool semi_batched_certified, Time known_opt,
+/// engine paths and requires identical results.  `known_opt` is the
+/// corpus's certified OPT (0 = none).
+void CheckAllPolicies(const Instance& instance, int m, Time known_opt,
                       const std::string& corpus_label) {
   for (const PolicySpec& spec : AllPolicies()) {
-    if (!PolicyApplies(spec, instance.all_out_forests(),
-                       semi_batched_certified, m)) {
-      continue;
-    }
+    if (SkipCase(spec, instance, m, known_opt)) continue;
     std::ostringstream label;
     label << corpus_label << " / " << spec.name << " / m=" << m;
     // Fresh schedulers with the SAME seed: randomized tie-breakers must
     // follow identical trajectories for the comparison to be meaningful.
     const std::uint64_t seed = 12345;
-    auto incremental_scheduler =
-        spec.needs_semi_batched ? spec.make_semi_batched(known_opt)
-                                : spec.make(seed);
-    auto reference_scheduler =
-        spec.needs_semi_batched ? spec.make_semi_batched(known_opt)
-                                : spec.make(seed);
+    auto incremental_scheduler = spec.make(seed, known_opt);
+    auto reference_scheduler = spec.make(seed, known_opt);
     const SimResult incremental =
         Simulate(instance, m, *incremental_scheduler);
     const SimResult reference =
@@ -63,9 +56,7 @@ void CheckAllPolicies(const Instance& instance, int m,
     // Observer leg: attaching sinks must not perturb the run (the same
     // bit-identical schedule), the streamed trace must equal DeriveTrace,
     // and both engines must deliver identical event streams.
-    auto observed_scheduler =
-        spec.needs_semi_batched ? spec.make_semi_batched(known_opt)
-                                : spec.make(seed);
+    auto observed_scheduler = spec.make(seed, known_opt);
     SlotEventRecorder recorder;
     EventTrace streamed;
     StreamingTraceObserver tracer(streamed);
@@ -82,9 +73,7 @@ void CheckAllPolicies(const Instance& instance, int m,
               -1)
         << label.str() << " [streamed trace]";
 
-    auto reference_observed_scheduler =
-        spec.needs_semi_batched ? spec.make_semi_batched(known_opt)
-                                : spec.make(seed);
+    auto reference_observed_scheduler = spec.make(seed, known_opt);
     SlotEventRecorder reference_recorder;
     RunContext reference_context;
     reference_context.observer = &reference_recorder;
@@ -102,19 +91,12 @@ void CheckAllPolicies(const Instance& instance, int m,
 /// observers — must produce a FlowSummary and SimStats bit-identical to
 /// the full-mode run's, which in turn must match the schedule-derived
 /// ComputeFlows (the pre-refactor definition of the numbers).
-void CheckFlowOnlyAllPolicies(const Instance& instance, int m,
-                              bool semi_batched_certified, Time known_opt,
+void CheckFlowOnlyAllPolicies(const Instance& instance, int m, Time known_opt,
                               const std::string& corpus_label) {
   for (const PolicySpec& spec : AllPolicies()) {
-    if (!PolicyApplies(spec, instance.all_out_forests(),
-                       semi_batched_certified, m)) {
-      continue;
-    }
+    if (SkipCase(spec, instance, m, known_opt)) continue;
     const std::uint64_t seed = 12345;
-    const auto make = [&] {
-      return spec.needs_semi_batched ? spec.make_semi_batched(known_opt)
-                                     : spec.make(seed);
-    };
+    const auto make = [&] { return spec.make(seed, known_opt); };
     std::ostringstream label_stream;
     label_stream << corpus_label << " / " << spec.name << " / m=" << m;
     const std::string label = label_stream.str();
@@ -175,11 +157,7 @@ void CheckFaultedAllPolicies(const Instance& instance, int m,
                              std::span<const FaultSpec> specs,
                              const std::string& corpus_label) {
   for (const PolicySpec& spec : AllPolicies()) {
-    if (!PolicyApplies(spec, instance.all_out_forests(),
-                       /*semi_batched_certified=*/false, m)) {
-      continue;
-    }
-    if (spec.needs_semi_batched) continue;
+    if (SkipCase(spec, instance, m, /*known_opt=*/0)) continue;
     // Skip window planners: they replan against fixed m and opt out of
     // fluctuating capacity (the engines CHECK this).
     if (!spec.make(1)->supports_fluctuating_capacity()) continue;
@@ -240,11 +218,7 @@ int CheckJobFaultedAllPolicies(const Instance& instance, int m,
                                const std::string& corpus_label) {
   int legs = 0;
   for (const PolicySpec& spec : AllPolicies()) {
-    if (spec.needs_semi_batched ||
-        !PolicyApplies(spec, instance.all_out_forests(),
-                       /*semi_batched_certified=*/false, m)) {
-      continue;
-    }
+    if (SkipCase(spec, instance, m, /*known_opt=*/0)) continue;
     for (const JobFaultSpec& job_faults : specs) {
       SimOptions options = FlowOnlyOptions();
       options.job_faults = job_faults;
@@ -388,14 +362,12 @@ Instance MakeSparseChains(int jobs, NodeId chain_len) {
 
 TEST(EngineEquivalence, FlowOnlySparse512) {
   const Instance instance = MakeSparseChains(512, 32);
-  CheckFlowOnlyAllPolicies(instance, 8, /*semi_batched_certified=*/false,
-                           /*known_opt=*/0, "sparse-512");
+  CheckFlowOnlyAllPolicies(instance, 8, /*known_opt=*/0, "sparse-512");
 }
 
 TEST(EngineEquivalence, FlowOnlySparse2048) {
   const Instance instance = MakeSparseChains(2048, 16);
-  CheckFlowOnlyAllPolicies(instance, 8, /*semi_batched_certified=*/false,
-                           /*known_opt=*/0, "sparse-2048");
+  CheckFlowOnlyAllPolicies(instance, 8, /*known_opt=*/0, "sparse-2048");
 }
 
 TEST(EngineEquivalence, FlowOnlyCorpusShapes) {
@@ -410,13 +382,12 @@ TEST(EngineEquivalence, FlowOnlyCorpusShapes) {
       },
       rng);
   for (int m : {1, 3}) {
-    CheckFlowOnlyAllPolicies(poisson, m, /*semi_batched_certified=*/false,
-                             /*known_opt=*/0, "flowonly-poisson");
+    CheckFlowOnlyAllPolicies(poisson, m, /*known_opt=*/0,
+                             "flowonly-poisson");
   }
   Rng cert_rng(42);
   CertifiedInstance cert = MakePipelinedSemiBatchedInstance(4, 2, 3, cert_rng);
-  CheckFlowOnlyAllPolicies(cert.instance, 4, /*semi_batched_certified=*/true,
-                           cert.opt, "flowonly-pipelined");
+  CheckFlowOnlyAllPolicies(cert.instance, 4, cert.opt, "flowonly-pipelined");
 }
 
 TEST(EngineEquivalence, GeneralPoissonTreeMixes) {
@@ -435,10 +406,9 @@ TEST(EngineEquivalence, GeneralPoissonTreeMixes) {
     for (int m : {1, 2, 3, 8}) {
       std::ostringstream label;
       label << "poisson-seed" << seed;
-      CheckAllPolicies(instance, m, /*semi_batched_certified=*/false,
-                       /*known_opt=*/0, label.str());
-      CheckAllPolicies(reversed, m, /*semi_batched_certified=*/false,
-                       /*known_opt=*/0, label.str() + "-reversed");
+      CheckAllPolicies(instance, m, /*known_opt=*/0, label.str());
+      CheckAllPolicies(reversed, m, /*known_opt=*/0,
+                       label.str() + "-reversed");
     }
   }
 }
@@ -449,8 +419,9 @@ TEST(EngineEquivalence, CertifiedSaturatedBatches) {
     CertifiedInstance cert = MakeSpacedSaturatedInstance(m, 3, 4, rng);
     std::ostringstream label;
     label << "saturated-m" << m;
-    CheckAllPolicies(cert.instance, m, /*semi_batched_certified=*/false,
-                     cert.opt, label.str());
+    // No known-opt: the pipelined leg below covers the semi-batched
+    // scheduler.
+    CheckAllPolicies(cert.instance, m, /*known_opt=*/0, label.str());
   }
 }
 
@@ -462,8 +433,7 @@ TEST(EngineEquivalence, CertifiedPipelinedSemiBatched) {
     CertifiedInstance cert = MakePipelinedSemiBatchedInstance(m, 2, 3, rng);
     std::ostringstream label;
     label << "pipelined-m" << m;
-    CheckAllPolicies(cert.instance, m, /*semi_batched_certified=*/true,
-                     cert.opt, label.str());
+    CheckAllPolicies(cert.instance, m, cert.opt, label.str());
   }
 }
 
@@ -473,8 +443,7 @@ TEST(EngineEquivalence, Section4Adversary) {
   options.num_jobs = 12;
   const AdversarialInstance adv = MakeAdversarialInstance(options);
   for (int m : {1, 4}) {
-    CheckAllPolicies(adv.instance, m, /*semi_batched_certified=*/false,
-                     /*known_opt=*/0, "sec4-adversary");
+    CheckAllPolicies(adv.instance, m, /*known_opt=*/0, "sec4-adversary");
   }
 }
 
@@ -492,8 +461,7 @@ TEST(EngineEquivalence, SerializedCorpusRoundTrip) {
   const Instance replayed = InstanceFromText(InstanceToText(original));
   ASSERT_EQ(replayed.job_count(), original.job_count());
   for (int m : {2, 3}) {
-    CheckAllPolicies(replayed, m, /*semi_batched_certified=*/false,
-                     /*known_opt=*/0, "serialized-roundtrip");
+    CheckAllPolicies(replayed, m, /*known_opt=*/0, "serialized-roundtrip");
   }
 }
 

@@ -18,6 +18,7 @@
 #include "sim/engine.h"
 #include "sim/observers.h"
 #include "sim/trace.h"
+#include "same_run.h"
 #include "slot_event_recorder.h"
 
 namespace otsched {
@@ -192,10 +193,7 @@ TEST(ObserverHooks, StreamingTraceMatchesDeriveTraceForAllPolicies) {
   const Instance instance = MixedInstance(77, 6);
   for (const PolicySpec& spec : AllPolicies()) {
     for (int m : {2, 4}) {
-      if (!PolicyApplies(spec, instance.all_out_forests(),
-                         /*semi_batched_certified=*/false, m)) {
-        continue;
-      }
+      if (SkipCase(spec, instance, m, /*known_opt=*/0)) continue;
       auto scheduler = spec.make(5);
       EventTrace streamed;
       StreamingTraceObserver tracer(streamed);

@@ -1,14 +1,26 @@
-// The equivalence gates' one result comparison: two runs of the same
-// case must agree on the schedule (slot by slot, in placement order, when
-// both recorded one), the flow summary and every SimStats counter.
+// The equivalence gates' one case filter and one result comparison: a
+// (policy, instance, m) case runs unless the registry's gate refuses it,
+// and two runs of the same case must agree on the schedule (slot by slot,
+// in placement order, when both recorded one), the flow summary and every
+// SimStats counter.
 #pragma once
 
 #include <string>
 
 #include "gtest_compat.h"
+#include "sched/registry.h"
 #include "sim/engine.h"
 
 namespace otsched {
+
+/// Whether the gates skip `spec` on (instance, m): the registry's
+/// PolicyError refuses it, or it plans with a known optimum and the
+/// corpus has no certified one (`known_opt` 0).
+inline bool SkipCase(const PolicySpec& spec, const Instance& instance, int m,
+                     Time known_opt) {
+  return (spec.needs_known_opt && known_opt == 0) ||
+         !PolicyError(spec, instance, m, known_opt).empty();
+}
 
 inline void ExpectSameRun(const SimResult& got, const SimResult& want,
                           const std::string& label) {

@@ -175,11 +175,15 @@ class FuzzClient {
   std::string buffer_;
 };
 
-TEST(ServeFuzz, LiveDaemonAnswersEveryMutatedLineAndStaysHealthy) {
-  serve::ServeOptions options;
+/// Streams 400 seeded mutations of kBaseLines, then `extra` verbatim
+/// lines, at a live daemon running `options`; every line must get one
+/// reply and a clean tagged job must still round-trip afterwards, its
+/// reply containing `clean_flow`.  `*refused` receives the daemon's
+/// serve.refused_jobs counter after the drain (-1 when absent).
+void FuzzLiveDaemon(serve::ServeOptions options,
+                    const std::vector<std::string>& extra,
+                    const std::string& clean_flow, std::int64_t* refused) {
   options.listen = "127.0.0.1:0";
-  options.policy = "fifo/first-ready";
-  options.m = 2;
   serve::ScheduleServer server(options,
                                MakePolicy(options.policy, options.seed));
   std::string error;
@@ -216,6 +220,10 @@ TEST(ServeFuzz, LiveDaemonAnswersEveryMutatedLineAndStaysHealthy) {
       batch.clear();
     }
   }
+  for (const std::string& line : extra) {
+    batch += line + "\n";
+    ++sent;
+  }
   client.send_all(batch);
 
   // Every line — valid or not — gets exactly one reply line.
@@ -241,12 +249,36 @@ TEST(ServeFuzz, LiveDaemonAnswersEveryMutatedLineAndStaysHealthy) {
   ASSERT_EQ(clean.size(), 1u);
   EXPECT_NE(clean[0].find("\"id\": \"after-the-storm\""), std::string::npos)
       << clean[0];
-  EXPECT_NE(clean[0].find("\"flow\": 2"), std::string::npos) << clean[0];
+  EXPECT_NE(clean[0].find(clean_flow), std::string::npos) << clean[0];
 
   server.request_stop();
   runner.join();
   EXPECT_EQ(server.jobs_finished(), server.jobs_submitted());
   EXPECT_EQ(server.jobs_finished(), flows + 1);
+  const auto& counters = server.registry().counters();
+  const auto it = counters.find("serve.refused_jobs");
+  *refused = it == counters.end() ? -1 : it->second.value();
+}
+
+TEST(ServeFuzz, LiveDaemonAnswersEveryMutatedLineAndStaysHealthy) {
+  serve::ServeOptions options;
+  options.policy = "fifo/first-ready";
+  options.m = 2;
+  std::int64_t refused = 0;
+  FuzzLiveDaemon(options, {}, "\"flow\": 2", &refused);
+  EXPECT_EQ(refused, -1);
+}
+
+TEST(ServeFuzz, DefaultPolicyDaemonRefusesNonForestsAndStaysHealthy) {
+  // alg-a/general, the daemon's default, runs out-forests only: the
+  // in-tree line (and any mutation that gives a node two parents) gets
+  // an error reply instead of aborting the process.
+  std::int64_t refused = 0;
+  FuzzLiveDaemon(
+      serve::ServeOptions{},
+      {"{\"release\": 0, \"nodes\": 3, \"edges\": [[0, 2], [1, 2]]}"},
+      "\"flow\"", &refused);
+  EXPECT_GE(refused, 1);
 }
 
 }  // namespace

@@ -494,6 +494,40 @@ TEST(ServeRecovery, RefusesForeignAndCorruptJournals) {
   std::remove(path.c_str());
 }
 
+TEST(ServeRecovery, RefusesAJournaledJobThePolicyWouldAbortOn) {
+  // A journal whose second job is the 3-node in-tree: a daemon without
+  // the per-job gate accepted and journaled it before Algorithm A
+  // aborted on it.  Recovery names the record instead of aborting again.
+  const std::string path = TempPath("journal-poison");
+  {
+    serve::JournalJob chain;
+    chain.id = 0;
+    chain.release = 0;
+    chain.nodes = 2;
+    chain.edges = {{0, 1}};
+    serve::JournalJob in_tree;
+    in_tree.id = 1;
+    in_tree.release = 0;
+    in_tree.nodes = 3;
+    in_tree.edges = {{0, 2}, {1, 2}};
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << serve::EncodeOpen({"alg-a/general", 4, 0})
+        << serve::EncodeJob(chain) << serve::EncodeJob(in_tree);
+  }
+  serve::ServeOptions options;
+  options.listen = "127.0.0.1:0";
+  options.policy = "alg-a/general";
+  options.m = 4;
+  options.recover_path = path;
+  RunningServer running(options);
+  EXPECT_FALSE(running.started());
+  EXPECT_EQ(running.error(),
+            "journal '" + path +
+                "': job 1 is refused: policy 'alg-a/general' needs every "
+                "job to be an out-forest (Section 5)");
+  std::remove(path.c_str());
+}
+
 TEST(ServeRecovery, RotationTruncatesAndKeepsWireIdsDense) {
   const std::string path = TempPath("journal-rotate");
   std::remove(path.c_str());

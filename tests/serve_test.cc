@@ -24,6 +24,7 @@
 
 #include "dag/validate.h"
 #include "sched/registry.h"
+#include "serve/journal.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "sim/engine.h"
@@ -361,6 +362,67 @@ TEST(ServeIntegration, NoNewlineFloodIsBoundedAndRejected) {
   const auto rejected = counters.find("serve.rejected_lines");
   ASSERT_NE(rejected, counters.end());
   EXPECT_EQ(rejected->second.value(), 2);
+}
+
+TEST(ServeIntegration, AlgAGeneralRefusesANonForestJobAndKeepsServing) {
+  const char* dir = ::getenv("TMPDIR");
+  const std::string journal = std::string(dir != nullptr ? dir : "/tmp") +
+                              "/serve-refused-" +
+                              std::to_string(::getpid()) + ".ndjson";
+  std::remove(journal.c_str());
+  serve::ServeOptions options;  // the default policy, alg-a/general
+  options.listen = "127.0.0.1:0";
+  options.journal_path = journal;
+  RunningServer running(options);
+  ASSERT_TRUE(running.started());
+
+  {
+    TestClient client(running.server().address());
+    ASSERT_TRUE(client.connected());
+    // Two parents at node 2: Algorithm A would abort on this in-tree.
+    client.send_all("{\"release\": 0, \"nodes\": 3, "
+                    "\"edges\": [[0, 2], [1, 2]]}\n");
+    const auto refused = client.read_lines(1);
+    ASSERT_EQ(refused.size(), 1u);
+    EXPECT_EQ(refused[0],
+              "{\"error\": \"policy 'alg-a/general' needs every job to be "
+              "an out-forest (Section 5)\"}");
+    client.send_all("{\"release\": 0, \"parents\": [-1, 0, 0]}\n");
+    const auto ok = client.read_lines(1);
+    ASSERT_EQ(ok.size(), 1u);
+    EXPECT_NE(ok[0].find("\"job_id\": 0"), std::string::npos) << ok[0];
+  }
+
+  running.stop();
+  EXPECT_EQ(running.server().jobs_submitted(), 1);
+  const auto& counters = running.server().registry().counters();
+  const auto refused = counters.find("serve.refused_jobs");
+  ASSERT_NE(refused, counters.end());
+  EXPECT_EQ(refused->second.value(), 1);
+
+  // Only the accepted job reached the journal.
+  serve::JournalReadResult read;
+  std::string error;
+  ASSERT_TRUE(serve::ReadJournal(journal, &read, &error)) << error;
+  int job_records = 0;
+  for (const serve::JournalRecord& record : read.records) {
+    if (record.type == serve::JournalRecord::Type::kJob) ++job_records;
+  }
+  EXPECT_EQ(job_records, 1);
+  std::remove(journal.c_str());
+}
+
+TEST(ServeIntegration, StartRefusesAMachineCountThePolicyCannotUse) {
+  serve::ServeOptions options;  // alg-a/general needs alpha = 4 | m
+  options.listen = "127.0.0.1:0";
+  options.m = 6;
+  serve::ScheduleServer server(options,
+                               MakePolicy(options.policy, options.seed));
+  std::string error;
+  EXPECT_FALSE(server.start(&error));
+  EXPECT_EQ(error,
+            "policy 'alg-a/general' needs alpha = 4 to divide m (Section 5), "
+            "got m = 6");
 }
 
 // ---- protocol unit surface ----

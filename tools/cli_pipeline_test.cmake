@@ -402,6 +402,40 @@ expect_diagnostic("semi-batched case needs an even known-opt"
 expect_diagnostic("semi-batched case needs an even known-opt"
                   ${CLI} trace ${INST} 4 alg-a/semi-batched --opt 3)
 
+# Algorithm A runs out-forest jobs only, on m processors with alpha = 4
+# dividing m.  run, sweep (every m in --m), trace and serve ask the
+# registry's precondition gate and exit 2 with its reason before building
+# anything; Algorithm A would abort on each of these.
+set(GENERAL_DAG ${EXAMPLES_DIR}/general_dag.inst)
+set(TREES20 ${WORKDIR}/cli_trees20.inst)
+run_step(${CLI} gen trees 20 40 7 1 ${TREES20})
+set(NOT_FOREST "policy 'alg-a/general' needs every job to be an out-forest")
+set(NOT_DIVIDING
+    "policy 'alg-a/general' needs alpha = 4 to divide m \\(Section 5\\), got m = 6")
+expect_diagnostic("${NOT_FOREST}" ${CLI} run ${GENERAL_DAG} 4 alg-a/general)
+expect_diagnostic("${NOT_DIVIDING}" ${CLI} run ${TREES20} 6 alg-a/general)
+expect_diagnostic("${NOT_DIVIDING}"
+                  ${CLI} sweep ${TREES20} alg-a/general --m 4,6 --seeds 1)
+expect_diagnostic("${NOT_DIVIDING}" ${CLI} trace ${TREES20} 6 alg-a/general)
+expect_diagnostic("policy 'alg-a/semi-batched' needs every job to be an"
+                  ${CLI} run ${GENERAL_DAG} 8 alg-a/semi-batched --opt 2)
+execute_process(COMMAND ${CLI} serve --m 6 RESULT_VARIABLE code
+                OUTPUT_VARIABLE serve_out ERROR_VARIABLE serve_err
+                TIMEOUT 20 WORKING_DIRECTORY ${WORKDIR})
+if(NOT code EQUAL 2 OR serve_out MATCHES "listening on" OR
+   NOT serve_err MATCHES "${NOT_DIVIDING}")
+  message(FATAL_ERROR "serve --m 6 must exit 2 before listening "
+                      "(${code}):\n${serve_out}${serve_err}")
+endif()
+
+# --opt claims OPT.  A value below the instance's lower bound (67 at
+# m = 4) is refused before the run, and a run that beats the claim
+# refutes it; both exit 2 with one line instead of a certification abort.
+expect_diagnostic("--opt 1 is below the lower bound 67 on m = 4, so it cannot be OPT"
+                  ${CLI} run ${TREES20} 4 fifo/first-ready --opt 1)
+expect_diagnostic("run: the schedule's max flow 77 beats --opt 100, so 100 is not OPT"
+                  ${CLI} run ${TREES20} 4 fifo/first-ready --opt 100)
+
 # ---- serve durability flags (docs/SERVING.md) ----
 
 # --help documents the daemon without starting it.

@@ -403,27 +403,38 @@ void ListPolicies() {
   }
 }
 
-/// MakePolicy, or a diagnostic and null (the caller exits 2): an unknown
-/// policy, or a --opt that the registry's semi-batched precondition
-/// refuses for `instance` (Algorithm A would abort on it).  Shared by
-/// run/sweep/trace/serve; serve has no instance up front.
+/// MakePolicy once the registry's gate accepts `name` on every m in
+/// `machines` (and each job of `instance`, if given) and a --opt is not
+/// below the lower bound; else a diagnostic and null, and the caller
+/// exits 2.  Shared by run/sweep/trace/serve; serve passes no machines,
+/// since ScheduleServer::start asks the gate itself.
 std::unique_ptr<Scheduler> MakePolicyOrComplain(
-    const std::string& name, std::uint64_t seed, Time known_opt = 0,
-    const Instance* instance = nullptr) {
+    const std::string& name, std::uint64_t seed, Time known_opt,
+    const std::vector<int>& machines, const Instance* instance = nullptr) {
   const PolicySpec* spec = FindPolicy(name);
   if (spec == nullptr) {
     std::fprintf(stderr, "unknown policy '%s' (try `otsched list-policies`)\n",
                  name.c_str());
     return nullptr;
   }
-  if (instance != nullptr) {
-    const std::string error = SemiBatchedError(*spec, *instance, known_opt);
+  for (const int m : machines) {
+    std::string error = instance == nullptr
+                            ? PolicyError(*spec, m, known_opt)
+                            : PolicyError(*spec, *instance, m, known_opt);
+    if (error.empty() && instance != nullptr && known_opt > 0) {
+      const Time lower = MaxFlowLowerBound(*instance, m);
+      if (known_opt < lower) {
+        error = "--opt " + std::to_string(known_opt) +
+                " is below the lower bound " + std::to_string(lower) +
+                " on m = " + std::to_string(m) + ", so it cannot be OPT";
+      }
+    }
     if (!error.empty()) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return nullptr;
     }
   }
-  return MakePolicy(name, seed, known_opt);
+  return spec->make(seed, known_opt);
 }
 
 int CmdGen(int argc, char** argv) {
@@ -656,7 +667,7 @@ int CmdRun(int argc, char** argv) {
   const bool job_faulted = sim.job_faults.active();
 
   std::unique_ptr<Scheduler> policy =
-      MakePolicyOrComplain(policy_name, seed, known_opt, &instance);
+      MakePolicyOrComplain(policy_name, seed, known_opt, {m}, &instance);
   if (!policy) return 2;
   // Job faults force flow-only recording; an unset --record follows along,
   // an explicit --record full diagnoses.
@@ -695,7 +706,25 @@ int CmdRun(int argc, char** argv) {
 
   const RunContext context{run_options,
                            observers.empty() ? nullptr : &observers};
-  RatioMeasurement r = MeasureRatio(instance, m, *policy, known_opt, context);
+  RatioMeasurement r =
+      MeasureRatio(instance, m, *policy, /*certified_opt=*/0, context);
+  if (known_opt > 0) {
+    // --opt is a claim, not a certificate: a run that beats it refutes
+    // it, which is a diagnostic here rather than MeasureRatio's
+    // certification-bug abort.
+    if (r.max_flow < known_opt) {
+      std::fprintf(stderr,
+                   "run: the schedule's max flow %lld beats --opt %lld, so "
+                   "%lld is not OPT\n",
+                   static_cast<long long>(r.max_flow),
+                   static_cast<long long>(known_opt),
+                   static_cast<long long>(known_opt));
+      return 2;
+    }
+    r.opt_denominator = known_opt;
+    r.denominator_exact = true;
+    r.ratio = static_cast<double>(r.max_flow) / static_cast<double>(known_opt);
+  }
   if (certify) {
     // Verified denominator for the same budget stream the run consumed
     // (nullptr = healthy machine).  Aborts if the certificate fails its
@@ -862,7 +891,7 @@ int CmdSweep(int argc, char** argv) {
   }
   {
     const std::unique_ptr<Scheduler> probe =
-        MakePolicyOrComplain(policy_name, 1, known_opt, &instance);
+        MakePolicyOrComplain(policy_name, 1, known_opt, machines, &instance);
     if (!probe) return 2;
     if (!CheckRunSupportOrComplain(*probe, sweep_options, sim)) return 2;
   }
@@ -1005,7 +1034,7 @@ int CmdTrace(int argc, char** argv) {
   if (!loaded.has_value()) return 2;
   const Instance& instance = *loaded;
   std::unique_ptr<Scheduler> policy =
-      MakePolicyOrComplain(policy_name, seed, known_opt, &instance);
+      MakePolicyOrComplain(policy_name, seed, known_opt, {m}, &instance);
   if (!policy) return 2;
   EventTrace streamed;
   StreamingTraceObserver trace_observer(streamed);
@@ -1099,7 +1128,7 @@ int CmdServe(int argc, char** argv) {
     return 0;
   }
   std::unique_ptr<Scheduler> policy =
-      MakePolicyOrComplain(options.policy, options.seed);
+      MakePolicyOrComplain(options.policy, options.seed, 0, {});
   if (!policy) return 2;
 
   static volatile std::sig_atomic_t stop_flag = 0;
@@ -1112,9 +1141,10 @@ int CmdServe(int argc, char** argv) {
   serve::ScheduleServer server(options, std::move(policy));
   std::string error;
   if (!server.start(&error)) {
-    // Unusable options (an unreadable/corrupt journal, a rotation
-    // request a stateful policy cannot honor, a malformed address) are
-    // invalid-input failures: exit 2, matching the rest of the CLI.
+    // Unusable options (a policy the gate refuses at --m, an
+    // unreadable/corrupt journal, a rotation request a stateful policy
+    // cannot honor, a malformed address) are invalid-input failures:
+    // exit 2, matching the rest of the CLI.
     std::fprintf(stderr, "serve: %s\n", error.c_str());
     return 2;
   }
