@@ -140,95 +140,35 @@ OracleResult CheckNoLostWorkWhenHealthyOracle(const SimResult& baseline,
 OracleResult CheckCommittedFeasibilityOracle(const EventTrace& trace,
                                              const Instance& instance, int m,
                                              const SimStats& stats) {
-  OracleResult result;
-  result.id = OracleId::kCommittedFeasibility;
-  const auto fail = [&result](std::string detail) {
-    result.ok = false;
-    result.detail = std::move(detail);
-  };
-  const JobId jobs = instance.job_count();
-  // Per (job, node): last execution slot; per job: last execute and
-  // completion slots; per slot: execute count.
-  std::vector<std::vector<Time>> last_exec(static_cast<std::size_t>(jobs));
-  for (JobId j = 0; j < jobs; ++j) {
-    last_exec[static_cast<std::size_t>(j)].assign(
-        static_cast<std::size_t>(instance.job(j).dag().node_count()), 0);
-  }
-  std::vector<Time> job_last_exec(static_cast<std::size_t>(jobs), 0);
-  std::vector<Time> job_complete(static_cast<std::size_t>(jobs), 0);
-  std::int64_t total_executes = 0;
-  Time current_slot = 0;
-  std::int64_t slot_executes = 0;
+  const OracleId id = OracleId::kCommittedFeasibility;
+  Schedule executed(m);
   for (const TraceEvent& event : trace.events()) {
-    if (event.kind != TraceEventKind::kExecute) {
-      if (event.kind == TraceEventKind::kComplete) {
-        job_complete[static_cast<std::size_t>(event.job)] = event.slot;
-      }
-      continue;
-    }
-    if (event.slot != current_slot) {
-      current_slot = event.slot;
-      slot_executes = 0;
-    }
-    if (++slot_executes > m) {
-      fail("slot " + std::to_string(event.slot) + " executes more than m=" +
-           std::to_string(m) + " subjobs");
-      return result;
-    }
-    const Job& job = instance.job(event.job);
-    if (event.slot <= job.release()) {
-      fail("job " + std::to_string(event.job) + " node " +
-           std::to_string(event.node) + " executed at slot " +
-           std::to_string(event.slot) + " <= release " +
-           std::to_string(job.release()));
-      return result;
-    }
-    ++total_executes;
-    last_exec[static_cast<std::size_t>(event.job)]
-             [static_cast<std::size_t>(event.node)] = event.slot;
-    job_last_exec[static_cast<std::size_t>(event.job)] = std::max(
-        job_last_exec[static_cast<std::size_t>(event.job)], event.slot);
-  }
-  for (JobId j = 0; j < jobs; ++j) {
-    const Dag& dag = instance.job(j).dag();
-    const auto& last = last_exec[static_cast<std::size_t>(j)];
-    for (NodeId v = 0; v < dag.node_count(); ++v) {
-      const Time slot = last[static_cast<std::size_t>(v)];
-      if (slot == 0) {
-        fail("job " + std::to_string(j) + " node " + std::to_string(v) +
-             " never executed");
-        return result;
-      }
-      for (const NodeId p : dag.parents(v)) {
-        const Time parent_slot = last[static_cast<std::size_t>(p)];
-        if (parent_slot >= slot) {
-          fail("committed precedence violated: job " + std::to_string(j) +
-               " edge " + std::to_string(p) + "->" + std::to_string(v) +
-               " final executions at slots " + std::to_string(parent_slot) +
-               " >= " + std::to_string(slot));
-          return result;
-        }
-      }
-    }
-    if (job_complete[static_cast<std::size_t>(j)] !=
-        job_last_exec[static_cast<std::size_t>(j)]) {
-      fail("job " + std::to_string(j) + " completion slot " +
-           std::to_string(job_complete[static_cast<std::size_t>(j)]) +
-           " != last execute slot " +
-           std::to_string(job_last_exec[static_cast<std::size_t>(j)]));
-      return result;
+    if (event.kind == TraceEventKind::kExecute) {
+      executed.place(event.slot, SubjobRef{event.job, event.node});
     }
   }
-  const std::int64_t expected =
-      instance.total_work() + stats.wasted_subjob_slots;
-  if (total_executes != expected) {
-    fail("execute reconciliation failed: trace has " +
-         std::to_string(total_executes) + " executes, expected total work " +
-         std::to_string(instance.total_work()) + " + wasted " +
-         std::to_string(stats.wasted_subjob_slots));
-    return result;
+  const ValidationReport report =
+      ValidateSchedule(executed, instance, stats.wasted_subjob_slots);
+  if (!report) return Fail(id, report.violation);
+  // Each job's kComplete lands in the slot of its last execute (place()
+  // above kept the executes in nondecreasing slot order).
+  const std::size_t jobs = static_cast<std::size_t>(instance.job_count());
+  std::vector<Time> last_execute(jobs, kNoTime);
+  std::vector<Time> completion(jobs, kNoTime);
+  for (const TraceEvent& event : trace.events()) {
+    const std::size_t j = static_cast<std::size_t>(event.job);
+    if (event.kind == TraceEventKind::kExecute) last_execute[j] = event.slot;
+    if (event.kind == TraceEventKind::kComplete) completion[j] = event.slot;
   }
-  return result;
+  for (std::size_t j = 0; j < completion.size(); ++j) {
+    if (completion[j] != last_execute[j]) {
+      return Fail(id, "job " + std::to_string(j) + " completion slot " +
+                          std::to_string(completion[j]) +
+                          " != last execute slot " +
+                          std::to_string(last_execute[j]));
+    }
+  }
+  return Pass(id);
 }
 
 OracleResult CheckTraceEquivalenceOracle(const EventTrace& streamed,
@@ -264,12 +204,6 @@ OracleResult CheckLpfValueOracle(const Dag& dag, int m,
   if (!schedule_error.empty()) {
     return Fail(OracleId::kLpfValue,
                 "LPF schedule is not feasible: " + schedule_error);
-  }
-  if (lpf.total() != dag.node_count()) {
-    std::ostringstream detail;
-    detail << "LPF schedule places " << lpf.total() << " of "
-           << dag.node_count() << " subjobs";
-    return Fail(OracleId::kLpfValue, detail.str());
   }
   const Time closed_form = SingleBatchOpt(dag, m);
   if (lpf.length() != closed_form) {
@@ -378,70 +312,45 @@ namespace {
 OracleResult CheckMcLogOracle(OracleId id, const Dag& dag,
                               const JobSchedule& schedule,
                               const McReplayLog& log) {
-  const NodeId n = dag.node_count();
-  // done_step[v]: MC step at which v completed; 0 = pre-executed prefix,
-  // -1 = not yet executed.
-  std::vector<Time> done_step(static_cast<std::size_t>(n), -1);
-  std::int64_t prefix_nodes = 0;
+  // The pre-executed S prefix followed by the MC steps is one schedule of
+  // the job on S's p processors: S-slot s is slot s, MC step i is slot
+  // prefix + i.  Section 3's axioms cover readiness, re-execution and
+  // nodes never run.
   const Time prefix = std::min<Time>(log.prefix_len, schedule.length());
+  Schedule replay(schedule.p);
+  std::int64_t remaining = dag.node_count();
   for (Time s = 1; s <= prefix; ++s) {
-    for (NodeId v : schedule.at(s)) {
-      done_step[static_cast<std::size_t>(v)] = 0;
-      ++prefix_nodes;
+    for (NodeId v : schedule.at(s)) replay.place(s, SubjobRef{0, v});
+    remaining -= static_cast<std::int64_t>(schedule.at(s).size());
+  }
+  for (std::size_t i = 0; i < log.steps.size(); ++i) {
+    for (NodeId v : log.steps[i].scheduled) {
+      replay.place(prefix + static_cast<Time>(i) + 1, SubjobRef{0, v});
     }
   }
-  std::int64_t remaining = n - prefix_nodes;
+  Instance single;
+  single.add_job(Job(Dag(dag), 0));
+  const ValidationReport report = ValidateSchedule(replay, single);
+  if (!report) return Fail(id, report.violation);
 
   for (std::size_t i = 0; i < log.steps.size(); ++i) {
     const McReplayLog::Step& step = log.steps[i];
     const Time now = static_cast<Time>(i) + 1;
-    if (static_cast<int>(step.scheduled.size()) > step.budget) {
+    const int used = static_cast<int>(step.scheduled.size());
+    if (used > step.budget) {
       std::ostringstream detail;
-      detail << "step " << now << " schedules " << step.scheduled.size()
+      detail << "step " << now << " schedules " << used
              << " subjobs with budget " << step.budget;
       return Fail(id, detail.str());
     }
-    for (NodeId v : step.scheduled) {
-      if (v < 0 || v >= n) {
-        std::ostringstream detail;
-        detail << "step " << now << " schedules unknown node " << v;
-        return Fail(id, detail.str());
-      }
-      if (done_step[static_cast<std::size_t>(v)] >= 0) {
-        std::ostringstream detail;
-        detail << "step " << now << " re-executes node " << v
-               << " (already done at step "
-               << done_step[static_cast<std::size_t>(v)] << ")";
-        return Fail(id, detail.str());
-      }
-      for (NodeId parent : dag.parents(v)) {
-        const Time parent_done = done_step[static_cast<std::size_t>(parent)];
-        if (parent_done < 0 || parent_done >= now) {
-          std::ostringstream detail;
-          detail << "step " << now << " runs node " << v
-                 << " before its parent " << parent << " completed";
-          return Fail(id, detail.str());
-        }
-      }
-    }
-    for (NodeId v : step.scheduled) {
-      done_step[static_cast<std::size_t>(v)] = now;
-    }
-    remaining -= static_cast<std::int64_t>(step.scheduled.size());
+    remaining -= used;
     // Lemma 5.5: a step either uses its whole budget or finishes the job.
-    if (static_cast<int>(step.scheduled.size()) < step.budget &&
-        remaining > 0) {
+    if (used < step.budget && remaining > 0) {
       std::ostringstream detail;
-      detail << "step " << now << " wastes "
-             << step.budget - static_cast<int>(step.scheduled.size())
+      detail << "step " << now << " wastes " << step.budget - used
              << " processors with " << remaining << " subjobs remaining";
       return Fail(id, detail.str());
     }
-  }
-  if (remaining != 0) {
-    std::ostringstream detail;
-    detail << "replay ends with " << remaining << " subjobs never executed";
-    return Fail(id, detail.str());
   }
   return Pass(id);
 }

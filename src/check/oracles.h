@@ -76,9 +76,9 @@ struct OracleResult {
 
 // ---- Section 3: feasibility ----
 
-/// Wraps sim/validator's four-axiom check and additionally requires every
-/// job to complete (an online policy that stalls forever would otherwise
-/// pass vacuously).
+/// Wraps sim/validator's four-axiom check, whose exactly-once axiom also
+/// requires every job to complete (an online policy that stalls forever
+/// would otherwise pass vacuously).
 OracleResult CheckFeasibilityOracle(const Schedule& schedule,
                                     const Instance& instance);
 
@@ -125,10 +125,12 @@ McReplayLog RunMostChildrenLog(const Dag& dag, const JobSchedule& schedule,
                                std::span<const int> budgets,
                                Time prefix_len = 0);
 
-/// Verifies Lemma 5.5 on a replay log: every step schedules ready,
-/// not-yet-executed nodes within budget; every node outside the prefix is
-/// scheduled exactly once; and no step wastes budget while work remains
-/// after it (the no-wasted-processor property).
+/// Verifies Lemma 5.5 on a replay log.  The prefix S-slots followed by
+/// the steps must form a feasible one-job schedule on `schedule.p`
+/// processors (ValidateSchedule: every step runs ready, not-yet-executed
+/// nodes, and every node runs exactly once); every step stays within its
+/// budget; and no step wastes budget while work remains after it (the
+/// no-wasted-processor property).
 OracleResult CheckMcBusyOracle(const Dag& dag, const JobSchedule& schedule,
                                const McReplayLog& log);
 
@@ -229,20 +231,14 @@ OracleResult CheckNoLostWorkWhenHealthyOracle(const SimResult& baseline,
 
 /// Section 3 feasibility of a run WITH rollbacks, checked on the streamed
 /// event trace (job faults force RecordMode::kFlowOnly, so no Schedule
-/// exists; re-executed subjobs appear in the trace once per execution):
-///
-///   - at most m executes per slot (the machine-size cap; concurrent
-///     capacity faults only make the true cap tighter, never looser),
-///   - every execute lands strictly after its job's release,
-///   - every subjob executes at least once, and the FINAL execution of a
-///     node lands strictly after the FINAL execution of each of its
-///     parents — rollbacks un-execute suffix-closed sets, so the
-///     executions that survive respect precedence even though earlier
-///     attempts were discarded,
-///   - each job's kComplete coincides with its last execute,
-///   - reconciliation: total executes == instance total work +
-///     `stats.wasted_subjob_slots` (every discarded slot is re-done,
-///     nothing else is).
+/// exists; re-executed subjobs appear in the trace once per execution).
+/// The trace's executes, in trace order, form a Schedule on m processors
+/// that ValidateSchedule checks with `stats.wasted_subjob_slots`: at most
+/// m executes per slot, every execute after its job's release, each
+/// subjob's FINAL execution after the final executions of its parents
+/// (rollbacks un-execute suffix-closed sets, so the surviving executions
+/// respect precedence), and executes == total work + wasted.  On top of
+/// that, each job's kComplete must coincide with its last execute.
 OracleResult CheckCommittedFeasibilityOracle(const EventTrace& trace,
                                              const Instance& instance, int m,
                                              const SimStats& stats);

@@ -3,9 +3,11 @@
 // trace readers, and the otsched command line.
 #pragma once
 
+#include <charconv>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace otsched {
@@ -21,6 +23,20 @@ bool ParseNonNegative(std::string_view token, Int* out) {
     const Int digit = static_cast<Int>(c - '0');
     if (value > (std::numeric_limits<Int>::max() - digit) / 10) return false;
     value = static_cast<Int>(value * 10 + digit);
+  }
+  *out = value;
+  return true;
+}
+
+/// A fault rate: the whole token is a decimal number in [0, 0.9].
+/// Anything else returns false and leaves `*out` untouched.
+inline bool ParseRate(std::string_view token, double* out) {
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [stop, status] = std::from_chars(token.data(), end, value);
+  if (status != std::errc() || stop != end || !(value >= 0.0) ||
+      value > 0.9) {
+    return false;
   }
   *out = value;
   return true;

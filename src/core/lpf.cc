@@ -5,6 +5,7 @@
 
 #include "common/assert.h"
 #include "sim/ready_state.h"
+#include "sim/validator.h"
 
 namespace otsched {
 
@@ -91,44 +92,21 @@ JobSchedule BuildLpfSchedule(const Dag& dag, int p) {
 }
 
 std::string CheckJobSchedule(const Dag& dag, const JobSchedule& schedule) {
-  std::ostringstream out;
-  const NodeId n = dag.node_count();
-  std::vector<char> seen(static_cast<std::size_t>(n), 0);
+  // Section 3's axioms on the one-job instance (release 0) on p
+  // processors; only slot_of's agreement with the slots is checked here.
+  Schedule placed(schedule.p);
   for (Time t = 1; t <= schedule.length(); ++t) {
-    const auto& slot = schedule.at(t);
-    if (static_cast<int>(slot.size()) > schedule.p) {
-      out << "slot " << t << " runs " << slot.size() << " > p="
-          << schedule.p;
-      return out.str();
-    }
-    for (NodeId v : slot) {
-      if (v < 0 || v >= n) {
-        out << "slot " << t << " has unknown node " << v;
-        return out.str();
-      }
-      if (seen[static_cast<std::size_t>(v)]) {
-        out << "node " << v << " scheduled twice";
-        return out.str();
-      }
-      seen[static_cast<std::size_t>(v)] = 1;
-      if (schedule.slot_of[static_cast<std::size_t>(v)] != t) {
-        out << "slot_of[" << v << "] inconsistent";
-        return out.str();
-      }
-      for (NodeId parent : dag.parents(v)) {
-        const Time tp = schedule.slot_of[static_cast<std::size_t>(parent)];
-        if (tp == kNoTime || tp >= t) {
-          out << "precedence violated: " << parent << " -> " << v
-              << " at slots " << tp << " -> " << t;
-          return out.str();
-        }
-      }
-    }
+    for (NodeId v : schedule.at(t)) placed.place(t, SubjobRef{0, v});
   }
-  for (NodeId v = 0; v < n; ++v) {
-    if (!seen[static_cast<std::size_t>(v)]) {
-      out << "node " << v << " never scheduled";
-      return out.str();
+  Instance single;
+  single.add_job(Job(Dag(dag), 0));
+  const ValidationReport report = ValidateSchedule(placed, single);
+  if (!report) return report.violation;
+  for (Time t = 1; t <= schedule.length(); ++t) {
+    for (NodeId v : schedule.at(t)) {
+      if (schedule.slot_of[static_cast<std::size_t>(v)] != t) {
+        return "slot_of[" + std::to_string(v) + "] inconsistent";
+      }
     }
   }
   return "";

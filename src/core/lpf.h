@@ -55,9 +55,10 @@ JobSchedule BuildLpfSchedule(const Dag& dag, const DagMetrics& metrics,
                              int p);
 JobSchedule BuildLpfSchedule(const Dag& dag, int p);
 
-/// Verifies a JobSchedule against the job's precedence constraints and the
-/// budget p (single-job analogue of ScheduleValidator).  Returns an empty
-/// string when valid, else a description of the first violation.
+/// Verifies a JobSchedule as a one-job schedule (release 0) on p
+/// processors with ValidateSchedule (sim/validator.h), then that
+/// `slot_of` agrees with the slots.  Returns an empty string when valid,
+/// else a description of the first violation.
 std::string CheckJobSchedule(const Dag& dag, const JobSchedule& schedule);
 
 /// Structural check of Lemma 5.2 on an out-forest LPF schedule: at the

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/assert.h"
+#include "dag/validate.h"
 
 namespace otsched {
 
@@ -104,9 +105,18 @@ std::optional<Instance> TryInstanceFromText(const std::string& text,
                       std::to_string(to) + " is outside the job's " +
                       std::to_string(node_count) + " nodes");
         }
+        if (from == to) {
+          return fail("edge " + std::to_string(from) + " -> " +
+                      std::to_string(to) + " is a self-loop, a directed cycle");
+        }
         builder.add_edge(from, to);
       }
-      instance.add_job(Job(std::move(builder).build(), release, job_name));
+      Dag dag = std::move(builder).build();
+      if (!IsAcyclic(dag)) {
+        return fail("the job started at line " + std::to_string(job_line) +
+                    " has a directed cycle");
+      }
+      instance.add_job(Job(std::move(dag), release, job_name));
     } else {
       return fail("unknown keyword '" + keyword + "'");
     }

@@ -23,8 +23,9 @@ namespace otsched {
 
 std::string InstanceToText(const Instance& instance);
 
-/// Parses the format above.  On malformed input returns nullopt and
-/// writes a per-line diagnostic ("instance line N: ...") to `error` —
+/// Parses the format above.  On malformed input, including a job whose
+/// edges form a directed cycle, returns nullopt and writes a per-line
+/// diagnostic ("instance line N: ...") to `error` —
 /// the recoverable entry point CLI tools use so a typo in a hand-edited
 /// file prints a diagnostic instead of aborting the process.
 std::optional<Instance> TryInstanceFromText(const std::string& text,

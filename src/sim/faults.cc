@@ -211,19 +211,11 @@ std::optional<FaultSpec> ParseFaultSpec(std::string_view text,
         return fail("malformed dip floor '" + parts[2] +
                     "' (want integer >= 0)");
       }
-    } else {
-      std::size_t consumed = 0;
-      double rate = 0.0;
-      try {
-        rate = std::stod(parts[2], &consumed);
-      } catch (...) {
-        consumed = 0;
-      }
-      if (consumed != parts[2].size() || rate < 0.0 || rate > 0.9) {
-        return fail("malformed fault rate '" + parts[2] +
-                    "' (want a number in [0, 0.9])");
-      }
-      spec.rate = rate;
+    } else if (spec.model == FaultModel::kNone) {
+      return fail("fault model 'none' takes no rate, got '" + parts[2] + "'");
+    } else if (!ParseRate(parts[2], &spec.rate)) {
+      return fail("malformed fault rate '" + parts[2] +
+                  "' (want a number in [0, 0.9])");
     }
   }
   return spec;

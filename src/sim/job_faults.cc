@@ -108,21 +108,12 @@ std::optional<JobFaultSpec> ParseJobFaultSpec(std::string_view text,
       case JobFaultModel::kNone:
         return fail("job-fault model 'none' takes no parameters, got '" +
                     parts[2] + "'");
-      case JobFaultModel::kRandomCrash: {
-        std::size_t consumed = 0;
-        double rate = 0.0;
-        try {
-          rate = std::stod(parts[2], &consumed);
-        } catch (...) {
-          consumed = 0;
-        }
-        if (consumed != parts[2].size() || rate < 0.0 || rate > 0.9) {
+      case JobFaultModel::kRandomCrash:
+        if (!ParseRate(parts[2], &spec.rate)) {
           return fail("malformed crash rate '" + parts[2] +
                       "' (want a number in [0, 0.9])");
         }
-        spec.rate = rate;
         break;
-      }
       case JobFaultModel::kPeriodicCrash:
         if (!ParseNonNegative(parts[2], &spec.period) || spec.period < 2) {
           return fail("malformed crash period '" + parts[2] +

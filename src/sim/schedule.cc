@@ -13,68 +13,21 @@ Schedule::Schedule(int m) : m_(m) {
 
 void Schedule::place(Time slot, SubjobRef ref) {
   OTSCHED_CHECK(slot >= 1, "slots are 1-based, got " << slot);
-  // Arena horizon = highest slot the CSR table covers.
-  const Time arena_horizon = static_cast<Time>(offsets_.size()) - 1;
-  if (staged_.empty() && slot >= arena_horizon) {
-    // Sequential hot path: engines place into nondecreasing slots, so
-    // this is a plain append to the arena tail.
-    if (slot > arena_horizon) {
-      offsets_.resize(static_cast<std::size_t>(slot) + 1,
-                      static_cast<std::int64_t>(entries_.size()));
-    }
-    entries_.push_back(ref);
-    offsets_.back() = static_cast<std::int64_t>(entries_.size());
-  } else {
-    staged_.emplace_back(slot, ref);
+  OTSCHED_CHECK(slot >= horizon_, "schedules are append-only: slot "
+                                      << slot << " is before the horizon "
+                                      << horizon_);
+  if (slot > horizon_) {
+    offsets_.resize(static_cast<std::size_t>(slot) + 1,
+                    static_cast<std::int64_t>(entries_.size()));
+    horizon_ = slot;
   }
+  entries_.push_back(ref);
+  offsets_.back() = static_cast<std::int64_t>(entries_.size());
   ++total_placed_;
-  horizon_ = std::max(horizon_, slot);
-}
-
-void Schedule::flatten() const {
-  if (staged_.empty()) return;
-  const std::size_t n_slots = static_cast<std::size_t>(horizon_);
-  std::vector<std::int64_t> new_offsets(n_slots + 1, 0);
-  // Per-slot counts (stored shifted by one for the prefix sum below).
-  const Time arena_horizon = static_cast<Time>(offsets_.size()) - 1;
-  for (Time t = 1; t <= arena_horizon; ++t) {
-    new_offsets[static_cast<std::size_t>(t)] =
-        offsets_[static_cast<std::size_t>(t)] -
-        offsets_[static_cast<std::size_t>(t) - 1];
-  }
-  for (const auto& [slot, ref] : staged_) {
-    ++new_offsets[static_cast<std::size_t>(slot)];
-  }
-  for (std::size_t t = 1; t <= n_slots; ++t) {
-    new_offsets[t] += new_offsets[t - 1];
-  }
-  std::vector<SubjobRef> new_entries(
-      static_cast<std::size_t>(total_placed_));
-  // Write cursors start at each slot's begin offset.  Arena entries are
-  // copied first (they were placed before staging began), then staged
-  // entries in insertion order — preserving per-slot call order.
-  std::vector<std::int64_t> cursor(new_offsets.begin(),
-                                   new_offsets.end() - 1);
-  for (Time t = 1; t <= arena_horizon; ++t) {
-    for (std::int64_t i = offsets_[static_cast<std::size_t>(t) - 1];
-         i < offsets_[static_cast<std::size_t>(t)]; ++i) {
-      new_entries[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(t) - 1]++)] =
-          entries_[static_cast<std::size_t>(i)];
-    }
-  }
-  for (const auto& [slot, ref] : staged_) {
-    new_entries[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(slot) - 1]++)] = ref;
-  }
-  offsets_ = std::move(new_offsets);
-  entries_ = std::move(new_entries);
-  staged_.clear();
 }
 
 std::span<const SubjobRef> Schedule::at(Time slot) const {
   if (slot < 1 || slot > horizon_) return {};
-  flatten();
   const std::int64_t begin = offsets_[static_cast<std::size_t>(slot) - 1];
   const std::int64_t end = offsets_[static_cast<std::size_t>(slot)];
   return {entries_.data() + begin, static_cast<std::size_t>(end - begin)};

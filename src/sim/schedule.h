@@ -6,16 +6,14 @@
 // SubjobRefs with |slot| <= m.
 //
 // Storage is a flat CSR arena: one contiguous SubjobRef array plus a
-// per-slot offset table, instead of one heap vector per slot.  Engines
-// fill slots in nondecreasing order, so the hot path is a plain append;
-// out-of-order place() calls (tests, LPF head/tail construction) land in
-// a small staging buffer that is merged back into the arena lazily, on
-// the first read.  Per-slot call order is preserved either way.
+// per-slot offset table, instead of one heap vector per slot.  A
+// Schedule is append-only: place() takes slots in nondecreasing order,
+// as every engine, oracle and bench fills them, so each placement is a
+// plain append and per-slot call order is storage order.
 #pragma once
 
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -30,9 +28,9 @@ class Schedule {
 
   int m() const { return m_; }
 
-  /// Places `ref` into `slot` (slot >= 1).  Capacity and feasibility are
-  /// checked by ScheduleValidator, not here, so that tests can build
-  /// deliberately-broken schedules.
+  /// Appends `ref` to `slot`, which must be >= 1 and >= horizon().
+  /// Capacity and feasibility are checked by ValidateSchedule, not here,
+  /// so that tests can build deliberately-broken schedules.
   void place(Time slot, SubjobRef ref);
 
   /// Last slot with any subjob (0 for the empty schedule).
@@ -59,10 +57,6 @@ class Schedule {
       const;
 
  private:
-  /// Merges `staged_` into the CSR arena (no-op when already flat).
-  /// Lazily invoked by readers; logically const, hence the mutables.
-  void flatten() const;
-
   int m_;
   std::int64_t total_placed_ = 0;
   Time horizon_ = 0;  // max slot ever placed into
@@ -70,12 +64,8 @@ class Schedule {
   // CSR arena covering slots [1, offsets_.size() - 1]: slot t holds
   // entries_[offsets_[t - 1], offsets_[t]).  Invariant: offsets_[0] == 0
   // and offsets_ is nondecreasing.
-  mutable std::vector<std::int64_t> offsets_;
-  mutable std::vector<SubjobRef> entries_;
-  // Out-of-order placements awaiting a merge.  Once non-empty, every
-  // subsequent place() stages (so per-slot call order stays: arena
-  // entries first, then staged entries in insertion order).
-  mutable std::vector<std::pair<Time, SubjobRef>> staged_;
+  std::vector<std::int64_t> offsets_;
+  std::vector<SubjobRef> entries_;
 };
 
 /// Per-job completion times and flows of a schedule, measured against the

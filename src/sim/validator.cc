@@ -22,8 +22,8 @@ ValidationReport Violation(int axiom, const std::string& detail) {
 
 ValidationReport ValidateSchedule(const Schedule& schedule,
                                   const Instance& instance,
-                                  bool require_complete) {
-  // slot_of[job][node] = slot the subjob ran at (kNoTime if never).
+                                  std::int64_t wasted) {
+  // slot_of[job][node] = last slot the subjob ran at (kNoTime if never).
   std::vector<std::vector<Time>> slot_of(
       static_cast<std::size_t>(instance.job_count()));
   for (JobId id = 0; id < instance.job_count(); ++id) {
@@ -56,8 +56,8 @@ ValidationReport ValidateSchedule(const Schedule& schedule,
       }
       Time& recorded = slot_of[static_cast<std::size_t>(ref.job)]
                               [static_cast<std::size_t>(ref.node)];
-      // Axiom (2): at most once.
-      if (recorded != kNoTime) {
+      // Axiom (2): at most once, unless rolled-back work is re-run.
+      if (recorded != kNoTime && wasted == 0) {
         std::ostringstream out;
         out << "job " << ref.job << " node " << ref.node
             << " scheduled at slots " << recorded << " and " << t;
@@ -79,33 +79,36 @@ ValidationReport ValidateSchedule(const Schedule& schedule,
     const auto& slots = slot_of[static_cast<std::size_t>(id)];
     for (NodeId v = 0; v < job.dag().node_count(); ++v) {
       const Time tv = slots[static_cast<std::size_t>(v)];
-      // Axiom (2): exactly once.
-      if (require_complete && tv == kNoTime) {
+      // Axiom (2): at least once.
+      if (tv == kNoTime) {
         std::ostringstream out;
         out << "job " << id << " node " << v << " never scheduled";
         return Violation(2, out.str());
       }
-      // Axiom (3): precedence.
+      // Axiom (3): precedence.  A child not yet checked may never have
+      // run; the loop reports that as axiom (2) when it reaches it.
       for (NodeId c : job.dag().children(v)) {
         const Time tc = slots[static_cast<std::size_t>(c)];
-        if (tv != kNoTime && tc != kNoTime && tc <= tv) {
+        if (tc != kNoTime && tc <= tv) {
           std::ostringstream out;
           out << "job " << id << " edge (" << v << " -> " << c
               << ") scheduled at slots " << tv << " -> " << tc;
-          return Violation(3, out.str());
-        }
-        // A scheduled child whose parent never ran is also a precedence
-        // violation when validating prefixes.
-        if (tc != kNoTime && tv == kNoTime) {
-          std::ostringstream out;
-          out << "job " << id << " node " << c
-              << " ran before its parent " << v << " ever ran";
           return Violation(3, out.str());
         }
       }
     }
   }
 
+  // Every rolled-back execution is re-run, and nothing else is.  With
+  // wasted == 0 the checks above already force total work.
+  const std::int64_t expected = instance.total_work() + wasted;
+  if (schedule.total_placed() != expected) {
+    std::ostringstream out;
+    out << "schedule places " << schedule.total_placed()
+        << " subjobs, expected total work " << instance.total_work()
+        << " + wasted " << wasted;
+    return Violation(2, out.str());
+  }
   return ValidationReport{};
 }
 

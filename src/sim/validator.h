@@ -5,11 +5,15 @@
 //   (3) precedence: for every edge (j, k), slot(j) < slot(k),
 //   (4) releases: a subjob of a job released at r runs at a slot > r.
 //
-// Every schedule produced anywhere in the library can be re-checked with
-// this validator; tests do so routinely, which means a policy bug cannot
-// silently corrupt an experiment.
+// This is the library's one implementation of the axioms.  Multi-job
+// engine schedules come here directly; single-job LPF schedules
+// (CheckJobSchedule), job-fault rollback traces
+// (CheckCommittedFeasibilityOracle) and Most-Children replay logs
+// (CheckMcBusyOracle) are rewritten as a Schedule and checked here too,
+// so every form reports the same "axiom (N)" verdicts.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "job/instance.h"
@@ -26,10 +30,14 @@ struct ValidationReport {
   explicit operator bool() const { return feasible; }
 };
 
-/// Checks all four axioms.  If `require_complete` is false, axiom (2) is
-/// relaxed to "at most once" (useful for validating prefixes of runs).
+/// Checks all four axioms.  `wasted` is the number of executions the run
+/// rolled back (SimStats::wasted_subjob_slots).  At 0, every subjob runs
+/// exactly once.  Above 0 a subjob may run again after a rollback:
+/// capacity and release still hold for every placement, exactly-once and
+/// precedence hold for each subjob's LAST run, and the placements must
+/// add up to total work + `wasted`.
 ValidationReport ValidateSchedule(const Schedule& schedule,
                                   const Instance& instance,
-                                  bool require_complete = true);
+                                  std::int64_t wasted = 0);
 
 }  // namespace otsched

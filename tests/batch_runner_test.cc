@@ -1,12 +1,7 @@
 // Tests for sim/batch_runner.h: deterministic index-ordered results under
 // any worker count, support for non-default-constructible results, and
-// the simulation fan-out convenience.
+// simulation cells.
 #include "gtest_compat.h"
-
-#include <array>
-#include <atomic>
-#include <numeric>
-#include <stdexcept>
 
 #include "dag/builders.h"
 #include "gen/arrivals.h"
@@ -51,103 +46,7 @@ TEST(BatchRunner, MapEmptyIsEmpty) {
   EXPECT_TRUE(runner.Map<int>(0, [](std::size_t) { return 0; }).empty());
 }
 
-TEST(BatchRunner, MapWithFailuresRecordsThrowingCellsAndKeepsTheRest) {
-  for (std::size_t workers : {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
-    const BatchRunner runner(workers);
-    const BatchOutcome<int> outcome =
-        runner.MapWithFailures<int>(20, [](std::size_t i) {
-          if (i % 7 == 3) throw std::runtime_error("cell " + std::to_string(i));
-          return static_cast<int>(i) * 2;
-        });
-    ASSERT_EQ(outcome.results.size(), 20u);
-    ASSERT_EQ(outcome.failures.size(), 3u) << "workers " << workers;
-    // Deterministic report: ascending index order, structured fields.
-    EXPECT_EQ(outcome.failures[0].index, 3u);
-    EXPECT_EQ(outcome.failures[1].index, 10u);
-    EXPECT_EQ(outcome.failures[2].index, 17u);
-    EXPECT_EQ(outcome.failures[0].what, "cell 3");
-    EXPECT_EQ(outcome.failures[0].attempts, 1);
-    EXPECT_FALSE(outcome.failures[0].timed_out);
-    for (std::size_t i = 0; i < 20; ++i) {
-      if (i % 7 == 3) {
-        EXPECT_FALSE(outcome.results[i].has_value()) << i;
-      } else {
-        ASSERT_TRUE(outcome.results[i].has_value()) << i;
-        EXPECT_EQ(*outcome.results[i], static_cast<int>(i) * 2);
-      }
-    }
-  }
-}
-
-TEST(BatchRunner, MapWithFailuresBoundedRetrySucceedsOnLaterAttempt) {
-  // Cells that fail once then succeed: with max_attempts = 3 every cell
-  // recovers and the failure report is empty.
-  std::array<std::atomic<int>, 8> tries{};
-  BatchRunPolicy policy;
-  policy.max_attempts = 3;
-  const BatchRunner runner(2);
-  const BatchOutcome<int> outcome = runner.MapWithFailures<int>(
-      8,
-      [&](std::size_t i) {
-        if (tries[i].fetch_add(1) == 0) throw std::runtime_error("flaky");
-        return static_cast<int>(i);
-      },
-      policy);
-  EXPECT_TRUE(outcome.all_ok());
-  for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(outcome.results[i].has_value());
-    EXPECT_EQ(*outcome.results[i], static_cast<int>(i));
-    EXPECT_EQ(tries[i].load(), 2) << "cell should succeed on attempt 2";
-  }
-}
-
-TEST(BatchRunner, MapWithFailuresExhaustedRetriesReportAttemptCount) {
-  BatchRunPolicy policy;
-  policy.max_attempts = 4;
-  const BatchRunner runner(1);
-  std::atomic<int> calls{0};
-  const BatchOutcome<int> outcome = runner.MapWithFailures<int>(
-      1,
-      [&](std::size_t) -> int {
-        ++calls;
-        throw std::runtime_error("always");
-      },
-      policy);
-  ASSERT_EQ(outcome.failures.size(), 1u);
-  EXPECT_EQ(outcome.failures[0].attempts, 4);
-  EXPECT_EQ(calls.load(), 4);
-  EXPECT_FALSE(outcome.results[0].has_value());
-}
-
-TEST(BatchRunner, MapWithFailuresNonStdExceptionIsStructured) {
-  const BatchRunner runner(1);
-  const BatchOutcome<int> outcome =
-      runner.MapWithFailures<int>(2, [](std::size_t i) -> int {
-        if (i == 1) throw 7;  // not a std::exception
-        return 0;
-      });
-  ASSERT_EQ(outcome.failures.size(), 1u);
-  EXPECT_EQ(outcome.failures[0].what, "<unknown exception>");
-}
-
-TEST(BatchRunner, MapWithFailuresSoftTimeoutKeepsResultAndFlagsCell) {
-  // The deadline is post-hoc: the slow cell's RESULT survives (values
-  // stay machine-independent) but the cell is flagged timed_out.
-  BatchRunPolicy policy;
-  policy.cell_timeout_seconds = 1e-9;  // everything is too slow
-  const BatchRunner runner(2);
-  const BatchOutcome<int> outcome = runner.MapWithFailures<int>(
-      3, [](std::size_t i) { return static_cast<int>(i); }, policy);
-  ASSERT_EQ(outcome.failures.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(outcome.results[i].has_value()) << i;
-    EXPECT_EQ(*outcome.results[i], static_cast<int>(i));
-    EXPECT_TRUE(outcome.failures[i].timed_out);
-    EXPECT_TRUE(outcome.failures[i].what.empty());
-  }
-}
-
-TEST(BatchRunner, RunSimulationsMatchesSerialRuns) {
+TEST(BatchRunner, MapSimulationsMatchesSerialRuns) {
   Instance chains;
   chains.add_job(Job(MakeChain(6), 0));
   chains.add_job(Job(MakeChain(4), 2));
@@ -161,7 +60,10 @@ TEST(BatchRunner, RunSimulationsMatchesSerialRuns) {
   for (std::size_t workers : {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
     const BatchRunner runner(workers);
     const std::vector<SimResult> parallel_results =
-        runner.RunSimulations(std::span(cells), make);
+        runner.Map<SimResult>(cells.size(), [&](std::size_t i) {
+          return Simulate(*cells[i].first, cells[i].second, *make(i),
+                          FlowOnlyOptions());
+        });
     ASSERT_EQ(parallel_results.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       auto scheduler = make(i);

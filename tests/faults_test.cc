@@ -116,6 +116,12 @@ TEST(FaultSpec, RejectsMalformedShorthand) {
   EXPECT_FALSE(ParseFaultSpec("random-blip:1:0.95", &error).has_value());
   EXPECT_NE(error.find("[0, 0.9]"), std::string::npos) << error;
 
+  EXPECT_FALSE(ParseFaultSpec("random-blip:1:nan", &error).has_value());
+  EXPECT_NE(error.find("[0, 0.9]"), std::string::npos) << error;
+
+  EXPECT_FALSE(ParseFaultSpec("none:1:0.5", &error).has_value());
+  EXPECT_NE(error.find("takes no rate"), std::string::npos) << error;
+
   EXPECT_FALSE(ParseFaultSpec("random-blip:x", &error).has_value());
   EXPECT_NE(error.find("seed"), std::string::npos) << error;
 

@@ -92,6 +92,19 @@ TEST(InstanceSerialize, CommentsAndBlanksIgnored) {
   EXPECT_EQ(loaded.job(0).work(), 2);
 }
 
+TEST(InstanceSerialize, CyclicJobsRejectedWithALineNumber) {
+  std::string error;
+  EXPECT_FALSE(TryInstanceFromText("otsched-instance-v1\njob 0 1\nend\n"
+                                   "job 0 3\n0 1\n1 2\n2 1\nend\n",
+                                   &error));
+  EXPECT_EQ(error,
+            "instance line 8: the job started at line 4 has a directed cycle");
+  EXPECT_FALSE(TryInstanceFromText("otsched-instance-v1\njob 0 2\n0 0\nend\n",
+                                   &error));
+  EXPECT_EQ(error, "instance line 3: edge 0 -> 0 is a self-loop, a directed "
+                   "cycle");
+}
+
 TEST(InstanceSerializeDeath, BadMagicRejected) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(InstanceFromText("bogus-header\n"), "magic");

@@ -85,6 +85,8 @@ TEST(JobFaultSpec, RejectsMalformedShorthandWithPerTokenDiagnostics) {
 
   EXPECT_FALSE(ParseJobFaultSpec("random-crash:1:0.95", &error).has_value());
   EXPECT_NE(error.find("[0, 0.9]"), std::string::npos) << error;
+  EXPECT_FALSE(ParseJobFaultSpec("random-crash:1:nan", &error).has_value());
+  EXPECT_NE(error.find("[0, 0.9]"), std::string::npos) << error;
 
   EXPECT_FALSE(ParseJobFaultSpec("periodic-crash:1:1", &error).has_value());
   EXPECT_NE(error.find("period"), std::string::npos) << error;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "check/oracles.h"
 #include "core/lpf.h"
@@ -36,12 +37,25 @@ Instance RandomInstance(std::uint64_t seed, int jobs) {
       rng);
 }
 
-// Rebuilds a schedule with one mutation applied.
-Schedule CopySchedule(const Schedule& source, int m) {
+// Rebuilds a schedule in slot order (Schedule is append-only) with one
+// mutation applied: every placement of `drop` is left out, and `copies`
+// placements of `extra` are appended to slot `extra_slot`.
+Schedule CopySchedule(const Schedule& source, int m,
+                      SubjobRef drop = {-1, -1}, Time extra_slot = 0,
+                      SubjobRef extra = {-1, -1}, int copies = 0) {
   Schedule copy(m);
+  const auto add_extra = [&](Time t) {
+    if (t == extra_slot) {
+      for (int k = 0; k < copies; ++k) copy.place(t, extra);
+    }
+  };
   for (Time t = 1; t <= source.horizon(); ++t) {
-    for (const SubjobRef& ref : source.at(t)) copy.place(t, ref);
+    for (const SubjobRef& ref : source.at(t)) {
+      if (!(ref == drop)) copy.place(t, ref);
+    }
+    add_extra(t);
   }
+  if (extra_slot > source.horizon()) add_extra(extra_slot);
   return copy;
 }
 
@@ -66,11 +80,13 @@ TEST_P(ValidatorFuzzTest, DetectsRandomCorruptions) {
     const SubjobRef victim =
         slot[static_cast<std::size_t>(rng.next_below(slot.size()))];
 
-    Schedule bad = CopySchedule(good.full_schedule(), m);
+    const Schedule& source = good.full_schedule();
+    std::optional<Schedule> bad;
     bool expect_violation = true;
     switch (mutation) {
       case 0:  // duplicate a subjob in a later slot
-        bad.place(good.full_schedule().horizon() + 1, victim);
+        bad = CopySchedule(source, m, {-1, -1}, source.horizon() + 1, victim,
+                           1);
         break;
       case 1: {  // swap: move a subjob one slot before its actual slot
         if (t == 1) {
@@ -82,55 +98,38 @@ TEST_P(ValidatorFuzzTest, DetectsRandomCorruptions) {
         // t-1, or release when t-1 <= r; either way the FULL axiom set
         // may still pass if the node was independent — so rebuild by
         // moving it before its parent explicitly when it has one.
-        Schedule rebuilt(m);
-        for (Time u = 1; u <= good.full_schedule().horizon(); ++u) {
-          for (const SubjobRef& ref : good.full_schedule().at(u)) {
-            if (ref == victim) continue;
-            rebuilt.place(u, ref);
-          }
-        }
         const Dag& dag = instance.job(victim.job).dag();
         if (dag.parents(victim.node).empty()) {
           // Root: move to the release slot itself (axiom 4) when that is
           // a legal slot index; otherwise leave it out (axiom 2).
           const Time release = instance.job(victim.job).release();
-          if (release >= 1) rebuilt.place(release, victim);
+          bad = CopySchedule(source, m, victim, release, victim,
+                             release >= 1 ? 1 : 0);
         } else {
           // Place in the same slot as its (first) parent.
           const NodeId parent = dag.parents(victim.node)[0];
           Time parent_slot = kNoTime;
-          for (Time u = 1; u <= good.full_schedule().horizon(); ++u) {
-            for (const SubjobRef& ref : good.full_schedule().at(u)) {
+          for (Time u = 1; u <= source.horizon(); ++u) {
+            for (const SubjobRef& ref : source.at(u)) {
               if (ref.job == victim.job && ref.node == parent) {
                 parent_slot = u;
               }
             }
           }
           ASSERT_NE(parent_slot, kNoTime);
-          rebuilt.place(parent_slot, victim);
+          bad = CopySchedule(source, m, victim, parent_slot, victim, 1);
         }
-        bad = std::move(rebuilt);
         break;
       }
-      case 2: {  // drop a subjob entirely
-        Schedule rebuilt(m);
-        for (Time u = 1; u <= good.full_schedule().horizon(); ++u) {
-          for (const SubjobRef& ref : good.full_schedule().at(u)) {
-            if (ref == victim) continue;
-            rebuilt.place(u, ref);
-          }
-        }
-        bad = std::move(rebuilt);
+      case 2:  // drop a subjob entirely
+        bad = CopySchedule(source, m, victim);
         break;
-      }
       case 3:  // overload a slot beyond m with a fresh duplicate
-        for (int k = 0; k <= m; ++k) {
-          bad.place(t, victim);
-        }
+        bad = CopySchedule(source, m, {-1, -1}, t, victim, m + 1);
         break;
     }
     if (!expect_violation) continue;
-    EXPECT_FALSE(ValidateSchedule(bad, instance).feasible)
+    EXPECT_FALSE(ValidateSchedule(*bad, instance).feasible)
         << "mutation " << mutation << " at slot " << t << " undetected";
   }
 }

@@ -1,5 +1,5 @@
 // Tests for sim/schedule.h: slot storage, flows, idle accounting.
-#include <gtest/gtest.h>
+#include "gtest_compat.h"
 
 #include "dag/builders.h"
 #include "sim/schedule.h"
@@ -48,38 +48,11 @@ TEST(Schedule, IdleSlotsRange) {
   EXPECT_TRUE(schedule.idle_slots(1, 3, 1).empty());
 }
 
-TEST(Schedule, OutOfOrderPlacementKeepsPerSlotOrder) {
-  // Engines append sequentially; tests and LPF head/tail construction
-  // place out of order, exercising the CSR staging buffer.  Per-slot
-  // order must stay: pre-staging arena entries first, then staged
-  // entries in insertion order.
-  Schedule schedule(4);
-  schedule.place(1, {0, 0});
-  schedule.place(2, {0, 1});
-  schedule.place(3, {0, 2});
-  schedule.place(1, {1, 0});  // out of order: staging begins
-  schedule.place(2, {1, 1});
-  schedule.place(1, {2, 0});
-  EXPECT_EQ(schedule.horizon(), 3);
-  EXPECT_EQ(schedule.total_placed(), 6);
-  const auto slot1 = schedule.at(1);
-  ASSERT_EQ(slot1.size(), 3u);
-  EXPECT_EQ(slot1[0], (SubjobRef{0, 0}));
-  EXPECT_EQ(slot1[1], (SubjobRef{1, 0}));
-  EXPECT_EQ(slot1[2], (SubjobRef{2, 0}));
-  const auto slot2 = schedule.at(2);
-  ASSERT_EQ(slot2.size(), 2u);
-  EXPECT_EQ(slot2[0], (SubjobRef{0, 1}));
-  EXPECT_EQ(slot2[1], (SubjobRef{1, 1}));
-  ASSERT_EQ(schedule.at(3).size(), 1u);
-}
-
-TEST(Schedule, PlacementAfterFlattenReentersSequentialPath) {
+TEST(Schedule, SameSlotPlacementsKeepCallOrder) {
+  // Placing again into the last slot appends to it; gaps stay empty.
   Schedule schedule(2);
   schedule.place(3, {0, 0});
-  schedule.place(1, {0, 1});    // stages
-  EXPECT_EQ(schedule.load(1), 1);  // read flattens
-  schedule.place(3, {0, 2});    // back on the sequential tail path
+  schedule.place(3, {0, 2});
   schedule.place(5, {1, 0});
   EXPECT_EQ(schedule.horizon(), 5);
   const auto slot3 = schedule.at(3);
@@ -88,25 +61,15 @@ TEST(Schedule, PlacementAfterFlattenReentersSequentialPath) {
   EXPECT_EQ(slot3[1], (SubjobRef{0, 2}));
   EXPECT_TRUE(schedule.at(4).empty());
   ASSERT_EQ(schedule.at(5).size(), 1u);
-  EXPECT_EQ(schedule.total_placed(), 4);
-  EXPECT_EQ(schedule.idle_processor_slots(), 2 * 5 - 4);
+  EXPECT_EQ(schedule.total_placed(), 3);
+  EXPECT_EQ(schedule.idle_processor_slots(), 2 * 5 - 3);
 }
 
-TEST(Schedule, InterleavedStagingRounds) {
-  // Several stage/flatten cycles; the arena must accumulate correctly.
-  Schedule schedule(8);
-  for (int round = 0; round < 4; ++round) {
-    schedule.place(2, {round, 0});
-    schedule.place(1, {round, 1});  // always out of order
-    ASSERT_EQ(schedule.at(1).size(), static_cast<std::size_t>(round + 1));
-    ASSERT_EQ(schedule.at(2).size(), static_cast<std::size_t>(round + 1));
-  }
-  for (int round = 0; round < 4; ++round) {
-    EXPECT_EQ(schedule.at(1)[static_cast<std::size_t>(round)],
-              (SubjobRef{round, 1}));
-    EXPECT_EQ(schedule.at(2)[static_cast<std::size_t>(round)],
-              (SubjobRef{round, 0}));
-  }
+TEST(Schedule, PlaceRefusesASlotBeforeTheHorizon) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Schedule schedule(2);
+  schedule.place(2, {0, 0});
+  EXPECT_DEATH(schedule.place(1, {0, 1}), "append-only");
 }
 
 TEST(Schedule, IdleSlotsEmptyRange) {

@@ -139,6 +139,16 @@ expect_diagnostic("instance line" ${CLI} bounds ${WORKDIR}/cli_bad.inst 4)
 expect_diagnostic("instance line" ${CLI} run ${WORKDIR}/cli_bad.inst 4 fifo/first-ready)
 expect_diagnostic("instance line" ${CLI} sweep ${WORKDIR}/cli_bad.inst fifo/first-ready)
 expect_diagnostic("instance line" ${CLI} trace ${WORKDIR}/cli_bad.inst 4 fifo/first-ready)
+# A job whose edges close a cycle is refused at load, naming the job's
+# header line, instead of aborting in the DAG metrics.
+file(WRITE ${WORKDIR}/cli_cyclic.inst
+     "otsched-instance-v1\njob 0 3\n0 1\n1 2\n2 1\nend\n")
+set(CYCLIC "instance line 6: the job started at line 2 has a directed cycle")
+expect_diagnostic("${CYCLIC}" ${CLI} run ${WORKDIR}/cli_cyclic.inst 2 fifo/first-ready)
+expect_diagnostic("${CYCLIC}" ${CLI} describe ${WORKDIR}/cli_cyclic.inst)
+expect_diagnostic("${CYCLIC}" ${CLI} bounds ${WORKDIR}/cli_cyclic.inst 2)
+expect_diagnostic("${CYCLIC}" ${CLI} sweep ${WORKDIR}/cli_cyclic.inst fifo/first-ready)
+expect_diagnostic("${CYCLIC}" ${CLI} trace ${WORKDIR}/cli_cyclic.inst 2 fifo/first-ready)
 file(WRITE ${WORKDIR}/cli_bad_magic.inst "not-an-instance\n")
 expect_diagnostic("bad magic" ${CLI} describe ${WORKDIR}/cli_bad_magic.inst)
 expect_diagnostic("cannot open" ${CLI} describe ${WORKDIR}/no_such.inst)
@@ -151,6 +161,8 @@ expect_diagnostic("unknown fault model"
                   ${CLI} run ${INST} 8 fifo/first-ready --faults meteor-strike)
 expect_diagnostic("want a number in .0, 0.9."
                   ${CLI} run ${INST} 8 fifo/first-ready --faults random-blip:1:0.95)
+expect_diagnostic("fault model 'none' takes no rate, got '0.5'"
+                  ${CLI} run ${INST} 8 fifo/first-ready --faults none:1:0.5)
 
 # ---- fault injection surface ----
 
@@ -433,8 +445,14 @@ endif()
 # refutes it; both exit 2 with one line instead of a certification abort.
 expect_diagnostic("--opt 1 is below the lower bound 67 on m = 4, so it cannot be OPT"
                   ${CLI} run ${TREES20} 4 fifo/first-ready --opt 1)
-expect_diagnostic("run: the schedule's max flow 77 beats --opt 100, so 100 is not OPT"
-                  ${CLI} run ${TREES20} 4 fifo/first-ready --opt 100)
+foreach(command run trace)
+  expect_diagnostic("${command}: the schedule's max flow 77 beats --opt 100, so 100 is not OPT"
+                    ${CLI} ${command} ${TREES20} 4 fifo/first-ready --opt 100)
+endforeach()
+# sweep checks every cell: at m = 3 the run (137) does not beat 135, at
+# m = 4 it does.
+expect_diagnostic("sweep: the schedule's max flow 77 beats --opt 135, so 135 is not OPT"
+                  ${CLI} sweep ${TREES20} fifo/first-ready --m 3,4 --seeds 1 --opt 135)
 
 # ---- serve durability flags (docs/SERVING.md) ----
 

@@ -437,6 +437,21 @@ std::unique_ptr<Scheduler> MakePolicyOrComplain(
   return spec->make(seed, known_opt);
 }
 
+/// --opt is a claim, not a certificate: a schedule that beats it refutes
+/// it, which run, trace and sweep (on every cell) report as one line and
+/// exit 2, rather than MeasureRatio's certification-bug abort.
+bool OptRefutedOrComplain(const char* command, Time max_flow,
+                          Time known_opt) {
+  if (known_opt <= 0 || max_flow >= known_opt) return false;
+  std::fprintf(stderr,
+               "%s: the schedule's max flow %lld beats --opt %lld, so %lld "
+               "is not OPT\n",
+               command, static_cast<long long>(max_flow),
+               static_cast<long long>(known_opt),
+               static_cast<long long>(known_opt));
+  return true;
+}
+
 int CmdGen(int argc, char** argv) {
   if (argc < 1) return Usage();
   const std::string family = argv[0];
@@ -708,19 +723,8 @@ int CmdRun(int argc, char** argv) {
                            observers.empty() ? nullptr : &observers};
   RatioMeasurement r =
       MeasureRatio(instance, m, *policy, /*certified_opt=*/0, context);
+  if (OptRefutedOrComplain("run", r.max_flow, known_opt)) return 2;
   if (known_opt > 0) {
-    // --opt is a claim, not a certificate: a run that beats it refutes
-    // it, which is a diagnostic here rather than MeasureRatio's
-    // certification-bug abort.
-    if (r.max_flow < known_opt) {
-      std::fprintf(stderr,
-                   "run: the schedule's max flow %lld beats --opt %lld, so "
-                   "%lld is not OPT\n",
-                   static_cast<long long>(r.max_flow),
-                   static_cast<long long>(known_opt),
-                   static_cast<long long>(known_opt));
-      return 2;
-    }
     r.opt_denominator = known_opt;
     r.denominator_exact = true;
     r.ratio = static_cast<double>(r.max_flow) / static_cast<double>(known_opt);
@@ -906,7 +910,7 @@ int CmdSweep(int argc, char** argv) {
   };
   // Workers beyond the cell count would only idle (0 stays "auto").
   const BatchRunner runner(workers == 0 ? 0 : std::min(workers, cells.size()));
-  std::vector<double> max_flows(cells.size());
+  std::vector<Time> max_flows(cells.size());
   std::vector<BatchRunner::InstrumentedRun> runs;
 
   if (!checkpoint_path.empty()) {
@@ -959,7 +963,7 @@ int CmdSweep(int argc, char** argv) {
           return cell;
         });
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      max_flows[i] = static_cast<double>(records[i].max_flow);
+      max_flows[i] = records[i].max_flow;
     }
   } else {
     // Pick wall times stay off so the aggregate is identical for any
@@ -969,8 +973,12 @@ int CmdSweep(int argc, char** argv) {
     runs = runner.RunInstrumentedSimulations(cells, make_policy,
                                              sweep_options, observer_options);
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      max_flows[i] = static_cast<double>(runs[i].result.flows.max_flow);
+      max_flows[i] = runs[i].result.flows.max_flow;
     }
+  }
+
+  for (const Time max_flow : max_flows) {
+    if (OptRefutedOrComplain("sweep", max_flow, known_opt)) return 2;
   }
 
   // The table is derived purely from the per-cell max flows, so a fresh
@@ -1043,7 +1051,10 @@ int CmdTrace(int argc, char** argv) {
   // stays the default for symmetry with `run`.
   context.options.record = record.value_or(RecordMode::kFull);
   context.observer = &trace_observer;
-  Simulate(instance, m, *policy, context);
+  const SimResult result = Simulate(instance, m, *policy, context);
+  if (OptRefutedOrComplain("trace", result.flows.max_flow, known_opt)) {
+    return 2;
+  }
   if (out_path.empty()) {
     std::fputs(streamed.to_text().c_str(), stdout);
   } else {
