@@ -1,6 +1,7 @@
 #include "check/oracles.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "common/assert.h"
@@ -21,6 +22,47 @@ OracleResult Pass(OracleId id) { return {id, true, ""}; }
 
 OracleResult Fail(OracleId id, const std::string& detail) {
   return {id, false, detail};
+}
+
+/// Calls visit(first, last, profile) once for every pair of distinct
+/// release times first <= last, ordered by first and then last, where
+/// profile[d] = sum over the jobs released in [first, last] of W(d), the
+/// work deeper than d, for d in [0, instance.max_span()].  profile[0] is
+/// the window's total work, and profiles are non-increasing in d, so a
+/// visitor may stop at the first zero.  O(R * sum of spans + R^2) for R
+/// distinct releases, plus what the visitor spends.
+void ForEachReleaseWindow(
+    const Instance& instance,
+    const std::function<void(Time first, Time last,
+                             const std::vector<std::int64_t>& profile)>&
+        visit) {
+  std::vector<const Job*> by_release;
+  by_release.reserve(static_cast<std::size_t>(instance.job_count()));
+  for (const Job& job : instance.jobs()) by_release.push_back(&job);
+  std::sort(by_release.begin(), by_release.end(),
+            [](const Job* x, const Job* y) {
+              return x->release() < y->release();
+            });
+
+  // For each first release a, extend the window one release group at a
+  // time, adding the group's depth profiles to a running sum.
+  std::vector<std::int64_t> profile;
+  for (std::size_t a = 0; a < by_release.size();) {
+    const Time first = by_release[a]->release();
+    profile.assign(static_cast<std::size_t>(instance.max_span()) + 1, 0);
+    std::size_t b = a;
+    while (b < by_release.size()) {
+      const Time last = by_release[b]->release();
+      for (; b < by_release.size() && by_release[b]->release() == last; ++b) {
+        const DagMetrics& metrics = by_release[b]->metrics();
+        for (std::int64_t d = 0; d < metrics.span; ++d) {
+          profile[static_cast<std::size_t>(d)] += metrics.w_deeper(d);
+        }
+      }
+      visit(first, last, profile);
+    }
+    while (a < by_release.size() && by_release[a]->release() == first) ++a;
+  }
 }
 
 }  // namespace
@@ -424,6 +466,45 @@ OracleResult CheckRatioCeilingOracle(const Instance& instance, int m,
   return Pass(OracleId::kRatioCeiling);
 }
 
+Time EnumeratedDualFitBound(const Instance& instance, int m,
+                            const BudgetTrace* budget) {
+  OTSCHED_CHECK(m >= 1, "m must be >= 1, got " << m);
+  if (instance.empty()) return 0;
+  Time best = std::max<Time>(1, instance.max_span());
+
+  // Enumerate 0/1 witnesses T(a, b, d, B) = [a + d + 1, b + B - 1] over
+  // every release window and depth, with exact (possibly faulted)
+  // capacity sums.  For fixed (a, b, d) the capacity of T grows with B
+  // while the demand W stays put, so the best certified B is found by
+  // binary search on "capacity < W".
+  const Time trace_len = budget == nullptr ? 0 : budget->length();
+  ForEachReleaseWindow(instance, [&](Time a, Time b,
+                                     const std::vector<std::int64_t>&
+                                         profile) {
+    for (std::size_t di = 0; di < profile.size() && profile[di] > 0; ++di) {
+      const Time d = static_cast<Time>(di);
+      const std::int64_t demand = profile[di];
+      const auto capacity = [&](Time bound) {
+        return SlotCapacitySum(budget, a + d + 1, b + bound - 1, m);
+      };
+      // Smallest B making T nonempty; larger B only adds capacity.
+      Time lo = std::max<Time>(1, d + 2 - (b - a));
+      if (capacity(lo) >= demand) continue;
+      // Beyond the trace every slot supplies m >= 1 units, so the
+      // bound saturates within demand + trace_len extra slots.
+      Time hi = lo + demand + trace_len + 1;
+      OTSCHED_CHECK(capacity(hi) >= demand,
+                    "dual-fit search horizon too small");
+      while (hi - lo > 1) {
+        const Time mid = lo + (hi - lo) / 2;
+        (capacity(mid) < demand ? lo : hi) = mid;
+      }
+      best = std::max(best, lo);
+    }
+  });
+  return best;
+}
+
 OracleResult CheckOptLowerBoundOracle(const Instance& instance, int m,
                                       const OptBoundCheckOptions& options) {
   const auto fail = [](const std::string& detail) {
@@ -447,13 +528,21 @@ OracleResult CheckOptLowerBoundOracle(const Instance& instance, int m,
   // The heuristic bounds assume a healthy machine but remain valid
   // under faults (removing capacity never decreases OPT), so the
   // sandwich holds with or without a budget.  On a healthy machine the
-  // dual fit's search lands on the heuristic closed forms exactly.
+  // dual fit's sweep lands on the heuristic closed forms exactly, and
+  // under every budget it matches the independent window enumeration.
   const bool healthy_machine = options.budget == nullptr;
   if (healthy_machine ? heuristic != dual.value : heuristic > dual.value) {
     detail << "heuristic lower bound " << heuristic
            << (healthy_machine ? " differs from" : " exceeds")
            << " dual-fit certificate " << dual.value << " on " << m
            << " processors";
+    return fail(detail.str());
+  }
+  const Time enumerated = EnumeratedDualFitBound(instance, m, options.budget);
+  if (dual.value != enumerated) {
+    detail << "dual-fit certificate " << dual.value
+           << " differs from the enumerated release-window bound "
+           << enumerated << " on " << m << " processors";
     return fail(detail.str());
   }
   if (dual.value > flow.value) {

@@ -29,8 +29,10 @@
 //   Cho–Easwaran flow bound /  CheckOptLowerBoundOracle  the certified
 //   ALT dual fitting           lower-bound sandwich: heuristic bounds <=
 //                              dual-fit certificate <= max-flow
-//                              certificate <= brute-force OPT, and every
-//                              certificate passes its own verify()
+//                              certificate <= brute-force OPT, every
+//                              certificate passes its own verify(), and
+//                              the dual fit equals a brute window
+//                              enumeration
 #pragma once
 
 #include <cstdint>
@@ -193,6 +195,13 @@ struct OptBoundCheckOptions {
   Time certified_opt = 0;
 };
 
+/// The dual-fit value by brute enumeration, the reference the sweep in
+/// opt/lower_bounds must match: every pair of releases a <= b and depth
+/// d, with a binary search per cell over B.  O(R^2 * span * log) for R
+/// distinct releases, and int64 capacity sums: small instances only.
+Time EnumeratedDualFitBound(const Instance& instance, int m,
+                            const BudgetTrace* budget = nullptr);
+
 /// The certified lower-bound sandwich on one (instance, m) pair:
 ///
 ///   opt/lower_bounds best  <=  DualFitCertificate.value  (== when healthy)
@@ -200,7 +209,8 @@ struct OptBoundCheckOptions {
 ///                          <=  brute-force OPT (healthy, small instances)
 ///
 /// with both certificates passing Certificate::verify() against nothing
-/// but the instance, m, and the budget; on a faulted machine the
+/// but the instance, m, and the budget, and the dual fit equal to
+/// EnumeratedDualFitBound under every budget; on a faulted machine the
 /// max-flow bound must additionally be >= its healthy-machine value
 /// (capacity never increases under faults).  Pure and deterministic, so
 /// fuzz repros replay it with no extra state.

@@ -1,11 +1,11 @@
 #include "opt/dual_fitting.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 
 #include "common/assert.h"
 #include "dag/metrics.h"
+#include "opt/lower_bounds.h"
 
 namespace otsched {
 
@@ -50,47 +50,6 @@ std::int64_t MinWeightOver(const std::vector<DualInterval>& witness,
 bool Fail(std::string* why, const std::string& message) {
   if (why != nullptr) *why = message;
   return false;
-}
-
-/// Calls visit(first, last, profile) once for every pair of distinct
-/// release times first <= last, ordered by first and then last, where
-/// profile[d] = sum over the jobs released in [first, last] of W(d), the
-/// work deeper than d, for d in [0, instance.max_span()].  profile[0] is
-/// the window's total work, and profiles are non-increasing in d, so a
-/// visitor may stop at the first zero.  O(R * sum of spans + R^2) for R
-/// distinct releases, plus what the visitor spends.
-void ForEachReleaseWindow(
-    const Instance& instance,
-    const std::function<void(Time first, Time last,
-                             const std::vector<std::int64_t>& profile)>&
-        visit) {
-  std::vector<const Job*> by_release;
-  by_release.reserve(static_cast<std::size_t>(instance.job_count()));
-  for (const Job& job : instance.jobs()) by_release.push_back(&job);
-  std::sort(by_release.begin(), by_release.end(),
-            [](const Job* x, const Job* y) {
-              return x->release() < y->release();
-            });
-
-  // For each first release a, extend the window one release group at a
-  // time, adding the group's depth profiles to a running sum.
-  std::vector<std::int64_t> profile;
-  for (std::size_t a = 0; a < by_release.size();) {
-    const Time first = by_release[a]->release();
-    profile.assign(static_cast<std::size_t>(instance.max_span()) + 1, 0);
-    std::size_t b = a;
-    while (b < by_release.size()) {
-      const Time last = by_release[b]->release();
-      for (; b < by_release.size() && by_release[b]->release() == last; ++b) {
-        const DagMetrics& metrics = by_release[b]->metrics();
-        for (std::int64_t d = 0; d < metrics.span; ++d) {
-          profile[static_cast<std::size_t>(d)] += metrics.w_deeper(d);
-        }
-      }
-      visit(first, last, profile);
-    }
-    while (a < by_release.size() && by_release[a]->release() == first) ++a;
-  }
 }
 
 }  // namespace
@@ -161,48 +120,14 @@ Certificate DualFitCertificate(const Instance& instance, int m,
   cert.method = "dual-fit";
 
   // The span candidate needs no witness: at F = max_span - 1 some
-  // root-to-leaf chain has an empty window.
-  Time best = std::max<Time>(1, instance.max_span());
-  std::vector<DualInterval> best_witness;
-
-  // Enumerate 0/1 witnesses T(a, b, d, B) = [a + d + 1, b + B - 1] over
-  // every release window and depth, with exact (possibly faulted)
-  // capacity sums.  This enumeration is deliberately independent of the
-  // prefix sweep in opt/lower_bounds, which must reach the same value on
-  // a healthy machine.  For fixed (a, b, d) the capacity
-  // of T grows with B while the demand W stays put, so the best
-  // certified B is found by binary search on "capacity < W".
-  const Time trace_len = budget == nullptr ? 0 : budget->length();
-  ForEachReleaseWindow(instance, [&](Time a, Time b,
-                                     const std::vector<std::int64_t>&
-                                         profile) {
-    for (std::size_t di = 0; di < profile.size() && profile[di] > 0; ++di) {
-      const Time d = static_cast<Time>(di);
-      const std::int64_t demand = profile[di];
-      const auto capacity = [&](Time bound) {
-        return SlotCapacitySum(budget, a + d + 1, b + bound - 1, m);
-      };
-      // Smallest B making T nonempty; larger B only adds capacity.
-      Time lo = std::max<Time>(1, d + 2 - (b - a));
-      if (capacity(lo) >= demand) continue;
-      // Beyond the trace every slot supplies m >= 1 units, so the
-      // bound saturates within demand + trace_len extra slots.
-      Time hi = lo + demand + trace_len + 1;
-      OTSCHED_CHECK(capacity(hi) >= demand,
-                    "dual-fit search horizon too small");
-      while (hi - lo > 1) {
-        const Time mid = lo + (hi - lo) / 2;
-        (capacity(mid) < demand ? lo : hi) = mid;
-      }
-      if (lo > best) {
-        best = lo;
-        best_witness = {{a + d + 1, b + lo - 1, 1}};
-      }
-    }
-  });
-
-  cert.value = best;
-  cert.witness = std::move(best_witness);
+  // root-to-leaf chain has an empty window.  Any stronger value comes
+  // from the release-window sweep's single interval.
+  const Time span = std::max<Time>(1, instance.max_span());
+  const ReleaseWindowBound windows = SweepReleaseWindows(instance, m, budget);
+  cert.value = std::max(span, windows.value);
+  if (windows.value > span) {
+    cert.witness = {{windows.first, windows.last, 1}};
+  }
   std::string why;
   OTSCHED_CHECK(cert.verify(instance, budget, &why),
                 "dual-fit certificate failed self-verification: " << why);

@@ -34,9 +34,9 @@
 // set T of slots whose contained windows demand more units than T can
 // supply.  opt/flow_network reads one such interval off the first
 // deadline its earliest-deadline-first sweep misses; DualFitCertificate
-// below builds them directly by enumerating every pair of release times
-// and every depth, generalizing every closed-form bound of
-// opt/lower_bounds to per-slot capacities.
+// below takes one from the release-window sweep of opt/lower_bounds run
+// with per-slot capacities, generalizing its closed-form bounds to a
+// faulted machine.
 #pragma once
 
 #include <cstdint>
@@ -94,11 +94,13 @@ struct Certificate {
 /// window family T(a, b, d, B) = [a + d + 1, b + B - 1]: for release
 /// times a <= b and depth d, the subjobs deeper than d of jobs released
 /// in [a, b] all have windows inside T, so whenever their count exceeds
-/// the capacity sum of T the bound B is certified.  With full capacity
-/// the search lands on d + ceil(W / m) - (b - a) for each window, so the
-/// value equals ComputeLowerBounds(...).best() of opt/lower_bounds
-/// exactly; with a BudgetTrace the capacity sums shrink and the bound can
-/// only strengthen.  The result always passes verify().
+/// the capacity sum of T the bound B is certified.  The value is
+/// max(1, max span, SweepReleaseWindows(instance, m, budget).value) and
+/// the witness that sweep's winning interval (none when the span binds).
+/// With full capacity this equals ComputeLowerBounds(...).best() of
+/// opt/lower_bounds exactly; with a BudgetTrace the capacity sums shrink
+/// and the bound can only strengthen.  The result always passes
+/// verify().
 Certificate DualFitCertificate(const Instance& instance, int m,
                                const BudgetTrace* budget = nullptr);
 

@@ -2,26 +2,22 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <queue>
 
 #include "common/assert.h"
 
 namespace otsched {
+namespace {
 
-bool FlowRelaxationFeasible(const Instance& instance, int m, Time flow_bound,
-                            const BudgetTrace* budget,
-                            std::vector<DualInterval>* hall_witness) {
-  OTSCHED_CHECK(m >= 1, "m must be >= 1, got " << m);
-  if (hall_witness != nullptr) hall_witness->clear();
-  if (instance.empty()) return true;
-
-  std::vector<SlotWindow> windows =
-      ComputeSubjobWindows(instance, flow_bound);
-  for (const SlotWindow& w : windows) {
-    // Below the longest chain through some subjob: infeasible with no
-    // slot-set witness needed (Certificate::verify's empty-window rule).
-    if (w.earliest > w.latest) return false;
-  }
+/// The one EDF sweep: each slot serves up to its capacity of the pending
+/// windows with the smallest `latest`.  Returns the maximum lateness, the
+/// largest (serving slot - latest), and fills a non-null `hall_witness`
+/// at the first missed deadline.  The serving order does not depend on F,
+/// so the lateness at F is the lateness at 0 minus F.
+Time EdfLateness(std::vector<SlotWindow> windows, int m,
+                 const BudgetTrace* budget,
+                 std::vector<DualInterval>* hall_witness) {
   std::sort(windows.begin(), windows.end(),
             [](const SlotWindow& x, const SlotWindow& y) {
               return x.earliest < y.earliest;
@@ -35,6 +31,7 @@ bool FlowRelaxationFeasible(const Instance& instance, int m, Time flow_bound,
   // t served, which the witness below needs.
   std::priority_queue<Time, std::vector<Time>, std::greater<>> deadlines;
   std::vector<Time> largest_popped;
+  Time lateness = std::numeric_limits<Time>::min();
   Time run_start = 0;
   std::size_t next = 0;
   for (Time t = 0; next < windows.size() || !deadlines.empty(); ++t) {
@@ -51,29 +48,49 @@ bool FlowRelaxationFeasible(const Instance& instance, int m, Time flow_bound,
     for (int k = 0; k < capacity && !deadlines.empty(); ++k) {
       largest = deadlines.top();
       deadlines.pop();
+      lateness = std::max(lateness, t - largest);
     }
     largest_popped.push_back(largest);
-    if (deadlines.empty() || deadlines.top() > t) continue;
-
-    // Deadline L = t missed.  Let u be the last slot of the run that
-    // served a deadline beyond L (EDF then left only deadlines beyond L
-    // pending), or run_start - 1.  Every window served in (u, L] or
-    // still pending with deadline <= L opened after u and closes by L,
-    // and every slot of (u, L] is full, so T = [u + 1, L] holds more
-    // windows than capacity: a Hall deficiency.
-    if (hall_witness != nullptr) {
-      Time first = run_start;
-      for (Time u = t; u >= run_start; --u) {
-        if (largest_popped[static_cast<std::size_t>(u - run_start)] > t) {
-          first = u + 1;
-          break;
-        }
-      }
-      hall_witness->push_back({first, t, 1});
+    if (hall_witness == nullptr || !hall_witness->empty() ||
+        deadlines.empty() || deadlines.top() > t) {
+      continue;
     }
-    return false;
+
+    // Deadline L = t missed first.  Let u be the last slot of the run
+    // that served a deadline beyond L (EDF then left only deadlines
+    // beyond L pending), or run_start - 1.  Every window served in
+    // (u, L] or still pending with deadline <= L opened after u and
+    // closes by L, and every slot of (u, L] is full, so T = [u + 1, L]
+    // holds more windows than capacity: a Hall deficiency.
+    Time first = run_start;
+    for (Time u = t; u >= run_start; --u) {
+      if (largest_popped[static_cast<std::size_t>(u - run_start)] > t) {
+        first = u + 1;
+        break;
+      }
+    }
+    hall_witness->push_back({first, t, 1});
   }
-  return true;
+  return lateness;
+}
+
+}  // namespace
+
+bool FlowRelaxationFeasible(const Instance& instance, int m, Time flow_bound,
+                            const BudgetTrace* budget,
+                            std::vector<DualInterval>* hall_witness) {
+  OTSCHED_CHECK(m >= 1, "m must be >= 1, got " << m);
+  if (hall_witness != nullptr) hall_witness->clear();
+  if (instance.empty()) return true;
+
+  std::vector<SlotWindow> windows =
+      ComputeSubjobWindows(instance, flow_bound);
+  for (const SlotWindow& w : windows) {
+    // Below the longest chain through some subjob: infeasible with no
+    // slot-set witness needed (Certificate::verify's empty-window rule).
+    if (w.earliest > w.latest) return false;
+  }
+  return EdfLateness(std::move(windows), m, budget, hall_witness) <= 0;
 }
 
 Certificate MaxFlowCertificate(const Instance& instance, int m,
@@ -88,28 +105,12 @@ Certificate MaxFlowCertificate(const Instance& instance, int m,
   }
   cert.method = "max-flow";
 
-  // F = 0 is always infeasible for a nonempty instance (every window
-  // [r + depth, r - height + 1] is empty), so the invariant below is
-  // lo infeasible / hi feasible from the start.
-  Time lo = 0;
-  Time hi = instance.max_span() +
-            (instance.max_release() - instance.min_release()) +
-            instance.total_work() +
-            (budget == nullptr ? 0 : budget->length()) + 1;
-  for (int doubling = 0; !FlowRelaxationFeasible(instance, m, hi, budget);
-       ++doubling) {
-    OTSCHED_CHECK(doubling < 16, "no feasible flow bound below " << hi);
-    hi *= 2;
-  }
-  while (hi - lo > 1) {
-    const Time mid = lo + (hi - lo) / 2;
-    (FlowRelaxationFeasible(instance, m, mid, budget) ? hi : lo) = mid;
-  }
-  cert.value = hi;
-
-  const bool below_feasible = FlowRelaxationFeasible(
-      instance, m, cert.value - 1, budget, &cert.witness);
-  OTSCHED_CHECK(!below_feasible, "binary search lost the infeasible side");
+  // The relaxation is feasible at F iff the lateness at F, the lateness
+  // at 0 minus F, is <= 0.  Every window is served at or after its
+  // `earliest`, so at F* every window is nonempty as well.
+  cert.value = EdfLateness(ComputeSubjobWindows(instance, 0), m, budget,
+                           nullptr);
+  FlowRelaxationFeasible(instance, m, cert.value - 1, budget, &cert.witness);
   std::string why;
   OTSCHED_CHECK(cert.verify(instance, budget, &why),
                 "max-flow certificate failed self-verification: " << why);

@@ -13,11 +13,13 @@
 // interval windows it needs no general max-flow solver: an
 // earliest-deadline-first sweep over the slots (each slot serves up to
 // c_t pending windows with the smallest `latest`) schedules every window
-// iff any assignment does, in O(N log N) for N subjobs.  Feasibility is
-// monotone in F (windows only widen), so the smallest feasible F* is
-// found by binary search and OPT >= F*.  Certificates keep the method
-// tag "max-flow": the bound is the max-flow value of that network,
-// whatever algorithm decides it.
+// iff any assignment does, in O(N log N) for N subjobs.  Every `latest`
+// moves with F while the serving order does not, so one sweep at F = 0
+// yields the maximum lateness L (largest serving slot - `latest`), the
+// relaxation is feasible at F iff L - F <= 0, and the smallest feasible
+// F* = L with OPT >= F*.  Certificates keep the method tag "max-flow":
+// the bound is the max-flow value of that network, whatever algorithm
+// decides it.
 //
 // The subsystem never asks anyone to trust the solver: infeasibility of
 // F* - 1 is exported as a Hall-condition deficiency witness — the one
@@ -52,7 +54,8 @@ bool FlowRelaxationFeasible(const Instance& instance, int m, Time flow_bound,
                             std::vector<DualInterval>* hall_witness = nullptr);
 
 /// The certified max-flow lower bound: the smallest F whose relaxation
-/// is feasible, packaged with the Hall witness for F - 1.  The result
+/// is feasible (the EDF lateness at F = 0), packaged with the Hall
+/// witness of one more sweep at F - 1.  The result
 /// always passes Certificate::verify() (checked in-process before
 /// returning) and dominates both DualFitCertificate and every
 /// opt/lower_bounds component; opt/brute_force stays above it on small

@@ -1,7 +1,6 @@
 #include "opt/lower_bounds.h"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "common/assert.h"
@@ -50,36 +49,78 @@ Time DepthProfileBound(const Job& job, int m) {
   return best;
 }
 
-LowerBounds ComputeLowerBounds(const Instance& instance, int m) {
+namespace {
+
+/// C(t) = m * t - (what `budget` removes from the slots before t), so
+/// the slots [s, t - 1] supply C(t) - C(s).  C is nondecreasing with one
+/// step per pin; with no pins both queries are closed forms.
+class CapacityPrefix {
+ public:
+  CapacityPrefix(int m, const BudgetTrace* budget) : m_(m) {
+    std::int64_t removed = 0;  // from the slots up to each pin
+    for (std::size_t i = 0; budget != nullptr && i < budget->entry_count();
+         ++i) {
+      const Time slot = budget->entry(i).first;
+      removed += m - budget->capacity_at(slot, m);
+      pins_.emplace_back(slot, removed);
+    }
+  }
+
+  __int128 at(Time t) const {
+    return Linear(t) - Removed([t](const Pin& pin) { return pin.first < t; });
+  }
+
+  /// The largest y with C(y) < x, for x >= 1.  Past the last pin whose
+  /// next slot still has C < x, C(y) = m * y - removed; it stays below x
+  /// at most up to the next pin's slot, so the division needs no cap.
+  __int128 last_below(__int128 x) const {
+    return (x - 1 + Removed([&](const Pin& pin) {
+              return Linear(pin.first) + m_ - pin.second < x;
+            })) / m_;
+  }
+
+ private:
+  using Pin = std::pair<Time, std::int64_t>;
+
+  /// What the leading pins that satisfy `before` remove.
+  template <typename Before>
+  std::int64_t Removed(Before before) const {
+    const auto next = std::partition_point(pins_.begin(), pins_.end(), before);
+    return next == pins_.begin() ? 0 : std::prev(next)->second;
+  }
+  __int128 Linear(Time t) const { return static_cast<__int128>(m_) * t; }
+
+  int m_;
+  std::vector<Pin> pins_;
+};
+
+}  // namespace
+
+ReleaseWindowBound SweepReleaseWindows(const Instance& instance, int m,
+                                       const BudgetTrace* budget) {
   OTSCHED_CHECK(m >= 1, "lower bounds need a machine: m >= 1, got " << m);
-  LowerBounds bounds;
   std::vector<const Job*> by_release;
   by_release.reserve(static_cast<std::size_t>(instance.job_count()));
-  for (const Job& job : instance.jobs()) {
-    bounds.span_bound = std::max<Time>(bounds.span_bound, job.span());
-    bounds.work_bound =
-        std::max<Time>(bounds.work_bound, (job.work() + m - 1) / m);
-    bounds.depth_profile_bound =
-        std::max(bounds.depth_profile_bound, DepthProfileBound(job, m));
-    by_release.push_back(&job);
-  }
+  for (const Job& job : instance.jobs()) by_release.push_back(&job);
   std::sort(by_release.begin(), by_release.end(),
             [](const Job* x, const Job* y) {
               return x->release() < y->release();
             });
 
   // One sweep per depth row d over the release groups (see the header).
-  // prefix[d] = P, the W(d) released before the current group; top[d] is
-  // the largest key r_a - floor(P_a / m) over the window starts so far,
-  // and low[d] the smallest residue P_a mod m among the starts reaching
-  // it.  Row d only starts and ends windows at groups with work deeper
+  // prefix[d] = P, the W(d) released before the current group; key[d] is
+  // the largest C(r_a + d + 1) - P_a over the window starts so far, and
+  // start[d] the first r_a reaching it.  Keys start at -2^126, below any
+  // real one (|C(t)| < 2^31 * 2^63).  Row d only starts and ends windows at groups with work deeper
   // than d: a window whose first or last group adds nothing to W(d) is
   // beaten by the narrower window without that group, and no window
   // with W(d) = 0 is scored at all.
+  const CapacityPrefix capacity(m, budget);
   const auto rows = static_cast<std::size_t>(instance.max_span());
   std::vector<std::int64_t> prefix(rows, 0);
-  std::vector<Time> top(rows, std::numeric_limits<Time>::min());
-  std::vector<std::int64_t> low(rows, 0);
+  std::vector<__int128> key(rows, -(static_cast<__int128>(1) << 126));
+  std::vector<Time> start(rows, 0);
+  ReleaseWindowBound bound;
   for (std::size_t g = 0; g < by_release.size();) {
     const Time release = by_release[g]->release();
     std::size_t end = g;
@@ -90,13 +131,11 @@ LowerBounds ComputeLowerBounds(const Instance& instance, int m) {
                             static_cast<std::size_t>(by_release[end]->span()));
     }
     for (std::size_t d = 0; d < group_rows; ++d) {
-      const Time key = release - prefix[d] / m;
-      const std::int64_t residue = prefix[d] % m;
-      if (key > top[d]) {
-        top[d] = key;
-        low[d] = residue;
-      } else if (key == top[d]) {
-        low[d] = std::min(low[d], residue);
+      const __int128 candidate =
+          capacity.at(release + static_cast<Time>(d) + 1) - prefix[d];
+      if (candidate > key[d]) {
+        key[d] = candidate;
+        start[d] = release;
       }
     }
     for (; g < end; ++g) {
@@ -107,15 +146,32 @@ LowerBounds ComputeLowerBounds(const Instance& instance, int m) {
       }
     }
     for (std::size_t d = 0; d < group_rows; ++d) {
-      const Time bound = static_cast<Time>(d) + prefix[d] / m - release +
-                         top[d] + (low[d] < prefix[d] % m ? 1 : 0);
-      if (d == 0) {
-        bounds.interval_bound = std::max(bounds.interval_bound, bound);
+      const auto b = static_cast<Time>(
+          capacity.last_below(prefix[d] + key[d]) - release);
+      if (d == 0) bound.interval = std::max(bound.interval, b);
+      if (b > bound.value) {
+        bound.value = b;
+        bound.first = start[d] + static_cast<Time>(d) + 1;
+        bound.last = release + b - 1;
       }
-      bounds.depth_interval_bound =
-          std::max(bounds.depth_interval_bound, bound);
     }
   }
+  return bound;
+}
+
+LowerBounds ComputeLowerBounds(const Instance& instance, int m) {
+  OTSCHED_CHECK(m >= 1, "lower bounds need a machine: m >= 1, got " << m);
+  LowerBounds bounds;
+  for (const Job& job : instance.jobs()) {
+    bounds.span_bound = std::max<Time>(bounds.span_bound, job.span());
+    bounds.work_bound =
+        std::max<Time>(bounds.work_bound, (job.work() + m - 1) / m);
+    bounds.depth_profile_bound =
+        std::max(bounds.depth_profile_bound, DepthProfileBound(job, m));
+  }
+  const ReleaseWindowBound windows = SweepReleaseWindows(instance, m);
+  bounds.interval_bound = windows.interval;
+  bounds.depth_interval_bound = windows.value;
   return bounds;
 }
 

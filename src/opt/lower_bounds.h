@@ -12,15 +12,15 @@
 //                   must fit into m * (b - a + F) processor-slots, so
 //                   F >= ceil(W[a,b] / m) - (b - a).
 //
-// The interval and depth x interval bounds come from one prefix sweep
-// per depth (ComputeLowerBounds); the dual-fit certificate of
-// opt/dual_fitting reaches the same value by enumerating every release
-// window, an independent cross-check.
+// The interval and depth x interval bounds come from one sweep per depth
+// (SweepReleaseWindows), which opt/dual_fitting reuses with per-slot
+// capacities for its certificate.
 #pragma once
 
 #include <cstdint>
 
 #include "job/instance.h"
+#include "sim/faults.h"
 
 namespace otsched {
 
@@ -62,19 +62,34 @@ struct LowerBounds {
   BoundComponent best_component() const;
 };
 
-/// Computes all bounds in O(n log n + sum of spans) for n jobs, with
-/// O(1) state per depth row and nothing sized by m.
-///
-/// The per-job components take one pass over the jobs.  The interval and
-/// depth x interval bounds sweep the release groups in order, once per
-/// depth d (the interval bound is the d = 0 row).  Writing the W(d)
-/// released before group g as P_g = q_g * m + s_g with 0 <= s_g < m,
-///   ceil((P_{b+1} - P_a) / m) = q_{b+1} - q_a + [s_{b+1} > s_a],
-/// so the window [r_a, r_b] gives
-///   d + q_{b+1} - r_b + (key_a + [s_a < s_{b+1}]),  key_a = r_a - q_a.
-/// The indicator is 0 or 1 and keys are integers, so the best start for
-/// b is worth top + [low < s_{b+1}], where top is the largest key so far
-/// and low the smallest residue among the starts reaching it.
+/// The best release-window x depth bound on a machine whose slot t
+/// supplies m processors, or budget->capacity_at(t, m).
+struct ReleaseWindowBound {
+  Time interval = 0;  // best over the d = 0 row (the interval bound)
+  Time value = 0;     // best over every row (the depth x interval bound)
+  /// The slot interval T = [a + d + 1, b + value - 1] of the first
+  /// (b, d, a) attaining `value`, in sweep order.
+  Time first = 0;
+  Time last = -1;
+};
+
+/// For release times a <= b and depth d, the W subjobs deeper than d of
+/// the jobs released in [a, b] all run inside T = [a + d + 1, b + B - 1]
+/// in any schedule with maximum flow below B, so B is certified when W
+/// exceeds T's supply.  With C(t) the supply of the slots before t (m * t
+/// when healthy) and P_g(d) the W(d) released before group g, that reads
+///   C(b + B) < P_{b+1}(d) + (C(a + d + 1) - P_a(d)),
+/// so each row keeps the running maximum of the bracketed key over the
+/// starts a, and at group b the best B is y - b for the largest y with
+/// C(y) < P_{b+1}(d) + key: a ceiling division when healthy, giving
+/// d + ceil(W / m) - (b - a).  O(n log n + sum of spans), times
+/// log(pins) under a budget; nothing sized by m, and __int128 keys.
+ReleaseWindowBound SweepReleaseWindows(const Instance& instance, int m,
+                                       const BudgetTrace* budget = nullptr);
+
+/// Computes all bounds: one pass over the jobs for the per-job
+/// components, and SweepReleaseWindows on the healthy machine for the
+/// interval (d = 0) and depth x interval bounds.
 LowerBounds ComputeLowerBounds(const Instance& instance, int m);
 
 /// Shorthand for ComputeLowerBounds(...).best().

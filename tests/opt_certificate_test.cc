@@ -172,8 +172,10 @@ TEST(MaxFlowCertificate, CarriesAHallWitnessWhenSpanDoesNotBind) {
 }
 
 TEST(DualFitCertificate, DominatesEveryHeuristicComponent) {
-  // On a healthy machine the binary search lands on the closed form
+  // On a healthy machine the sweep's capacity inverse is the closed form
   // d + ceil(W / m) - (b - a) per window, so "dominates" is equality.
+  // Under a budget it must still equal the window enumeration, and the
+  // faulted value can only rise.
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed * 2654435761ULL);
     const Instance instance =
@@ -182,7 +184,16 @@ TEST(DualFitCertificate, DominatesEveryHeuristicComponent) {
       const Certificate dual = DualFitCertificate(instance, m);
       EXPECT_EQ(dual.value, MaxFlowLowerBound(instance, m))
           << InstanceToText(instance);
+      EXPECT_EQ(dual.value, EnumeratedDualFitBound(instance, m))
+          << InstanceToText(instance);
       EXPECT_TRUE(dual.verify(instance));
+
+      const BudgetTrace trace = RandomTrace(rng, m, /*max_len=*/12);
+      const Certificate faulted = DualFitCertificate(instance, m, &trace);
+      EXPECT_EQ(faulted.value, EnumeratedDualFitBound(instance, m, &trace))
+          << trace.to_csv() << InstanceToText(instance);
+      EXPECT_GE(faulted.value, dual.value) << InstanceToText(instance);
+      EXPECT_TRUE(faulted.verify(instance, &trace));
     }
   }
 }
@@ -422,9 +433,11 @@ TEST(FlowRelaxation, SweepAgreesWithBipartiteMatching) {
     const int m = 1 + static_cast<int>(rng.next_below(3));
     const BudgetTrace trace = RandomTrace(rng, m, /*max_len=*/14);
     const BudgetTrace* budget = seed % 2 == 0 ? &trace : nullptr;
+    Time first_feasible = 0;
     for (Time flow_bound = 1; flow_bound <= 12; ++flow_bound) {
       const bool feasible =
           FlowRelaxationFeasible(instance, m, flow_bound, budget);
+      if (feasible && first_feasible == 0) first_feasible = flow_bound;
       ASSERT_EQ(feasible, MatchingFeasible(instance, m, flow_bound, budget))
           << "F=" << flow_bound << " m=" << m << "\n"
           << InstanceToText(instance);
@@ -434,6 +447,12 @@ TEST(FlowRelaxation, SweepAgreesWithBipartiteMatching) {
             << "F=" << flow_bound << " m=" << m << "\n"
             << InstanceToText(instance);
       }
+    }
+    // The one-pass certificate is the smallest feasible F.
+    if (first_feasible > 0) {
+      ASSERT_EQ(MaxFlowCertificate(instance, m, budget).value, first_feasible)
+          << "m=" << m << "\n"
+          << InstanceToText(instance);
     }
   }
   EXPECT_GE(infeasible, 300);

@@ -370,9 +370,9 @@ expect_diagnostic("needs explicit per-slot budgets"
 # Non-positive machine counts get a diagnostic too.
 expect_diagnostic("m >= 1" ${CLI} bounds ${INST} 0)
 
-# A 1,000-job stream certifies in seconds: the relaxation's sweep is
-# O(N log N) per probe, so both certificates verify well inside CTest's
-# timeout.
+# A 1,000-job stream certifies in well under a second: the max-flow
+# certificate is one O(N log N) EDF pass plus one witness probe, and the
+# dual fit one sweep over the release groups per depth.
 run_step(${CLI} gen trees 1000 40 7 1 ${WORKDIR}/cli_trees1000.inst)
 execute_process(COMMAND ${CLI} bounds ${WORKDIR}/cli_trees1000.inst 8
                 --certify
@@ -385,6 +385,26 @@ foreach(which dual-fit max-flow)
   if(NOT big_cert_out MATCHES "${which} certificate : [0-9]+ \\(verified\\)")
     message(FATAL_ERROR
             "1000-job ${which} certificate not verified:\n${big_cert_out}")
+  endif()
+endforeach()
+
+# Two jobs released 2^62 apart on m = 2: m * t overflows int64, which
+# the window sweep's __int128 keys absorb, so the dual fit certifies the
+# span instead of aborting.
+file(WRITE ${WORKDIR}/cli_far_release.inst
+     "otsched-instance-v1\njob 0 2\n0 1\nend\n"
+     "job 4611686018427387904 2\n0 1\nend\n")
+execute_process(COMMAND ${CLI} bounds ${WORKDIR}/cli_far_release.inst 2
+                --certify
+                RESULT_VARIABLE code OUTPUT_VARIABLE far_cert_out
+                WORKING_DIRECTORY ${WORKDIR})
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "bounds --certify on far releases failed (${code})")
+endif()
+foreach(which dual-fit max-flow)
+  if(NOT far_cert_out MATCHES "${which} certificate : 2 \\(verified\\)")
+    message(FATAL_ERROR
+            "far-release ${which} certificate is not 2:\n${far_cert_out}")
   endif()
 endforeach()
 
