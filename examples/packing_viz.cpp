@@ -9,7 +9,6 @@
 
 #include "core/lpf.h"
 #include "dag/builders.h"
-#include "dag/serialize.h"
 #include "dag/validate.h"
 #include "gen/random_trees.h"
 #include "opt/single_batch.h"

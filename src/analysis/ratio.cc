@@ -1,5 +1,7 @@
 #include "analysis/ratio.h"
 
+#include <utility>
+
 #include "common/assert.h"
 #include "opt/flow_network.h"
 
@@ -45,6 +47,7 @@ RatioMeasurement MeasureRatio(const Instance& instance, int m,
                  static_cast<double>(result.opt_denominator);
   result.flow_stats = ComputeFlowStats(sim.flows);
   result.sim_stats = sim.stats;
+  result.schedule = std::move(sim.schedule);
   return result;
 }
 

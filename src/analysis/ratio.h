@@ -6,6 +6,7 @@
 // lower bounds on nothing.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "analysis/flow_stats.h"
@@ -28,6 +29,10 @@ struct RatioMeasurement {
   double ratio = 0.0;
   FlowStats flow_stats;
   SimStats sim_stats;
+  /// The measured run's schedule, already re-validated end to end:
+  /// present iff the run recorded RecordMode::kFull.  Renderers and
+  /// time-series derivations read it instead of simulating again.
+  std::optional<Schedule> schedule;
 
   // ---- certified lower bound (filled by AttachCertificate) ----
 
@@ -56,7 +61,8 @@ struct RatioMeasurement {
 /// The measurement only consumes aggregates, so flow-only runs
 /// (RecordMode::kFlowOnly, e.g. via FlowOnlyOptions()) are the preferred
 /// mode for sweeps; full-mode runs additionally re-validate the produced
-/// schedule end to end with ScheduleValidator.
+/// schedule end to end with ScheduleValidator and hand it back in
+/// RatioMeasurement::schedule.
 RatioMeasurement MeasureRatio(const Instance& instance, int m,
                               Scheduler& scheduler, Time certified_opt = 0,
                               const RunContext& context = {});

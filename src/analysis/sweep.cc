@@ -22,12 +22,9 @@ SeedAggregate Aggregate(const std::vector<double>& values) {
   return agg;
 }
 
-MetricsRegistry MergedMetrics(
-    std::span<const BatchRunner::InstrumentedRun> runs) {
+MetricsRegistry MergedMetrics(std::span<const MetricsRegistry> cells) {
   MetricsRegistry merged;
-  for (const BatchRunner::InstrumentedRun& run : runs) {
-    merged.merge_from(run.metrics);
-  }
+  for (const MetricsRegistry& cell : cells) merged.merge_from(cell);
   return merged;
 }
 

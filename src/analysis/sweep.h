@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "sim/batch_runner.h"
 
 namespace otsched {
@@ -31,8 +32,7 @@ SeedAggregate Aggregate(const std::vector<double>& values);
 /// Folds the per-cell registries of an instrumented batch into one
 /// aggregate, in index order — the same order for every worker count, so
 /// sweep metrics are deterministic exactly like sweep tables.
-MetricsRegistry MergedMetrics(
-    std::span<const BatchRunner::InstrumentedRun> runs);
+MetricsRegistry MergedMetrics(std::span<const MetricsRegistry> cells);
 
 // ---- crash-tolerant checkpointing ----
 

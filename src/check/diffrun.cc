@@ -5,10 +5,10 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
-#include <string_view>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/fnv.h"
 #include "common/parse.h"
 #include "common/rng.h"
 #include "core/alg_a.h"
@@ -51,25 +51,6 @@ struct FuzzCase {
   /// Add the job-fault legs to a registry policy's case.
   bool job_faults = false;
 };
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-/// FNV-1a over the eight bytes of `value`, least significant first.
-std::uint64_t Fnv1a(std::uint64_t h, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((value >> (8 * i)) & 0xff)) * kFnvPrime;
-  }
-  return h;
-}
-
-/// FNV-1a over the bytes of `text`.
-std::uint64_t Fnv1a(std::uint64_t h, std::string_view text) {
-  for (const char c : text) {
-    h = (h ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
-  return h;
-}
 
 /// FNV-1a over (seed, m, policy): the case identity hash behind every
 /// derived trial dimension (record-mode toggle, fault leg).  Pure function

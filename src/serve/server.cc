@@ -9,12 +9,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <utility>
 
 #include "common/assert.h"
+#include "common/fnv.h"
 #include "serve/protocol.h"
 
 namespace otsched::serve {
@@ -29,21 +29,6 @@ void StopSignalHandler(int) {
 bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/// 16-hex-digit FNV-1a — same shape as FingerprintInstance, over the
-/// daemon's pseudo-instance name, so the /metrics manifest satisfies the
-/// schema's instance_hash pattern.
-std::string FingerprintString(const std::string& text) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return hex;
 }
 
 SimOptions FlowOnlyStreamOptions() {
@@ -423,7 +408,8 @@ bool ScheduleServer::start(std::string* error) {
   // The /metrics manifest: the stream is the daemon's "instance".
   const std::string instance = "serve:" + address_;
   registry_.set_manifest("instance", instance);
-  registry_.set_manifest("instance_hash", FingerprintString(instance));
+  registry_.set_manifest("instance_hash",
+                         Hex16(Fnv1a(kFnvOffset, instance)));
   registry_.set_manifest("jobs", jobs_submitted_);
   registry_.set_manifest("total_work", total_submitted_work_);
   registry_.set_manifest("policy", options_.policy);

@@ -11,14 +11,12 @@
 
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/assert.h"
 #include "common/thread_pool.h"
 #include "sim/engine.h"
-#include "sim/observers.h"
 
 namespace otsched {
 
@@ -50,46 +48,6 @@ class BatchRunner {
       out.push_back(std::move(*slots[i]));
     }
     return out;
-  }
-
-  /// One instrumented cell: the simulation result plus the metrics its
-  /// MetricsObserver collected.  Merge the registries (index order) for
-  /// batch aggregates.
-  struct InstrumentedRun {
-    SimResult result;
-    MetricsRegistry metrics;
-  };
-
-  /// A simulation per cell — one policy run on one shared immutable
-  /// instance, `make_scheduler(i)` building a fresh policy inside the
-  /// cell — with a MetricsObserver attached to every cell.  Cells default
-  /// to flow-only recording (sweeps aggregate flows and stats, never
-  /// individual schedules).  Each cell gets a private registry, so
-  /// instrumentation adds no cross-worker coordination; pass
-  /// record_pick_times = false in `observer_options` when the aggregate
-  /// must be deterministic.  The observer slot of `context` must be
-  /// empty — each cell installs its own MetricsObserver over the shared
-  /// options/capacity.
-  template <typename MakeScheduler>
-  std::vector<InstrumentedRun> RunInstrumentedSimulations(
-      std::span<const std::pair<const Instance*, int>> cells,
-      MakeScheduler&& make_scheduler,
-      const RunContext& context = FlowOnlyOptions(),
-      MetricsObserver::Options observer_options = MetricsObserver::Options())
-      const {
-    OTSCHED_CHECK(context.observer == nullptr,
-                  "instrumented batch cells install their own per-cell "
-                  "MetricsObserver; the batch RunContext must not carry one");
-    return Map<InstrumentedRun>(cells.size(), [&](std::size_t i) {
-      const auto& [instance, m] = cells[i];
-      auto scheduler = make_scheduler(i);
-      InstrumentedRun run;
-      MetricsObserver observer(run.metrics, observer_options);
-      RunContext cell_context = context;
-      cell_context.observer = &observer;
-      run.result = Simulate(*instance, m, *scheduler, cell_context);
-      return run;
-    });
   }
 
  private:

@@ -429,9 +429,13 @@ SimResult SimDriver::drain() {
   result_.stats.executed_subjobs = executed_total_;
   // Wasted (rolled-back) subjob slots occupied processors too: they are
   // neither idle nor part of the committed executed count.
+  std::int64_t processor_slots = 0;
+  OTSCHED_CHECK(!__builtin_mul_overflow(static_cast<std::int64_t>(m_),
+                                        last_busy_slot_, &processor_slots),
+                "m * horizon = " << m_ << " * " << last_busy_slot_
+                                 << " processor-slots overflow int64");
   result_.stats.idle_processor_slots =
-      static_cast<std::int64_t>(m_) * last_busy_slot_ - executed_total_ -
-      result_.stats.wasted_subjob_slots;
+      processor_slots - executed_total_ - result_.stats.wasted_subjob_slots;
   result_.flows = SummarizeFlows(release_, std::move(finish_));
   if (observer_ != nullptr) observer_->on_finish(result_);
   return std::move(result_);

@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "job/instance.h"
@@ -238,8 +239,12 @@ std::string RunSupportError(const Scheduler& scheduler,
 /// so they get 64x work (crash rates are capped at 0.9); a job-fault
 /// spec that crashes faster than its checkpoint policy commits
 /// (livelock) still hits the bound, which is the intended detection.
-inline Time AutoHorizon(Time max_release, std::int64_t total_work,
-                        Time max_span, bool faulted) {
+/// Drivers that must know whether m * horizon fits int64 (the engines'
+/// processor-slot count) evaluate it as AutoHorizon<__int128>.
+template <typename Int = Time>
+Int AutoHorizon(std::type_identity_t<Int> max_release,
+                std::type_identity_t<Int> total_work,
+                std::type_identity_t<Int> max_span, bool faulted) {
   return faulted ? max_release + 64 * total_work + max_span + 65536
                  : max_release + 4 * total_work + max_span + 1024;
 }

@@ -439,9 +439,13 @@ SimResult ReferenceEngine::run() {
   result.stats.horizon = last_busy_slot_;
   result.stats.executed_subjobs = executed_total_;
   // Wasted (rolled-back) subjob slots occupied processors too.
+  std::int64_t processor_slots = 0;
+  OTSCHED_CHECK(!__builtin_mul_overflow(static_cast<std::int64_t>(m_),
+                                        last_busy_slot_, &processor_slots),
+                "m * horizon = " << m_ << " * " << last_busy_slot_
+                                 << " processor-slots overflow int64");
   result.stats.idle_processor_slots =
-      static_cast<std::int64_t>(m_) * last_busy_slot_ - executed_total_ -
-      result.stats.wasted_subjob_slots;
+      processor_slots - executed_total_ - result.stats.wasted_subjob_slots;
   result.flows = flows_.finish();
   if (observer_ != nullptr) observer_->on_finish(result);
   return result;

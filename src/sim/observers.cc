@@ -1,9 +1,9 @@
 #include "sim/observers.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/assert.h"
+#include "common/fnv.h"
 #include "job/serialize.h"
 
 namespace otsched {
@@ -54,13 +54,7 @@ const char* ToString(RecordMode mode) {
 }  // namespace
 
 std::uint64_t FingerprintInstance(const Instance& instance) {
-  const std::string text = InstanceToText(instance);
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+  return Fnv1a(kFnvOffset, InstanceToText(instance));
 }
 
 RunManifest MakeRunManifest(const Instance& instance, int m,
@@ -68,10 +62,7 @@ RunManifest MakeRunManifest(const Instance& instance, int m,
                             const SimOptions& options) {
   RunManifest manifest;
   manifest.instance_name = instance.name();
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(FingerprintInstance(instance)));
-  manifest.instance_hash = hex;
+  manifest.instance_hash = Hex16(FingerprintInstance(instance));
   manifest.jobs = instance.job_count();
   manifest.total_work = instance.total_work();
   manifest.policy = policy;
@@ -175,27 +166,20 @@ void MetricsObserver::on_run_begin(const EngineBackend& engine) {
   if (options_.record_pick_times) {
     pick_seconds_ = &registry_.histogram("pick.seconds", PickSecondsBuckets());
   }
-  slot_busy_ = slot_idle_ = slot_ready_width_ = slot_alive_ = nullptr;
-  slot_capacity_ = nullptr;
-  committed_frontier_ = nullptr;
   pending_frontier_valid_ = false;
-  if (options_.record_series) {
-    slot_busy_ = &registry_.series("slot.busy");
-    slot_idle_ = &registry_.series("slot.idle");
-    slot_ready_width_ = &registry_.series("slot.ready_width");
-    slot_alive_ = &registry_.series("slot.alive");
-    slot_capacity_ = &registry_.series("slot.capacity");
-    committed_frontier_ = &registry_.series("work.committed_frontier");
-  }
+  slot_busy_ = &registry_.series("slot.busy");
+  slot_idle_ = &registry_.series("slot.idle");
+  slot_ready_width_ = &registry_.series("slot.ready_width");
+  slot_alive_ = &registry_.series("slot.alive");
+  slot_capacity_ = &registry_.series("slot.capacity");
+  committed_frontier_ = &registry_.series("work.committed_frontier");
 }
 
 void MetricsObserver::record_capacity_change(Time slot, int capacity) {
   capacity_changes_->inc();
-  if (options_.record_series) {
-    // Sparse by construction: the record only appears when the value
-    // changes, so the series is the capacity step function's breakpoints.
-    slot_capacity_->record(slot, capacity);
-  }
+  // Sparse by construction: the record only appears when the value
+  // changes, so the series is the capacity step function's breakpoints.
+  slot_capacity_->record(slot, capacity);
 }
 
 void MetricsObserver::record_pick(Time slot, std::int64_t picked,
@@ -205,12 +189,10 @@ void MetricsObserver::record_pick(Time slot, std::int64_t picked,
   picks_->inc();
   alive_width_->set(static_cast<double>(alive));
   ready_width_->set(static_cast<double>(ready_width));
-  if (options_.record_series) {
-    slot_busy_->record(slot, picked);
-    slot_idle_->record(slot, m_ - picked);
-    slot_ready_width_->record(slot, ready_width);
-    slot_alive_->record(slot, alive);
-  }
+  slot_busy_->record(slot, picked);
+  slot_idle_->record(slot, m_ - picked);
+  slot_ready_width_->record(slot, ready_width);
+  slot_alive_->record(slot, alive);
   if (options_.record_pick_times) {
     pick_seconds_->observe(pick_seconds);
   }
@@ -223,7 +205,6 @@ void MetricsObserver::record_rollback(std::int64_t wasted) {
 
 void MetricsObserver::record_checkpoint(Time slot, std::int64_t frontier) {
   checkpoints_->inc();
-  if (committed_frontier_ == nullptr) return;
   if (pending_frontier_valid_ && slot != pending_frontier_slot_) {
     committed_frontier_->record(pending_frontier_slot_, pending_frontier_);
   }

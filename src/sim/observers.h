@@ -78,8 +78,6 @@ class MetricsObserver final : public RunObserver {
     /// Record the pick() wall-time histogram (the one nondeterministic
     /// metric; disable for golden tests and determinism checks).
     bool record_pick_times = true;
-    /// Record the per-slot series (busy/idle/ready-width/alive).
-    bool record_series = true;
   };
 
   explicit MetricsObserver(MetricsRegistry& registry)

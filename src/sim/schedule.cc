@@ -33,6 +33,15 @@ std::span<const SubjobRef> Schedule::at(Time slot) const {
   return {entries_.data() + begin, static_cast<std::size_t>(end - begin)};
 }
 
+std::int64_t Schedule::idle_processor_slots() const {
+  std::int64_t processor_slots = 0;
+  OTSCHED_CHECK(!__builtin_mul_overflow(static_cast<std::int64_t>(m_),
+                                        horizon_, &processor_slots),
+                "m * horizon = " << m_ << " * " << horizon_
+                                 << " processor-slots overflow int64");
+  return processor_slots - total_placed_;
+}
+
 std::vector<Time> Schedule::idle_slots(Time from, Time to,
                                        std::optional<int> capacity) const {
   const int cap = capacity.value_or(m_);

@@ -46,9 +46,7 @@ class Schedule {
   std::int64_t total_placed() const { return total_placed_; }
 
   /// Count of (slot, processor) pairs left idle over [1, horizon].
-  std::int64_t idle_processor_slots() const {
-    return static_cast<std::int64_t>(m_) * horizon_ - total_placed_;
-  }
+  std::int64_t idle_processor_slots() const;
 
   /// Slots in [from, to] with load strictly less than `capacity`
   /// (nullopt = m).  Used to check the Lemma 5.2 / Figure 2 tail shape.

@@ -292,6 +292,22 @@ TEST(EngineDeath, FullScheduleAccessorOnFlowOnlyRun) {
   EXPECT_DEATH((void)result.full_schedule(), "flow-only");
 }
 
+TEST(EngineDeath, ProcessorSlotCountOverflowAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // The second job ends at slot 2^62 + 2, so m = 2 processor-slots pass
+  // 2^63 - 1; m = 1 still fits.
+  Instance instance;
+  instance.add_job(Job(MakeChain(2), 0));
+  instance.add_job(Job(MakeChain(2), Time{1} << 62));
+  TakeAllScheduler scheduler;
+  const SimResult one = Simulate(instance, 1, scheduler, FlowOnlyOptions());
+  EXPECT_EQ(one.stats.idle_processor_slots, (Time{1} << 62) + 2 - 4);
+  EXPECT_DEATH(Simulate(instance, 2, scheduler, FlowOnlyOptions()),
+               "overflow int64");
+  EXPECT_DEATH(ReferenceSimulate(instance, 2, scheduler, FlowOnlyOptions()),
+               "overflow int64");
+}
+
 TEST(Engine, ForceClairvoyanceOverride) {
   // A scheduler that declares clairvoyance can be run with it force-
   // disabled to prove it never actually touches DAGs — here we force it

@@ -602,14 +602,19 @@ TEST(BatchRunner, InstrumentedAggregateIsWorkerCountInvariant) {
   options.record_pick_times = false;
   auto run_with_workers = [&](std::size_t workers) {
     const BatchRunner runner(workers);
-    const auto runs = runner.RunInstrumentedSimulations(
-        cells,
-        [&](std::size_t i) {
-          return MakePolicy("fifo/random", static_cast<std::uint64_t>(i % 3),
-                            0);
-        },
-        SimOptions{}, options);
-    return MergedMetrics(runs).to_json();
+    const auto registries =
+        runner.Map<MetricsRegistry>(cells.size(), [&](std::size_t i) {
+          const auto& [cell_instance, m] = cells[i];
+          const auto policy =
+              MakePolicy("fifo/random", static_cast<std::uint64_t>(i % 3), 0);
+          MetricsRegistry registry;
+          MetricsObserver observer(registry, options);
+          RunContext context;
+          context.observer = &observer;
+          Simulate(*cell_instance, m, *policy, context);
+          return registry;
+        });
+    return MergedMetrics(registries).to_json();
   };
   const std::string inline_run = run_with_workers(0);
   EXPECT_EQ(inline_run, run_with_workers(1));

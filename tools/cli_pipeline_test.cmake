@@ -253,6 +253,11 @@ expect_diagnostic("require --record flow"
 expect_diagnostic("incompatible with --job-faults"
                   ${CLI} run ${INST} 8 fifo/first-ready
                   --job-faults random-crash --render 10)
+# The renderers read the measured run's own schedule, which a flow-only
+# run does not keep.
+expect_diagnostic("incompatible with --job-faults and --record flow"
+                  ${CLI} run ${INST} 8 fifo/first-ready --record flow
+                  --svg ${WORKDIR}/cli_flow.svg)
 expect_diagnostic("does not support job faults"
                   ${CLI} run ${INST} 8 work-stealing
                   --job-faults random-crash)
@@ -407,6 +412,26 @@ foreach(which dual-fit max-flow)
             "far-release ${which} certificate is not 2:\n${far_cert_out}")
   endif()
 endforeach()
+# Simulating it is another matter: the engines count m * horizon
+# processor-slots in int64, so run, sweep and trace refuse an m whose
+# auto horizon overflows that count (run printed idle processor-slots
+# -2^63 here) and still run m = 1.
+set(FAR_OVERFLOW "m = 2 times the auto horizon .* overflows")
+expect_diagnostic("run: ${FAR_OVERFLOW}" ${CLI} run
+                  ${WORKDIR}/cli_far_release.inst 2 list-greedy --record flow)
+expect_diagnostic("sweep: ${FAR_OVERFLOW}" ${CLI} sweep
+                  ${WORKDIR}/cli_far_release.inst list-greedy --m 1,2)
+expect_diagnostic("trace: ${FAR_OVERFLOW}" ${CLI} trace
+                  ${WORKDIR}/cli_far_release.inst 2 list-greedy)
+execute_process(COMMAND ${CLI} run ${WORKDIR}/cli_far_release.inst 1
+                list-greedy --record flow
+                RESULT_VARIABLE code OUTPUT_VARIABLE far_run_out
+                WORKING_DIRECTORY ${WORKDIR})
+if(NOT code EQUAL 0 OR
+   NOT far_run_out MATCHES "idle processor-slots 4611686018427387902\n")
+  message(FATAL_ERROR "far-release run on m = 1 failed (${code}):\n"
+          "${far_run_out}")
+endif()
 
 # Plain bounds on a 10,000-job stream: the heuristic bounds sweep each
 # depth row once, so this stays well under a second in a Release build.
@@ -531,6 +556,9 @@ expect_diagnostic("gen trees: size needs at least 1, got '0'"
 # The one-token --record=VALUE spelling is not a flag.
 expect_diagnostic("run: unknown flag '--record=flow'"
                   ${CLI} run ${INST} 8 fifo/first-ready --record=flow)
+# trace always streams a flow-only run, so it takes no --record.
+expect_diagnostic("trace: unknown flag '--record'"
+                  ${CLI} trace ${INST} 8 fifo/first-ready --record full)
 # An unknown flag and a flag without its value, per subcommand.
 foreach(command run trace)
   expect_diagnostic("${command}: unknown flag '--bogus'"

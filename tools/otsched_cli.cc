@@ -14,8 +14,8 @@
 //       [--opt V] [--metrics F] [--csv F] [--record full|flow]
 //       [--faults SPEC] [--faults-trace F] [--job-faults SPEC]
 //       [--checkpoint-policy P] [--checkpoint F] [--resume]
-//   otsched trace <in.inst> <m> <policy> [--seed S] [--opt V] [--out F]
-//       [--record full|flow]                      stream the event trace
+//   otsched trace <in.inst> <m> <policy>          stream the event trace
+//       [--seed S] [--opt V] [--out F]
 //   otsched faults emit <spec> <m> <horizon> [out.csv]   freeze a model
 //   otsched faults inspect <trace.csv> <m>        summarize a budget trace
 //   otsched serve [--listen A] [--m M] [--policy P]      NDJSON-over-socket
@@ -46,6 +46,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -57,6 +58,7 @@
 #include "analysis/ratio.h"
 #include "analysis/sweep.h"
 #include "analysis/timeseries.h"
+#include "common/fnv.h"
 #include "common/parse.h"
 #include "common/table.h"
 #include "gen/arrivals.h"
@@ -109,7 +111,6 @@ int Usage() {
       "              [--checkpoint-policy P]\n"
       "              [--checkpoint F] [--resume]\n"
       "  otsched trace <in> <m> <policy> [--seed S] [--opt V] [--out F]\n"
-      "              [--record full|flow]  (default: full)\n"
       "  otsched faults emit <model[:seed[:rate]]> <m> <horizon> [out.csv]\n"
       "  otsched faults inspect <trace.csv> <m>\n"
       "  otsched serve [--listen H:P|unix:PATH] [--m M] [--policy P]\n"
@@ -359,6 +360,27 @@ bool CheckRunSupportOrComplain(const Scheduler& policy,
   if (error.empty()) return true;
   std::fprintf(stderr, "%s\n", error.c_str());
   return false;
+}
+
+/// The engines count m * horizon processor-slots in int64; a run whose
+/// auto horizon (AutoHorizon, evaluated in __int128) could take that
+/// past 2^63 - 1 on some m in `machines` is refused with one line
+/// instead of reaching the engines' overflow CHECK.
+bool HorizonFitsOrComplain(const char* command, const Instance& instance,
+                           const std::vector<int>& machines,
+                           const SimOptions& options) {
+  const __int128 horizon = AutoHorizon<__int128>(
+      instance.max_release(), instance.total_work(), instance.max_span(),
+      options.faults.active() || options.job_faults.active());
+  for (const int m : machines) {
+    if (m * horizon <= std::numeric_limits<std::int64_t>::max()) continue;
+    std::fprintf(stderr,
+                 "%s: m = %d times the auto horizon (max release %lld + "
+                 "work + span) overflows the int64 processor-slot count\n",
+                 command, m, static_cast<long long>(instance.max_release()));
+    return false;
+  }
+  return true;
 }
 
 /// Prints the job-fault crash models and checkpoint policies with their
@@ -689,11 +711,14 @@ int CmdRun(int argc, char** argv) {
   const SimOptions run_options =
       sim.options(job_faulted ? RecordMode::kFlowOnly : RecordMode::kFull);
   if (!CheckRunSupportOrComplain(*policy, run_options, sim)) return 2;
-  if (job_faulted &&
-      (render > 0 || !svg_path.empty() || !timeseries_path.empty())) {
+  if (!HorizonFitsOrComplain("run", instance, {m}, run_options)) return 2;
+  const bool walks_schedule =
+      render > 0 || !svg_path.empty() || !timeseries_path.empty();
+  if (walks_schedule && run_options.record != RecordMode::kFull) {
+    // Job faults record flow-only, so this covers both.
     std::fprintf(stderr,
-                 "--render/--svg/--timeseries walk a materialized schedule "
-                 "and are incompatible with --job-faults\n");
+                 "--render/--svg/--timeseries read the run's schedule and "
+                 "are incompatible with --job-faults and --record flow\n");
     return 2;
   }
   if (certify && faults.spec.active() &&
@@ -804,33 +829,22 @@ int CmdRun(int argc, char** argv) {
     std::printf("event trace written to %s\n", trace_path.c_str());
   }
 
-  if (render > 0 || !svg_path.empty() || !timeseries_path.empty()) {
-    // Re-run to obtain the schedule (MeasureRatio does not retain it).
-    // Always full-record here regardless of --record: the ASCII renderer,
-    // the SVG renderer, and the time-series derivation all walk the
-    // materialized slot-by-slot schedule.
-    std::unique_ptr<Scheduler> again = MakePolicy(policy_name, seed, known_opt);
-    SimOptions render_options;
-    render_options.faults = faults.spec;
-    const SimResult sim = Simulate(instance, m, *again, render_options);
-    if (render > 0) {
-      RenderOptions options;
-      options.to_slot = render;
-      std::printf("\nfirst %lld slots:\n%s", static_cast<long long>(render),
-                  RenderSchedule(sim.full_schedule(), instance,
-                                 options).c_str());
-    }
-    if (!svg_path.empty()) {
-      SvgOptions options;
-      options.title = policy_name + " on " + path;
-      SaveScheduleSvg(sim.full_schedule(), instance, svg_path, options);
-      std::printf("\nSVG written to %s\n", svg_path.c_str());
-    }
-    if (!timeseries_path.empty()) {
-      std::ofstream out(timeseries_path);
-      out << ComputeTimeSeries(sim.full_schedule(), instance).to_csv();
-      std::printf("time series written to %s\n", timeseries_path.c_str());
-    }
+  if (render > 0) {
+    RenderOptions options;
+    options.to_slot = render;
+    std::printf("\nfirst %lld slots:\n%s", static_cast<long long>(render),
+                RenderSchedule(*r.schedule, instance, options).c_str());
+  }
+  if (!svg_path.empty()) {
+    SvgOptions options;
+    options.title = policy_name + " on " + path;
+    SaveScheduleSvg(*r.schedule, instance, svg_path, options);
+    std::printf("\nSVG written to %s\n", svg_path.c_str());
+  }
+  if (!timeseries_path.empty()) {
+    std::ofstream out(timeseries_path);
+    out << ComputeTimeSeries(*r.schedule, instance).to_csv();
+    std::printf("time series written to %s\n", timeseries_path.c_str());
   }
   return 0;
 }
@@ -899,27 +913,14 @@ int CmdSweep(int argc, char** argv) {
     if (!probe) return 2;
     if (!CheckRunSupportOrComplain(*probe, sweep_options, sim)) return 2;
   }
+  if (!HorizonFitsOrComplain("sweep", instance, machines, sweep_options)) {
+    return 2;
+  }
 
-  // Grid: machines x seeds, in row-major order; cell i uses seed
-  // (i % seeds) + 1 on machines[i / seeds].
-  std::vector<std::pair<const Instance*, int>> cells;
-  for (int m : machines) cells.insert(cells.end(), seeds, {&instance, m});
-  auto seed_of = [&](std::size_t i) { return i % seeds + 1; };
-  auto make_policy = [&](std::size_t i) {
-    return MakePolicy(policy_name, seed_of(i), known_opt);
-  };
-  // Workers beyond the cell count would only idle (0 stays "auto").
-  const BatchRunner runner(workers == 0 ? 0 : std::min(workers, cells.size()));
-  std::vector<Time> max_flows(cells.size());
-  std::vector<BatchRunner::InstrumentedRun> runs;
-
+  std::optional<SweepCheckpoint> checkpoint;
   if (!checkpoint_path.empty()) {
     SweepCheckpoint::Identity identity;
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(
-                      FingerprintInstance(instance)));
-    identity.instance_hash = hex;
+    identity.instance_hash = Hex16(FingerprintInstance(instance));
     identity.policy = policy_name;
     for (std::size_t mi = 0; mi < machines.size(); ++mi) {
       if (mi > 0) identity.machines += ',';
@@ -934,51 +935,66 @@ int CmdSweep(int argc, char** argv) {
       identity.faults += "+" + ToString(sim.job_faults) + "@" +
                          CheckpointPolicyString(sim.job_faults);
     }
-    SweepCheckpoint checkpoint(checkpoint_path, identity);
+    checkpoint.emplace(checkpoint_path, identity);
     if (resume) {
       std::string error;
-      if (!checkpoint.resume(&error)) {
+      if (!checkpoint->resume(&error)) {
         std::fprintf(stderr, "%s\n", error.c_str());
         return 2;
       }
     }
-    const std::vector<SweepCellRecord> records =
-        runner.Map<SweepCellRecord>(cells.size(), [&](std::size_t i) {
-          if (std::optional<SweepCellRecord> done = checkpoint.completed(i)) {
-            return *done;  // Survived the previous run: skip the sim.
-          }
-          const auto& [inst, m] = cells[i];
-          std::unique_ptr<Scheduler> policy = make_policy(i);
-          const SimResult result = Simulate(*inst, m, *policy, sweep_options);
-          SweepCellRecord cell;
-          cell.index = i;
-          cell.m = m;
-          cell.seed = seed_of(i);
-          cell.max_flow = result.flows.max_flow;
-          cell.horizon = result.stats.horizon;
-          cell.busy_slots = result.stats.busy_slots;
-          cell.executed_subjobs = result.stats.executed_subjobs;
-          cell.idle_processor_slots = result.stats.idle_processor_slots;
-          checkpoint.record(cell);
-          return cell;
-        });
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      max_flows[i] = records[i].max_flow;
-    }
-  } else {
-    // Pick wall times stay off so the aggregate is identical for any
-    // --workers value (the determinism contract of every sweep table).
-    MetricsObserver::Options observer_options;
-    observer_options.record_pick_times = false;
-    runs = runner.RunInstrumentedSimulations(cells, make_policy,
-                                             sweep_options, observer_options);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      max_flows[i] = runs[i].result.flows.max_flow;
-    }
   }
 
-  for (const Time max_flow : max_flows) {
-    if (OptRefutedOrComplain("sweep", max_flow, known_opt)) return 2;
+  // Grid: machines x seeds, in row-major order; cell i uses seed
+  // (i % seeds) + 1 on machines[i / seeds].  Each cell is one Simulate,
+  // instrumented only when --metrics/--csv will read its registry, and
+  // skipped when a resumed checkpoint already holds it.
+  const bool want_metrics = !metrics_path.empty() || !csv_path.empty();
+  // Pick wall times stay off so the aggregate is identical for any
+  // --workers value (the determinism contract of every sweep table).
+  MetricsObserver::Options observer_options;
+  observer_options.record_pick_times = false;
+  struct Cell {
+    SweepCellRecord record;
+    MetricsRegistry metrics;
+  };
+  const std::size_t count = machines.size() * seeds;
+  // Workers beyond the cell count would only idle (0 stays "auto").
+  const BatchRunner runner(workers == 0 ? 0 : std::min(workers, count));
+  std::vector<Cell> cells = runner.Map<Cell>(count, [&](std::size_t i) {
+    Cell cell;
+    if (checkpoint.has_value()) {
+      if (std::optional<SweepCellRecord> done = checkpoint->completed(i)) {
+        cell.record = *done;  // Survived the previous run: skip the sim.
+        return cell;
+      }
+    }
+    const int m = machines[i / seeds];
+    const std::uint64_t seed = i % seeds + 1;
+    std::unique_ptr<Scheduler> policy =
+        MakePolicy(policy_name, seed, known_opt);
+    std::optional<MetricsObserver> observer;
+    if (want_metrics) observer.emplace(cell.metrics, observer_options);
+    const SimResult result =
+        Simulate(instance, m, *policy,
+                 RunContext(sweep_options,
+                            observer.has_value() ? &*observer : nullptr));
+    cell.record = {i,
+                   m,
+                   seed,
+                   result.flows.max_flow,
+                   result.stats.horizon,
+                   result.stats.busy_slots,
+                   result.stats.executed_subjobs,
+                   result.stats.idle_processor_slots};
+    if (checkpoint.has_value()) checkpoint->record(cell.record);
+    return cell;
+  });
+
+  for (const Cell& cell : cells) {
+    if (OptRefutedOrComplain("sweep", cell.record.max_flow, known_opt)) {
+      return 2;
+    }
   }
 
   // The table is derived purely from the per-cell max flows, so a fresh
@@ -987,22 +1003,27 @@ int CmdSweep(int argc, char** argv) {
   // this).
   TextTable table({"m", "max-flow mean", "min", "max"});
   for (std::size_t mi = 0; mi < machines.size(); ++mi) {
-    const auto first = max_flows.begin() + mi * seeds;
-    const SeedAggregate agg =
-        Aggregate(std::vector<double>(first, first + seeds));
+    std::vector<double> max_flows;
+    for (std::size_t i = mi * seeds; i < (mi + 1) * seeds; ++i) {
+      max_flows.push_back(static_cast<double>(cells[i].record.max_flow));
+    }
+    const SeedAggregate agg = Aggregate(max_flows);
     table.row("m=" + std::to_string(machines[mi]), agg.mean, agg.min,
               agg.max);
   }
   table.print(policy_name + " on " + path + ", " + std::to_string(seeds) +
               " seeds:");
 
-  if (!metrics_path.empty() || !csv_path.empty()) {
-    MetricsRegistry merged = MergedMetrics(runs);
+  if (want_metrics) {
+    std::vector<MetricsRegistry> registries;
+    registries.reserve(count);
+    for (Cell& cell : cells) registries.push_back(std::move(cell.metrics));
+    MetricsRegistry merged = MergedMetrics(registries);
     RunManifest manifest = MakeRunManifest(instance, machines.front(),
                                            policy_name, 1, sweep_options);
     manifest.m = machines.front();
     WriteManifest(merged, manifest);
-    merged.set_manifest("cells", static_cast<std::int64_t>(cells.size()));
+    merged.set_manifest("cells", static_cast<std::int64_t>(count));
     merged.set_manifest("seeds", static_cast<std::int64_t>(seeds));
     if (!metrics_path.empty()) {
       if (!WriteFileOrComplain(metrics_path, merged.to_json(), "metrics")) {
@@ -1028,13 +1049,12 @@ int CmdTrace(int argc, char** argv) {
   std::uint64_t seed = 1;
   Time known_opt = 0;
   std::string out_path;
-  std::optional<RecordMode> record;
   if (!ParseArgs("trace",
                  {TextArg("in", &path, "an instance file"),
                   MachinesArg("m", &m),
                   TextArg("policy", &policy_name, "a policy name"),
                   IntArg("--seed", &seed), IntArg("--opt", &known_opt),
-                  TextArg("--out", &out_path), RecordArg(&record)},
+                  TextArg("--out", &out_path)},
                  3, argc, argv)) {
     return 2;
   }
@@ -1044,14 +1064,14 @@ int CmdTrace(int argc, char** argv) {
   std::unique_ptr<Scheduler> policy =
       MakePolicyOrComplain(policy_name, seed, known_opt, {m}, &instance);
   if (!policy) return 2;
+  // The trace streams from the observer hooks, so the run keeps no
+  // schedule.
+  const SimOptions options = FlowOnlyOptions();
+  if (!HorizonFitsOrComplain("trace", instance, {m}, options)) return 2;
   EventTrace streamed;
   StreamingTraceObserver trace_observer(streamed);
-  RunContext context;
-  // The trace streams from the hooks, so flow-only works here too; full
-  // stays the default for symmetry with `run`.
-  context.options.record = record.value_or(RecordMode::kFull);
-  context.observer = &trace_observer;
-  const SimResult result = Simulate(instance, m, *policy, context);
+  const SimResult result =
+      Simulate(instance, m, *policy, RunContext(options, &trace_observer));
   if (OptRefutedOrComplain("trace", result.flows.max_flow, known_opt)) {
     return 2;
   }
