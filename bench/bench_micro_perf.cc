@@ -19,6 +19,7 @@
 #include "gen/arrivals.h"
 #include "gen/certified.h"
 #include "gen/random_trees.h"
+#include "job/serialize.h"
 #include "lbsim/lbsim.h"
 #include "opt/lower_bounds.h"
 #include "sched/fifo.h"
@@ -431,19 +432,25 @@ void BM_EngineSparseRollback(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSparseRollback)->Arg(512)->Arg(2048);
 
+/// The stream of `otsched gen trees <jobs> 40 7 1`: mixed 40-node
+/// out-trees, job i released at 7i.
+Instance MakeTreeStream(std::int64_t jobs) {
+  Rng rng(1);
+  return MakePeriodicArrivals(
+      jobs, 7,
+      [](std::int64_t i, Rng& r) {
+        return MakeTree(static_cast<TreeFamily>(i % 4), 40, r);
+      },
+      rng);
+}
+
 /// The OPT lower bound every reported ratio divides by: ComputeLowerBounds
 /// at m = 8 on the stream of `otsched gen trees N 40 7 1` (N mixed
 /// 40-node out-trees, job i released at 7i, so every release is
 /// distinct).  The instance is built outside the timed loop.  Registered
 /// after the baseline rows so their family indices stay stable.
 void BM_LowerBounds(benchmark::State& state) {
-  Rng rng(1);
-  const Instance instance = MakePeriodicArrivals(
-      state.range(0), 7,
-      [](std::int64_t i, Rng& r) {
-        return MakeTree(static_cast<TreeFamily>(i % 4), 40, r);
-      },
-      rng);
+  const Instance instance = MakeTreeStream(state.range(0));
   for (const Job& job : instance.jobs()) job.metrics();
   for (auto _ : state) {
     benchmark::DoNotOptimize(ComputeLowerBounds(instance, 8).best());
@@ -451,6 +458,35 @@ void BM_LowerBounds(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_LowerBounds)->Arg(1000)->Arg(10000);
+
+/// Instance text both ways on MakeTreeStream(1000): parse is
+/// TryInstanceFromText (the load behind every `run`), write is
+/// InstanceToText (the text `run` hashes for its manifest).  The text and
+/// the instance are built outside the timed loop; bytes processed is the
+/// text's size, so the rows read as MB/s.
+void BM_InstanceTextParse(benchmark::State& state) {
+  const std::string text = InstanceToText(MakeTreeStream(1000));
+  for (auto _ : state) {
+    std::string error;
+    benchmark::DoNotOptimize(TryInstanceFromText(text, &error));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_InstanceTextParse)->Name("BM_InstanceText/parse");
+
+void BM_InstanceTextWrite(benchmark::State& state) {
+  const Instance instance = MakeTreeStream(1000);
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = InstanceToText(instance);
+    bytes = static_cast<std::int64_t>(text.size());
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_InstanceTextWrite)->Name("BM_InstanceText/write");
 
 }  // namespace
 }  // namespace otsched

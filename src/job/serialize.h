@@ -11,9 +11,31 @@
 //   ...
 //   end
 //   job ...
+//
+// Grammar, as the reader accepts it (pinned by instance_serialize_test):
+// - A line ends at '\n'; a last line without one counts too.  Each line
+//   is cut at its first '#'.  Lines left with only ' ', '\t' and '\r' are
+//   skipped, but every line counts toward the "instance line N" numbers.
+// - Fields are separated by whitespace: ' ', '\t', '\v', '\f', '\r'.  So
+//   tabs and CRLF line ends work, and leading whitespace is allowed.
+// - An integer is an optional '+' or '-' and decimal digits.  It ends at
+//   the first non-digit, so "1x" reads as 1, and "1e3" as 1 followed by a
+//   field that is not a number.  Releases are int64, node ids and sizes
+//   int32; a value that overflows its type is an error.
+// - The first line not skipped must begin with the magic token; anything
+//   after it on that line is ignored.
+// - `name` takes the rest of its line verbatim (a trailing '\r'
+//   included), less the spaces that lead it.
+// - `job` needs a release >= 0 and a size >= 1.  The job name is the next
+//   field, if any.  Fields after the name are ignored.
+// - Inside a job, a line that starts with "end" in its first column closes
+//   the job ("endless" does too).  Every other line must begin with two
+//   integers, the edge's ends, within the job and distinct; fields after
+//   them are ignored.  A job whose edges close a directed cycle is an
+//   error.
+// - Any other keyword at the top level is an error.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <string>
 

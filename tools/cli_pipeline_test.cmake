@@ -316,6 +316,23 @@ if(NOT code EQUAL 0)
                       "uninterrupted one")
 endif()
 
+# The instance fingerprint is the FNV-1a hash of the instance's text, and
+# a checkpoint only resumes under the same fingerprint.  Pinned as
+# literals, so a change to the text writer cannot silently orphan the
+# checkpoints of existing sweep tables.
+function(expect_instance_hash inst m hash)
+  run_step(${CLI} run ${inst} ${m} fifo/first-ready --record flow
+           --manifest ${WORKDIR}/cli_fingerprint.json)
+  file(READ ${WORKDIR}/cli_fingerprint.json fingerprint_manifest)
+  if(NOT fingerprint_manifest MATCHES "\"instance_hash\": \"${hash}\"")
+    message(FATAL_ERROR "instance_hash of ${inst} is not ${hash}:\n"
+                        "${fingerprint_manifest}")
+  endif()
+endfunction()
+expect_instance_hash(${EXAMPLES_DIR}/general_dag.inst 2 131bc40c7ec83dc6)
+run_step(${CLI} gen trees 200 16 2 7 ${WORKDIR}/cli_fingerprint.inst)
+expect_instance_hash(${WORKDIR}/cli_fingerprint.inst 8 d19b2be6b338d19e)
+
 # ---- certified lower bounds (--certify) ----
 
 # `bounds --certify` on the checked-in GENERAL DAG example (not an
