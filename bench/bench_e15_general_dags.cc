@@ -53,8 +53,8 @@ int main() {
         }
         Job job(Dag(dag), 0);
         const Time lower = DepthProfileBound(job, m);
-        const JobSchedule s = BuildLpfSchedule(dag, m);
-        const Time gap = s.length() - lower;
+        const Schedule s = BuildLpfSchedule(dag, m);
+        const Time gap = s.horizon() - lower;
         if (gap == 0) ++exact;
         if (gap <= 1) ++near;
         worst_gap = std::max(worst_gap, gap);

@@ -61,7 +61,7 @@ int main() {
           config.m * 20 + static_cast<int>(rng.next_below(200)));
       const Dag tree = MakeTree(config.family, size, rng);
       const Time opt = SingleBatchOpt(tree, config.m);
-      const JobSchedule s = BuildLpfSchedule(tree, config.m / kAlpha);
+      const Schedule s = BuildLpfSchedule(tree, config.m / kAlpha);
 
       const Lemma52Report lemma = CheckLemma52(tree, s);
       if (!lemma.holds) ++cell.lemma52_violations;

@@ -54,13 +54,13 @@ int main() {
         forest = MakeTree(config.family, size, rng);
       }
       const Time opt = SingleBatchOpt(forest, config.m);
-      const JobSchedule full = BuildLpfSchedule(forest, config.m);
-      if (full.length() == opt) ++cell.exact;
+      const Schedule full = BuildLpfSchedule(forest, config.m);
+      if (full.horizon() == opt) ++cell.exact;
 
-      const JobSchedule reduced =
+      const Schedule reduced =
           BuildLpfSchedule(forest, std::max(1, config.m / 4));
       cell.worst_reduced_ratio = std::max(
-          cell.worst_reduced_ratio, static_cast<double>(reduced.length()) /
+          cell.worst_reduced_ratio, static_cast<double>(reduced.horizon()) /
                                         static_cast<double>(opt));
     }
     return cell;

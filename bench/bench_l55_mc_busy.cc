@@ -11,6 +11,7 @@
 #include "analysis/sweep.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "core/lpf.h"
 #include "core/most_children.h"
 #include "gen/random_trees.h"
 #include "opt/single_batch.h"
@@ -49,7 +50,7 @@ int main() {
       const NodeId size =
           static_cast<NodeId>(config.p * 40 + rng.next_below(300));
       const Dag tree = MakeTree(config.family, size, rng);
-      const JobSchedule lpf = BuildLpfSchedule(tree, config.p);
+      const Schedule lpf = BuildLpfSchedule(tree, config.p);
       const Time head = SingleBatchOpt(tree, config.p * 4);
 
       for (int regime = 0; regime < 3; ++regime) {

@@ -136,13 +136,13 @@ void BM_LpfBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_LpfBuild)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_LpfBuild)->Arg(54)->Arg(1000)->Arg(100000);
 
 void BM_McReplay(benchmark::State& state) {
   Rng rng(3);
   const Dag tree =
       MakeAttachmentTree(static_cast<NodeId>(state.range(0)), 0.3, rng);
-  const JobSchedule lpf = BuildLpfSchedule(tree, 16);
+  const Schedule lpf = BuildLpfSchedule(tree, 16);
   for (auto _ : state) {
     MostChildrenReplayer mc(tree, lpf);
     while (!mc.done()) mc.step(16);
@@ -150,7 +150,7 @@ void BM_McReplay(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_McReplay)->Arg(1000)->Arg(20000);
+BENCHMARK(BM_McReplay)->Arg(54)->Arg(1000)->Arg(20000);
 
 void BM_EngineFifo(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));

@@ -22,18 +22,6 @@
 
 using namespace otsched;
 
-namespace {
-
-Schedule ToSchedule(const JobSchedule& js, int m) {
-  Schedule schedule(m);
-  for (Time t = 1; t <= js.length(); ++t) {
-    for (NodeId v : js.at(t)) schedule.place(t, SubjobRef{0, v});
-  }
-  return schedule;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const std::string dir = argc > 1 ? argv[1] : ".";
 
@@ -48,50 +36,16 @@ int main(int argc, char** argv) {
     options.cell_size = 22;
     options.label_nodes = true;
 
-    const JobSchedule lpf = BuildLpfSchedule(dag, metrics, 3);
+    const Schedule lpf = BuildLpfSchedule(dag, metrics, 3);
     options.title = "Figure 1a: LPF packing (" +
-                    std::to_string(lpf.length()) + " slots = OPT)";
-    SaveScheduleSvg(ToSchedule(lpf, 3), instance,
-                    dir + "/fig1_packing_lpf.svg", options);
+                    std::to_string(lpf.horizon()) + " slots = OPT)";
+    SaveScheduleSvg(lpf, instance, dir + "/fig1_packing_lpf.svg", options);
 
     // A clumsier packing: lowest-height-first greedy.
-    JobSchedule anti;
-    anti.p = 3;
-    anti.slot_of.assign(static_cast<std::size_t>(dag.node_count()), kNoTime);
-    {
-      std::vector<NodeId> pending(static_cast<std::size_t>(dag.node_count()));
-      std::vector<NodeId> ready;
-      for (NodeId v = 0; v < dag.node_count(); ++v) {
-        pending[static_cast<std::size_t>(v)] = dag.in_degree(v);
-        if (pending[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
-      }
-      std::int64_t done = 0;
-      while (done < dag.node_count()) {
-        std::sort(ready.begin(), ready.end(), [&](NodeId a, NodeId b) {
-          return metrics.height[static_cast<std::size_t>(a)] <
-                 metrics.height[static_cast<std::size_t>(b)];
-        });
-        std::vector<NodeId> slot;
-        for (int k = 0; k < 3 && !ready.empty(); ++k) {
-          slot.push_back(ready.front());
-          ready.erase(ready.begin());
-        }
-        anti.slots.push_back(slot);
-        for (NodeId v : slot) {
-          anti.slot_of[static_cast<std::size_t>(v)] = anti.length();
-          ++done;
-          for (NodeId c : dag.children(v)) {
-            if (--pending[static_cast<std::size_t>(c)] == 0) {
-              ready.push_back(c);
-            }
-          }
-        }
-      }
-    }
+    const Schedule anti = BuildLowestHeightFirstSchedule(dag, metrics, 3);
     options.title = "Figure 1b: height-last packing (" +
-                    std::to_string(anti.length()) + " slots)";
-    SaveScheduleSvg(ToSchedule(anti, 3), instance,
-                    dir + "/fig1_packing_anti.svg", options);
+                    std::to_string(anti.horizon()) + " slots)";
+    SaveScheduleSvg(anti, instance, dir + "/fig1_packing_anti.svg", options);
   }
 
   // Figure 2.
@@ -102,13 +56,13 @@ int main(int argc, char** argv) {
     Instance instance;
     instance.add_job(Job(Dag(big), 0));
     const Time opt = SingleBatchOpt(big, m);
-    const JobSchedule reduced = BuildLpfSchedule(big, m / 4);
+    const Schedule reduced = BuildLpfSchedule(big, m / 4);
     SvgOptions options;
     options.cell_size = 8;
     options.title = "Figure 2: LPF[m/4] head (first OPT=" +
                     std::to_string(opt) + " slots) + packed tail";
-    SaveScheduleSvg(ToSchedule(reduced, m / 4), instance,
-                    dir + "/fig2_lpf_head_tail.svg", options);
+    SaveScheduleSvg(reduced, instance, dir + "/fig2_lpf_head_tail.svg",
+                    options);
   }
 
   // The Section 4 alternation under FIFO.

@@ -17,19 +17,6 @@
 
 using namespace otsched;
 
-namespace {
-
-// Converts a single-job JobSchedule into an engine Schedule for rendering.
-Schedule ToSchedule(const JobSchedule& js, int m) {
-  Schedule schedule(m);
-  for (Time t = 1; t <= js.length(); ++t) {
-    for (NodeId v : js.at(t)) schedule.place(t, SubjobRef{0, v});
-  }
-  return schedule;
-}
-
-}  // namespace
-
 int main() {
   // ---- Figure 1: two packings of one job on 3 processors ----
   // The job: a spine that spawns bursts — plenty of packing freedom.
@@ -43,56 +30,19 @@ int main() {
   nodes_view.label_nodes = true;
 
   // Packing A: LPF (height-first) — finishes in OPT slots.
-  const JobSchedule lpf3 = BuildLpfSchedule(job_dag, 3);
+  const Schedule lpf3 = BuildLpfSchedule(job_dag, 3);
   std::printf("packing A — LPF on 3 processors (%lld slots, OPT=%lld):\n%s\n",
-              static_cast<long long>(lpf3.length()),
+              static_cast<long long>(lpf3.horizon()),
               static_cast<long long>(SingleBatchOpt(job_dag, 3)),
-              RenderSchedule(ToSchedule(lpf3, 3), instance,
-                             nodes_view).c_str());
+              RenderSchedule(lpf3, instance, nodes_view).c_str());
 
   // Packing B: anti-LPF (height-LAST greedy) — a feasible but clumsier
   // packing of the same DAG, like Figure 1's second panel.
-  const DagMetrics metrics = ComputeMetrics(job_dag);
-  JobSchedule clumsy;
-  clumsy.p = 3;
-  clumsy.slot_of.assign(static_cast<std::size_t>(job_dag.node_count()),
-                        kNoTime);
-  {
-    std::vector<NodeId> pending(
-        static_cast<std::size_t>(job_dag.node_count()));
-    std::vector<NodeId> ready;
-    for (NodeId v = 0; v < job_dag.node_count(); ++v) {
-      pending[static_cast<std::size_t>(v)] = job_dag.in_degree(v);
-      if (pending[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
-    }
-    std::int64_t done = 0;
-    while (done < job_dag.node_count()) {
-      // Lowest height first: the opposite of the paper's LPF heuristic.
-      std::sort(ready.begin(), ready.end(), [&](NodeId a, NodeId b) {
-        return metrics.height[static_cast<std::size_t>(a)] <
-               metrics.height[static_cast<std::size_t>(b)];
-      });
-      std::vector<NodeId> slot;
-      for (int k = 0; k < 3 && !ready.empty(); ++k) {
-        slot.push_back(ready.front());
-        ready.erase(ready.begin());
-      }
-      clumsy.slots.push_back(slot);
-      for (NodeId v : slot) {
-        clumsy.slot_of[static_cast<std::size_t>(v)] = clumsy.length();
-        ++done;
-        for (NodeId c : job_dag.children(v)) {
-          if (--pending[static_cast<std::size_t>(c)] == 0) {
-            ready.push_back(c);
-          }
-        }
-      }
-    }
-  }
+  const Schedule clumsy =
+      BuildLowestHeightFirstSchedule(job_dag, ComputeMetrics(job_dag), 3);
   std::printf("packing B — shortest-path-first on 3 processors (%lld slots):\n%s\n",
-              static_cast<long long>(clumsy.length()),
-              RenderSchedule(ToSchedule(clumsy, 3), instance,
-                             nodes_view).c_str());
+              static_cast<long long>(clumsy.horizon()),
+              RenderSchedule(clumsy, instance, nodes_view).c_str());
 
   // ---- Figure 2: head/tail of LPF[m/alpha] ----
   const int m = 16;
@@ -100,7 +50,7 @@ int main() {
   Rng rng(42);
   const Dag big = MakeAttachmentTree(400, 0.6, rng);
   const Time opt = SingleBatchOpt(big, m);
-  const JobSchedule reduced = BuildLpfSchedule(big, m / alpha);
+  const Schedule reduced = BuildLpfSchedule(big, m / alpha);
   const HeadTailShape shape = AnalyzeHeadTail(reduced, opt);
 
   std::printf(
@@ -111,7 +61,7 @@ int main() {
       "  tail                : %lld slots, fully packed: %s (bound: "
       "(alpha-1)*OPT = %lld)\n\n",
       m, alpha, static_cast<long long>(opt),
-      static_cast<long long>(reduced.length()),
+      static_cast<long long>(reduced.horizon()),
       static_cast<long long>(shape.head_len),
       static_cast<long long>(shape.tail_len),
       shape.underfull_tail_slots.empty() ? "yes" : "NO",
@@ -120,6 +70,6 @@ int main() {
   Instance big_instance;
   big_instance.add_job(Job(Dag(big), 0, "fig2"));
   std::printf("per-slot width profile (head | tail):\n%s",
-              RenderJobProfile(ToSchedule(reduced, m / alpha), 0).c_str());
+              RenderJobProfile(reduced, 0).c_str());
   return 0;
 }

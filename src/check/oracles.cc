@@ -236,21 +236,21 @@ OracleResult CheckFeasibilityOracle(const Schedule& schedule,
 }
 
 OracleResult CheckLpfValueOracle(const Dag& dag, int m,
-                                 const JobSchedule& lpf,
+                                 const Schedule& lpf,
                                  bool cross_check_brute_force) {
   if (!IsOutForest(dag)) {
     return Fail(OracleId::kLpfValue,
                 "Corollary 5.4 oracle requires an out-forest input");
   }
-  const std::string schedule_error = CheckJobSchedule(dag, lpf);
-  if (!schedule_error.empty()) {
+  const ValidationReport feasible = ValidateSingleJob(lpf, dag);
+  if (!feasible) {
     return Fail(OracleId::kLpfValue,
-                "LPF schedule is not feasible: " + schedule_error);
+                "LPF schedule is not feasible: " + feasible.violation);
   }
   const Time closed_form = SingleBatchOpt(dag, m);
-  if (lpf.length() != closed_form) {
+  if (lpf.horizon() != closed_form) {
     std::ostringstream detail;
-    detail << "LPF[" << m << "] length " << lpf.length()
+    detail << "LPF[" << m << "] length " << lpf.horizon()
            << " != Corollary 5.4 value " << closed_form;
     return Fail(OracleId::kLpfValue, detail.str());
   }
@@ -270,23 +270,24 @@ OracleResult CheckLpfValueOracle(const Dag& dag, int m,
 }
 
 OracleResult CheckHeadTailOracle(const Dag& dag, int m, int alpha,
-                                 const JobSchedule& reduced) {
+                                 const Schedule& reduced) {
   OTSCHED_CHECK(alpha >= 2, "alpha must be at least 2, got " << alpha);
   if (!IsOutForest(dag)) {
     return Fail(OracleId::kHeadTail,
                 "Lemma 5.2 oracle requires an out-forest input");
   }
   const int p = (m + alpha - 1) / alpha;
-  if (reduced.p != p) {
+  if (reduced.m() != p) {
     std::ostringstream detail;
-    detail << "schedule built for p = " << reduced.p
+    detail << "schedule built for p = " << reduced.m()
            << ", expected ceil(m/alpha) = " << p;
     return Fail(OracleId::kHeadTail, detail.str());
   }
-  const std::string schedule_error = CheckJobSchedule(dag, reduced);
-  if (!schedule_error.empty()) {
+  const ValidationReport feasible = ValidateSingleJob(reduced, dag);
+  if (!feasible) {
     return Fail(OracleId::kHeadTail,
-                "reduced LPF schedule is not feasible: " + schedule_error);
+                "reduced LPF schedule is not feasible: " +
+                    feasible.violation);
   }
   const Lemma52Report chain = CheckLemma52(dag, reduced);
   if (!chain.holds) {
@@ -305,7 +306,7 @@ OracleResult CheckHeadTailOracle(const Dag& dag, int m, int alpha,
     std::ostringstream detail;
     detail << "tail is not a packed rectangle: slot "
            << shape.underfull_tail_slots.front() << " of "
-           << reduced.length() << " runs fewer than p = " << p
+           << reduced.horizon() << " runs fewer than p = " << p
            << " subjobs (head = " << opt << " slots)";
     return Fail(OracleId::kHeadTail, detail.str());
   }
@@ -318,7 +319,7 @@ OracleResult CheckHeadTailOracle(const Dag& dag, int m, int alpha,
   return Pass(OracleId::kHeadTail);
 }
 
-McReplayLog RunMostChildrenLog(const Dag& dag, const JobSchedule& schedule,
+McReplayLog RunMostChildrenLog(const Dag& dag, const Schedule& schedule,
                                std::span<const int> budgets,
                                Time prefix_len) {
   OTSCHED_CHECK(!budgets.empty(), "budget stream must be non-empty");
@@ -352,18 +353,18 @@ namespace {
 /// (kMCNoWasteUnderFaults) oracles run the identical checks and differ
 /// only in the id stamped on the verdict.
 OracleResult CheckMcLogOracle(OracleId id, const Dag& dag,
-                              const JobSchedule& schedule,
+                              const Schedule& schedule,
                               const McReplayLog& log) {
   // The pre-executed S prefix followed by the MC steps is one schedule of
   // the job on S's p processors: S-slot s is slot s, MC step i is slot
   // prefix + i.  Section 3's axioms cover readiness, re-execution and
   // nodes never run.
-  const Time prefix = std::min<Time>(log.prefix_len, schedule.length());
-  Schedule replay(schedule.p);
+  const Time prefix = std::min<Time>(log.prefix_len, schedule.horizon());
+  Schedule replay(schedule.m());
   std::int64_t remaining = dag.node_count();
   for (Time s = 1; s <= prefix; ++s) {
-    for (NodeId v : schedule.at(s)) replay.place(s, SubjobRef{0, v});
-    remaining -= static_cast<std::int64_t>(schedule.at(s).size());
+    for (const SubjobRef& ref : schedule.at(s)) replay.place(s, ref);
+    remaining -= schedule.load(s);
   }
   for (std::size_t i = 0; i < log.steps.size(); ++i) {
     for (NodeId v : log.steps[i].scheduled) {
@@ -399,20 +400,20 @@ OracleResult CheckMcLogOracle(OracleId id, const Dag& dag,
 
 }  // namespace
 
-OracleResult CheckMcBusyOracle(const Dag& dag, const JobSchedule& schedule,
+OracleResult CheckMcBusyOracle(const Dag& dag, const Schedule& schedule,
                                const McReplayLog& log) {
   return CheckMcLogOracle(OracleId::kMcBusy, dag, schedule, log);
 }
 
 OracleResult CheckMcNoWasteUnderFaultsOracle(const Dag& dag,
-                                             const JobSchedule& schedule,
+                                             const Schedule& schedule,
                                              const McReplayLog& log) {
   return CheckMcLogOracle(OracleId::kMCNoWasteUnderFaults, dag, schedule,
                           log);
 }
 
 McReplayLog RunMostChildrenFaultLog(const Dag& dag,
-                                    const JobSchedule& schedule,
+                                    const Schedule& schedule,
                                     const FaultSpec& faults, int p,
                                     Time prefix_len) {
   OTSCHED_CHECK(faults.active(),
@@ -587,20 +588,20 @@ std::vector<OracleResult> CheckSingleJobOracles(
   if (dag.empty()) return results;
 
   // Corollary 5.4: LPF on the full machine achieves the closed form.
-  const JobSchedule full = BuildLpfSchedule(dag, m);
+  const Schedule full = BuildLpfSchedule(dag, m);
   results.push_back(
       CheckLpfValueOracle(dag, m, full, cross_check_brute_force));
 
   // Lemma 5.2 / Figure 2 on the reduced machine.
   const int p = (m + alpha - 1) / alpha;
-  const JobSchedule reduced = BuildLpfSchedule(dag, p);
+  const Schedule reduced = BuildLpfSchedule(dag, p);
   results.push_back(CheckHeadTailOracle(dag, m, alpha, reduced));
 
   // Lemma 5.5: MC replays the packed tail of LPF[p] (head pre-executed,
   // exactly Algorithm A's usage) under a fluctuating budget <= p.
   const Time opt = SingleBatchOpt(dag, m);
-  const Time prefix = std::min<Time>(opt, reduced.length());
-  if (reduced.length() > prefix) {
+  const Time prefix = std::min<Time>(opt, reduced.horizon());
+  if (reduced.horizon() > prefix) {
     std::vector<int> budgets;
     for (int k = 0; k < 7; ++k) {
       budgets.push_back(1 + (k * 2 + static_cast<int>(dag.node_count())) %

@@ -86,13 +86,13 @@ OracleResult CheckFeasibilityOracle(const Schedule& schedule,
 
 // ---- Lemma 5.3 / Corollary 5.4: LPF value ----
 
-/// Verifies that `lpf` (built for the full machine, p == m) is internally
-/// consistent and that its length equals the Corollary 5.4 closed form
+/// Verifies that `lpf` (built for the full machine, p == m) is feasible
+/// (ValidateSingleJob) and that its length equals the Corollary 5.4 closed form
 /// max_d (d + ceil(W(d)/m)).  When `cross_check_brute_force` is set and
 /// the DAG is small enough for opt/brute_force, additionally certifies the
 /// closed form against exhaustive search.
 OracleResult CheckLpfValueOracle(const Dag& dag, int m,
-                                 const JobSchedule& lpf,
+                                 const Schedule& lpf,
                                  bool cross_check_brute_force = false);
 
 // ---- Lemma 5.2 / Figure 2: head/tail rectangle ----
@@ -102,7 +102,7 @@ OracleResult CheckLpfValueOracle(const Dag& dag, int m,
 /// the Figure 2 decomposition into a head of at most OPT[m] slots followed
 /// by a fully packed tail of at most (alpha - 1) * OPT[m] slots.
 OracleResult CheckHeadTailOracle(const Dag& dag, int m, int alpha,
-                                 const JobSchedule& reduced);
+                                 const Schedule& reduced);
 
 // ---- Lemma 5.5: Most-Children never wastes a processor ----
 
@@ -123,17 +123,17 @@ struct McReplayLog {
 /// Replays `schedule` through MostChildrenReplayer under the given
 /// per-step budgets (cycled if the job outlives the vector) and records
 /// the log.  `prefix_len` S-slots are marked pre-executed.
-McReplayLog RunMostChildrenLog(const Dag& dag, const JobSchedule& schedule,
+McReplayLog RunMostChildrenLog(const Dag& dag, const Schedule& schedule,
                                std::span<const int> budgets,
                                Time prefix_len = 0);
 
 /// Verifies Lemma 5.5 on a replay log.  The prefix S-slots followed by
-/// the steps must form a feasible one-job schedule on `schedule.p`
+/// the steps must form a feasible one-job schedule on `schedule.m()`
 /// processors (ValidateSchedule: every step runs ready, not-yet-executed
 /// nodes, and every node runs exactly once); every step stays within its
 /// budget; and no step wastes budget while work remains after it (the
 /// no-wasted-processor property).
-OracleResult CheckMcBusyOracle(const Dag& dag, const JobSchedule& schedule,
+OracleResult CheckMcBusyOracle(const Dag& dag, const Schedule& schedule,
                                const McReplayLog& log);
 
 // ---- Lemma 5.5 under faults: no waste on arbitrary budget traces ----
@@ -146,7 +146,7 @@ OracleResult CheckMcBusyOracle(const Dag& dag, const JobSchedule& schedule,
 /// termination check).  The remaining-work count feeds the sequencer's
 /// alive stream, so kAdversarialDip dips exactly once per replay.
 McReplayLog RunMostChildrenFaultLog(const Dag& dag,
-                                    const JobSchedule& schedule,
+                                    const Schedule& schedule,
                                     const FaultSpec& faults, int p,
                                     Time prefix_len = 0);
 
@@ -155,7 +155,7 @@ McReplayLog RunMostChildrenFaultLog(const Dag& dag,
 /// reported under OracleId::kMCNoWasteUnderFaults so fuzz repros name the
 /// faulted leg explicitly.
 OracleResult CheckMcNoWasteUnderFaultsOracle(const Dag& dag,
-                                             const JobSchedule& schedule,
+                                             const Schedule& schedule,
                                              const McReplayLog& log);
 
 // ---- Theorem 5.6 / 5.7: competitive-ratio ceiling ----

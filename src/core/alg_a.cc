@@ -29,12 +29,11 @@ void AlgAPlanner::add_batch(const SchedulerView& view,
                 "batch release " << visible_release
                                  << " is not a multiple of the window "
                                  << window_);
-  OTSCHED_CHECK(batches_.empty() ||
-                    batches_.back()->visible_release < visible_release,
+  OTSCHED_CHECK(!newest_release_ || *newest_release_ < visible_release,
                 "batches must be added in release order");
 
-  auto plan = std::make_unique<PlanJob>();
-  plan->visible_release = visible_release;
+  PlanJob plan;
+  plan.visible_release = visible_release;
 
   // Build the union of the members' unexecuted sub-DAGs.
   Dag::Builder builder;
@@ -46,7 +45,7 @@ void AlgAPlanner::add_batch(const SchedulerView& view,
     for (NodeId v = 0; v < dag.node_count(); ++v) {
       if (view.executed(id, v)) continue;
       plan_id[static_cast<std::size_t>(v)] = builder.add_node();
-      plan->refs.push_back(SubjobRef{id, v});
+      plan.refs.push_back(SubjobRef{id, v});
       any = true;
     }
     for (NodeId v = 0; v < dag.node_count(); ++v) {
@@ -60,24 +59,24 @@ void AlgAPlanner::add_batch(const SchedulerView& view,
         builder.add_edge(pv, pc);
       }
     }
-    if (any) plan->members.push_back(id);
+    if (any) plan.members.push_back(id);
   }
-  plan->dag = std::move(builder).build();
-  if (plan->dag.empty()) return;  // everything already executed
+  plan.dag = std::move(builder).build();
+  if (plan.dag.empty()) return;  // everything already executed
 
-  OTSCHED_CHECK(allow_general_dags_ || IsOutForest(plan->dag),
+  OTSCHED_CHECK(allow_general_dags_ || IsOutForest(plan.dag),
                 "Algorithm A requires out-forest jobs (Section 5); "
                 "enable allow_general_dags for the heuristic extension");
-  plan->lpf = BuildLpfSchedule(plan->dag, p_);
-  plan->remaining = plan->dag.node_count();
+  plan.lpf = BuildLpfSchedule(plan.dag, p_);
+  plan.remaining = plan.dag.node_count();
+  newest_release_ = visible_release;
   batches_.push_back(std::move(plan));
 }
 
 void AlgAPlanner::replay_head_slot(PlanJob& job, Time lpf_slot,
                                    std::vector<SubjobRef>& out, int& used) {
-  if (lpf_slot < 1 || lpf_slot > job.lpf.length()) return;
-  for (NodeId v : job.lpf.at(lpf_slot)) {
-    out.push_back(job.refs[static_cast<std::size_t>(v)]);
+  for (const SubjobRef& ref : job.lpf.at(lpf_slot)) {
+    out.push_back(job.refs[static_cast<std::size_t>(ref.node)]);
     --job.remaining;
     ++used;
   }
@@ -86,27 +85,21 @@ void AlgAPlanner::replay_head_slot(PlanJob& job, Time lpf_slot,
 void AlgAPlanner::plan_slot(Time t, std::vector<SubjobRef>& out) {
   int used = 0;
 
-  // Retire finished front batches and release their heavy state, so long
-  // streams do not accumulate cost or memory.
-  while (first_active_ < batches_.size() &&
-         batches_[first_active_]->finished()) {
-    PlanJob& done = *batches_[first_active_];
-    if (done.mc) {
-      mc_busy_violations_ += done.mc->busy_violations();
-      done.mc.reset();
+  // Retire finished front batches, so long streams do not accumulate
+  // cost or memory.
+  while (!batches_.empty() && batches_.front().finished()) {
+    if (batches_.front().mc) {
+      mc_busy_violations_ += batches_.front().mc->busy_violations();
     }
-    done.dag = Dag();
-    done.lpf = JobSchedule();
-    done.refs = std::vector<SubjobRef>();
-    ++first_active_;
+    batches_.pop_front();
   }
 
   // Phases 1 and 2: batches still in their head window (age <= 2W) replay
   // their LPF schedule directly.  Batch releases are spaced >= W apart, so
   // at most two batches are in this range, using at most 2p processors —
   // and they sit at the back of the (release-ordered) batch list.
-  for (std::size_t k = batches_.size(); k-- > first_active_;) {
-    PlanJob& batch = *batches_[k];
+  for (auto it = batches_.rbegin(); it != batches_.rend(); ++it) {
+    PlanJob& batch = *it;
     const Time age = t - batch.visible_release;
     if (age > 2 * window_) break;
     if (age >= 1 && !batch.finished()) {
@@ -115,56 +108,52 @@ void AlgAPlanner::plan_slot(Time t, std::vector<SubjobRef>& out) {
   }
 
   // Phase 3: older unfinished batches in FIFO order via Most-Children.
-  for (std::size_t k = first_active_; k < batches_.size(); ++k) {
-    PlanJob* batch = batches_[k].get();
+  for (PlanJob& batch : batches_) {
     int available = m_ - used;
     if (available <= 0) break;
-    const Time age = t - batch->visible_release;
+    const Time age = t - batch.visible_release;
     if (age <= 2 * window_) break;  // release-ordered: the rest are newer
-    if (batch->finished()) continue;
-    if (!batch->mc) {
-      batch->mc = std::make_unique<MostChildrenReplayer>(batch->dag,
-                                                         batch->lpf);
+    if (batch.finished()) continue;
+    if (!batch.mc) {
+      batch.mc = std::make_unique<MostChildrenReplayer>(batch.dag, batch.lpf);
       // The head (LPF slots 1..2W) was replayed verbatim during the first
       // two windows, so it is exactly the executed prefix.
-      batch->mc->mark_prefix_executed(2 * window_);
-      OTSCHED_CHECK(batch->mc->remaining() == batch->remaining,
+      batch.mc->mark_prefix_executed(2 * window_);
+      OTSCHED_CHECK(batch.mc->remaining() == batch.remaining,
                     "head replay accounting mismatch: mc="
-                        << batch->mc->remaining()
-                        << " plan=" << batch->remaining);
+                        << batch.mc->remaining()
+                        << " plan=" << batch.remaining);
     }
     const int grant = std::min(available, p_);
     std::vector<NodeId> nodes;
-    const int scheduled = batch->mc->step(grant, &nodes);
+    const int scheduled = batch.mc->step(grant, &nodes);
     for (NodeId v : nodes) {
-      out.push_back(batch->refs[static_cast<std::size_t>(v)]);
+      out.push_back(batch.refs[static_cast<std::size_t>(v)]);
     }
-    batch->remaining -= scheduled;
+    batch.remaining -= scheduled;
     used += scheduled;
   }
   OTSCHED_CHECK(used <= m_, "planner over-committed: " << used << " > " << m_);
 }
 
-// Every batch before first_active_ is finished, and its MC violations
-// are already folded into mc_busy_violations_, so the queries below
-// start there.
+// Retired batches are finished, and their MC violations are already
+// folded into mc_busy_violations_, so the queries below read batches_.
 
 std::optional<Time> AlgAPlanner::oldest_unfinished_age(Time t) const {
-  for (std::size_t k = first_active_; k < batches_.size(); ++k) {
-    if (!batches_[k]->finished()) return t - batches_[k]->visible_release;
+  for (const PlanJob& batch : batches_) {
+    if (!batch.finished()) return t - batch.visible_release;
   }
   return std::nullopt;
 }
 
 bool AlgAPlanner::all_finished() const {
-  return std::all_of(batches_.begin() + first_active_, batches_.end(),
-                     [](const auto& b) { return b->finished(); });
+  return std::all_of(batches_.begin(), batches_.end(),
+                     [](const PlanJob& b) { return b.finished(); });
 }
 
 std::vector<JobId> AlgAPlanner::unfinished_members() const {
   std::vector<JobId> result;
-  for (std::size_t k = first_active_; k < batches_.size(); ++k) {
-    const PlanJob& batch = *batches_[k];
+  for (const PlanJob& batch : batches_) {
     if (!batch.finished()) {
       result.insert(result.end(), batch.members.begin(),
                     batch.members.end());
@@ -175,8 +164,8 @@ std::vector<JobId> AlgAPlanner::unfinished_members() const {
 
 std::int64_t AlgAPlanner::mc_busy_violations() const {
   std::int64_t total = mc_busy_violations_;
-  for (std::size_t k = first_active_; k < batches_.size(); ++k) {
-    if (batches_[k]->mc) total += batches_[k]->mc->busy_violations();
+  for (const PlanJob& batch : batches_) {
+    if (batch.mc) total += batch.mc->busy_violations();
   }
   return total;
 }

@@ -18,6 +18,7 @@
 // guess-and-double).
 #pragma once
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -83,7 +84,7 @@ class AlgAPlanner {
     std::vector<JobId> members;
     std::vector<SubjobRef> refs;  // plan node -> engine subjob
     Dag dag;
-    JobSchedule lpf;
+    Schedule lpf{1};  // LPF[p] of `dag`, set by add_batch
     std::unique_ptr<MostChildrenReplayer> mc;
     std::int64_t remaining = 0;
 
@@ -98,11 +99,10 @@ class AlgAPlanner {
   int p_;
   Time window_;
   bool allow_general_dags_ = false;
-  std::vector<std::unique_ptr<PlanJob>> batches_;  // by visible_release
-  /// Index of the first possibly-unfinished batch; everything before it
-  /// is finished and has had its heavy state released.  Keeps plan_slot
-  /// O(active batches) over long streams.
-  std::size_t first_active_ = 0;
+  /// Batches by visible_release.  plan_slot pops finished ones off the
+  /// front, so it stays O(active batches) over long streams.
+  std::deque<PlanJob> batches_;
+  std::optional<Time> newest_release_;  // of every batch ever added
   std::int64_t mc_busy_violations_ = 0;
 };
 

@@ -5,36 +5,14 @@
 
 #include "common/assert.h"
 #include "sim/ready_state.h"
-#include "sim/validator.h"
 
 namespace otsched {
 
-const std::vector<NodeId>& JobSchedule::at(Time slot) const {
-  static const std::vector<NodeId> kEmpty;
-  if (slot < 1 || slot > length()) return kEmpty;
-  return slots[static_cast<std::size_t>(slot - 1)];
-}
-
-Time JobSchedule::last_underfull_slot() const {
-  for (Time t = length(); t >= 1; --t) {
-    if (load(t) < p) return t;
-  }
-  return kNoTime;
-}
-
-std::int64_t JobSchedule::total() const {
-  std::int64_t sum = 0;
-  for (const auto& slot : slots) sum += static_cast<std::int64_t>(slot.size());
-  return sum;
-}
-
-JobSchedule BuildLpfSchedule(const Dag& dag, const DagMetrics& metrics,
-                             int p) {
+Schedule BuildLpfSchedule(const Dag& dag, const DagMetrics& metrics,
+                          int p) {
   OTSCHED_CHECK(p >= 1);
-  JobSchedule schedule;
-  schedule.p = p;
+  Schedule schedule(p);
   const NodeId n = dag.node_count();
-  schedule.slot_of.assign(static_cast<std::size_t>(n), kNoTime);
   if (n == 0) return schedule;
 
   // Ready nodes bucketed by height; the cursor walks down from the top.
@@ -53,30 +31,27 @@ JobSchedule BuildLpfSchedule(const Dag& dag, const DagMetrics& metrics,
 
   std::int64_t executed = 0;
   std::int64_t top = metrics.span;
-  std::vector<NodeId> chosen;
-  while (executed < n) {
-    // Select up to p ready nodes of maximal height.
-    chosen.clear();
+  for (Time slot = 1; executed < n; ++slot) {
+    // Place up to p ready nodes of maximal height.
+    int picked = 0;
     std::int64_t h = top;
-    while (static_cast<int>(chosen.size()) < p && h >= 1) {
+    while (picked < p && h >= 1) {
       auto& b = bucket[static_cast<std::size_t>(h)];
-      while (!b.empty() && static_cast<int>(chosen.size()) < p) {
-        chosen.push_back(b.back());
+      while (!b.empty() && picked < p) {
+        schedule.place(slot, SubjobRef{0, b.back()});
         b.pop_back();
+        ++picked;
       }
       if (b.empty()) --h;
     }
-    OTSCHED_CHECK(!chosen.empty(),
+    OTSCHED_CHECK(picked > 0,
                   "LPF stalled with " << (n - executed) << " nodes left");
     // Keep the cursor tight: everything above h is now empty.
     top = h < 1 ? metrics.span : h;
 
-    schedule.slots.emplace_back(chosen);
-    const Time slot = schedule.length();
-    for (NodeId v : chosen) {
-      schedule.slot_of[static_cast<std::size_t>(v)] = slot;
+    for (const SubjobRef& ref : schedule.at(slot)) {
       ++executed;
-      pending.complete(dag, v, [&](NodeId c) {
+      pending.complete(dag, ref.node, [&](NodeId c) {
         const auto hc = static_cast<std::size_t>(
             metrics.height[static_cast<std::size_t>(c)]);
         bucket[hc].push_back(c);
@@ -87,45 +62,53 @@ JobSchedule BuildLpfSchedule(const Dag& dag, const DagMetrics& metrics,
   return schedule;
 }
 
-JobSchedule BuildLpfSchedule(const Dag& dag, int p) {
+Schedule BuildLpfSchedule(const Dag& dag, int p) {
   return BuildLpfSchedule(dag, ComputeMetrics(dag), p);
 }
 
-std::string CheckJobSchedule(const Dag& dag, const JobSchedule& schedule) {
-  // Section 3's axioms on the one-job instance (release 0) on p
-  // processors; only slot_of's agreement with the slots is checked here.
-  Schedule placed(schedule.p);
-  for (Time t = 1; t <= schedule.length(); ++t) {
-    for (NodeId v : schedule.at(t)) placed.place(t, SubjobRef{0, v});
-  }
-  Instance single;
-  single.add_job(Job(Dag(dag), 0));
-  const ValidationReport report = ValidateSchedule(placed, single);
-  if (!report) return report.violation;
-  for (Time t = 1; t <= schedule.length(); ++t) {
-    for (NodeId v : schedule.at(t)) {
-      if (schedule.slot_of[static_cast<std::size_t>(v)] != t) {
-        return "slot_of[" + std::to_string(v) + "] inconsistent";
-      }
+Schedule BuildLowestHeightFirstSchedule(const Dag& dag,
+                                        const DagMetrics& metrics, int p) {
+  OTSCHED_CHECK(p >= 1);
+  Schedule schedule(p);
+  PendingCounters pending;
+  pending.init(dag);
+  std::vector<NodeId> ready(pending.roots().begin(), pending.roots().end());
+  for (Time slot = 1; !ready.empty(); ++slot) {
+    std::sort(ready.begin(), ready.end(), [&](NodeId a, NodeId b) {
+      return metrics.height[static_cast<std::size_t>(a)] <
+             metrics.height[static_cast<std::size_t>(b)];
+    });
+    const auto taken =
+        ready.begin() + std::min<std::ptrdiff_t>(std::ssize(ready), p);
+    for (auto it = ready.begin(); it != taken; ++it) {
+      schedule.place(slot, SubjobRef{0, *it});
+    }
+    ready.erase(ready.begin(), taken);
+    for (const SubjobRef& ref : schedule.at(slot)) {
+      pending.complete(dag, ref.node, [&](NodeId c) { ready.push_back(c); });
     }
   }
-  return "";
+  return schedule;
 }
 
-Lemma52Report CheckLemma52(const Dag& dag, const JobSchedule& schedule) {
+Lemma52Report CheckLemma52(const Dag& dag, const Schedule& schedule) {
   Lemma52Report report;
-  // Find the last underfull slot strictly before the final slot.
-  Time t = kNoTime;
-  for (Time s = schedule.length() - 1; s >= 1; --s) {
-    if (schedule.load(s) < schedule.p) {
-      t = s;
-      break;
+  // The last underfull slot strictly before the final slot.
+  const std::vector<Time> underfull =
+      schedule.idle_slots(1, schedule.horizon() - 1);
+  if (underfull.empty()) return report;  // fully packed: nothing to check
+  const Time t = underfull.back();
+  report.last_underfull = t;
+
+  std::vector<Time> slot_of(static_cast<std::size_t>(dag.node_count()),
+                            kNoTime);
+  for (Time s = 1; s <= schedule.horizon(); ++s) {
+    for (const SubjobRef& ref : schedule.at(s)) {
+      slot_of[static_cast<std::size_t>(ref.node)] = s;
     }
   }
-  report.last_underfull = t;
-  if (t == kNoTime) return report;  // fully packed: nothing to check
-
-  for (NodeId j : schedule.at(t)) {
+  for (const SubjobRef& ref : schedule.at(t)) {
+    const NodeId j = ref.node;
     if (dag.out_degree(j) == 0) continue;  // leaf
     // Walk the unique ancestor chain (out-forest): the ancestor i hops up
     // must sit at slot t - i, all the way down to slot 1.
@@ -141,12 +124,11 @@ Lemma52Report CheckLemma52(const Dag& dag, const JobSchedule& schedule) {
         return report;
       }
       v = parents[0];
-      if (schedule.slot_of[static_cast<std::size_t>(v)] != s) {
+      if (slot_of[static_cast<std::size_t>(v)] != s) {
         report.holds = false;
         std::ostringstream out;
         out << "ancestor " << v << " of subjob " << j << " runs at slot "
-            << schedule.slot_of[static_cast<std::size_t>(v)]
-            << ", expected " << s;
+            << slot_of[static_cast<std::size_t>(v)] << ", expected " << s;
         report.detail = out.str();
         return report;
       }
@@ -155,16 +137,13 @@ Lemma52Report CheckLemma52(const Dag& dag, const JobSchedule& schedule) {
   return report;
 }
 
-HeadTailShape AnalyzeHeadTail(const JobSchedule& schedule, Time head_len) {
+HeadTailShape AnalyzeHeadTail(const Schedule& schedule, Time head_len) {
   OTSCHED_CHECK(head_len >= 0);
   HeadTailShape shape;
-  shape.head_len = std::min(head_len, schedule.length());
-  shape.tail_len = schedule.length() - shape.head_len;
-  for (Time t = head_len + 1; t < schedule.length(); ++t) {
-    if (schedule.load(t) < schedule.p) {
-      shape.underfull_tail_slots.push_back(t);
-    }
-  }
+  shape.head_len = std::min(head_len, schedule.horizon());
+  shape.tail_len = schedule.horizon() - shape.head_len;
+  shape.underfull_tail_slots =
+      schedule.idle_slots(head_len + 1, schedule.horizon() - 1);
   return shape;
 }
 

@@ -12,8 +12,9 @@
 //     "head" of at most OPT slots followed by a fully-packed rectangular
 //     "tail" of length at most (alpha - 1) * OPT.
 //
-// The JobSchedule produced here is the input that the Most-Children
-// replayer (most_children.h) and Algorithm A (alg_a.h) consume.
+// The schedule produced here is a one-job Schedule(p) whose refs are all
+// {0, v}: the input that the Most-Children replayer (most_children.h) and
+// Algorithm A (alg_a.h) consume.
 #pragma once
 
 #include <string>
@@ -25,51 +26,28 @@
 
 namespace otsched {
 
-/// An explicit schedule of ONE job (release 0) on a fixed processor
-/// budget p: slot s (1-based) runs `slots[s-1]`.
-struct JobSchedule {
-  int p = 0;
-  std::vector<std::vector<NodeId>> slots;
-  std::vector<Time> slot_of;  // per node; kNoTime = never (impossible here)
+/// Builds the LPF schedule of `dag` on p >= 1 processors as a one-job
+/// Schedule(p): slot s holds LPF's picks for s, in pick order.  Works
+/// for any DAG (heights are well-defined); the optimality guarantees hold
+/// for out-forests.
+Schedule BuildLpfSchedule(const Dag& dag, const DagMetrics& metrics, int p);
+Schedule BuildLpfSchedule(const Dag& dag, int p);
 
-  Time length() const { return static_cast<Time>(slots.size()); }
-
-  int load(Time slot) const {
-    if (slot < 1 || slot > length()) return 0;
-    return static_cast<int>(slots[static_cast<std::size_t>(slot - 1)].size());
-  }
-
-  const std::vector<NodeId>& at(Time slot) const;
-
-  /// Last slot with load < p, or kNoTime if every slot is full.
-  Time last_underfull_slot() const;
-
-  /// Total scheduled subjobs.
-  std::int64_t total() const;
-};
-
-/// Builds the LPF schedule of `dag` on p >= 1 processors.  Works for any
-/// DAG (heights are well-defined); the optimality guarantees hold for
-/// out-forests.
-JobSchedule BuildLpfSchedule(const Dag& dag, const DagMetrics& metrics,
-                             int p);
-JobSchedule BuildLpfSchedule(const Dag& dag, int p);
-
-/// Verifies a JobSchedule as a one-job schedule (release 0) on p
-/// processors with ValidateSchedule (sim/validator.h), then that
-/// `slot_of` agrees with the slots.  Returns an empty string when valid,
-/// else a description of the first violation.
-std::string CheckJobSchedule(const Dag& dag, const JobSchedule& schedule);
+/// LPF's opposite, the clumsier packing of Figure 1: each slot runs the
+/// ready subjobs of LOWEST height.  Feasible and work-conserving but
+/// shape-blind; not from the paper.
+Schedule BuildLowestHeightFirstSchedule(const Dag& dag,
+                                        const DagMetrics& metrics, int p);
 
 /// Structural check of Lemma 5.2 on an out-forest LPF schedule: at the
-/// last underfull slot t (with t < length), every subjob j run at t that
+/// last underfull slot t (with t < horizon), every subjob j run at t that
 /// is not a leaf has its unique ancestor chain at slots t-1, ..., 1.
 struct Lemma52Report {
   bool holds = true;
   Time last_underfull = kNoTime;
   std::string detail;  // first violation, if any
 };
-Lemma52Report CheckLemma52(const Dag& dag, const JobSchedule& schedule);
+Lemma52Report CheckLemma52(const Dag& dag, const Schedule& schedule);
 
 /// Head/tail split of Figure 2: head = first `head_len` slots, tail = the
 /// rest.  For LPF[m/alpha] with head_len = OPT[m], the tail is fully
@@ -82,7 +60,7 @@ struct HeadTailShape {
   /// holds.
   std::vector<Time> underfull_tail_slots;
 };
-HeadTailShape AnalyzeHeadTail(const JobSchedule& schedule, Time head_len);
+HeadTailShape AnalyzeHeadTail(const Schedule& schedule, Time head_len);
 
 /// Global LPF as an online multi-job policy (clairvoyant baseline): each
 /// slot runs the m ready subjobs of greatest height, breaking ties toward

@@ -13,25 +13,27 @@
 // that enough ready subjobs exist, and the test suite exercises this under
 // adversarial budget streams.
 //
-// Algorithm A uses MC on the *tail* of an LPF schedule: head subjobs are
-// marked pre-executed via `mark_prefix_executed`.
+// S is a one-job Schedule(p) whose refs are all {0, v}, as BuildLpfSchedule
+// (lpf.h) returns it.  Algorithm A uses MC on the *tail* of an LPF
+// schedule: head subjobs are marked pre-executed via
+// `mark_prefix_executed`.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/lpf.h"
 #include "dag/dag.h"
 #include "sim/ready_state.h"
+#include "sim/schedule.h"
 
 namespace otsched {
 
 class MostChildrenReplayer {
  public:
   /// `schedule` must schedule every node of `dag` exactly once (see
-  /// CheckJobSchedule); the Lemma 5.5 busy guarantee additionally needs
+  /// ValidateSingleJob); the Lemma 5.5 busy guarantee additionally needs
   /// every slot except the last to be full.
-  MostChildrenReplayer(const Dag& dag, const JobSchedule& schedule);
+  MostChildrenReplayer(const Dag& dag, const Schedule& schedule);
 
   /// Marks all subjobs in S-slots [1, prefix_len] as already executed
   /// (before MC time 0).  Must be called before the first step().
@@ -57,9 +59,16 @@ class MostChildrenReplayer {
   Time now_ = 0;
   std::int64_t remaining_ = 0;
 
-  // Per S-level, the unprocessed nodes sorted by (static) count of
-  // children in the next S-level, descending.
-  std::vector<std::vector<NodeId>> level_nodes_;
+  // S's nodes, level by level: level s holds the unprocessed nodes in
+  // nodes_[levels_[s].begin, levels_[s].end), sorted by (static) count of
+  // children in the next S-level, descending.  Dropping executed nodes
+  // shrinks a range from its end.
+  struct Range {
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<NodeId> nodes_;
+  std::vector<Range> levels_;
   std::size_t min_level_ = 0;  // 0-based index of earliest unfinished level
   std::vector<char> executed_;
   // Readiness via incremental pending-predecessor counters (sim/ready_state):

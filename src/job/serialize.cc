@@ -199,10 +199,12 @@ std::optional<Instance> TryInstanceFromText(const std::string& text,
     Fields fields(line);
     const std::string_view keyword = fields.token();
     if (keyword == "name") {
-      const std::string_view name = fields.rest();
-      const std::size_t start = name.find_first_not_of(' ');
-      instance.set_name(std::string(
-          start == std::string_view::npos ? "" : name.substr(start)));
+      // The rest of the line past its leading spaces, less the carriage
+      // returns a CRLF file ends it with.
+      std::string_view name = fields.rest();
+      name.remove_prefix(std::min(name.find_first_not_of(' '), name.size()));
+      instance.set_name(
+          std::string(name.substr(0, name.find_last_not_of('\r') + 1)));
     } else if (keyword == "job") {
       Time release = -1;
       NodeId node_count = -1;

@@ -5,6 +5,10 @@
 // irrelevant in the paper's model, so a slot is just a bounded bag of
 // SubjobRefs with |slot| <= m.
 //
+// It is the one store from slots to subjobs: engine runs record into it,
+// and a single-job packing (LPF's schedule S of Section 5, hand-built
+// packings) is a Schedule(p) whose refs are all {0, v}.
+//
 // Storage is a flat CSR arena: one contiguous SubjobRef array plus a
 // per-slot offset table, instead of one heap vector per slot.  A
 // Schedule is append-only: place() takes slots in nondecreasing order,
@@ -49,7 +53,8 @@ class Schedule {
   std::int64_t idle_processor_slots() const;
 
   /// Slots in [from, to] with load strictly less than `capacity`
-  /// (nullopt = m).  Used to check the Lemma 5.2 / Figure 2 tail shape.
+  /// (nullopt = m): the underfull slots that CheckLemma52 and
+  /// AnalyzeHeadTail read for the Lemma 5.2 / Figure 2 shape.
   std::vector<Time> idle_slots(Time from, Time to,
                                std::optional<int> capacity = std::nullopt)
       const;

@@ -112,4 +112,10 @@ ValidationReport ValidateSchedule(const Schedule& schedule,
   return ValidationReport{};
 }
 
+ValidationReport ValidateSingleJob(const Schedule& schedule, const Dag& dag) {
+  Instance single;
+  single.add_job(Job(Dag(dag), 0));
+  return ValidateSchedule(schedule, single);
+}
+
 }  // namespace otsched

@@ -5,9 +5,9 @@
 //   (3) precedence: for every edge (j, k), slot(j) < slot(k),
 //   (4) releases: a subjob of a job released at r runs at a slot > r.
 //
-// This is the library's one implementation of the axioms.  Multi-job
-// engine schedules come here directly; single-job LPF schedules
-// (CheckJobSchedule), job-fault rollback traces
+// This is the library's one implementation of the axioms.  Engine
+// schedules and single-job LPF schedules (ValidateSingleJob) come
+// here directly; job-fault rollback traces
 // (CheckCommittedFeasibilityOracle) and Most-Children replay logs
 // (CheckMcBusyOracle) are rewritten as a Schedule and checked here too,
 // so every form reports the same "axiom (N)" verdicts.
@@ -39,5 +39,9 @@ struct ValidationReport {
 ValidationReport ValidateSchedule(const Schedule& schedule,
                                   const Instance& instance,
                                   std::int64_t wasted = 0);
+
+/// ValidateSchedule on a single-job packing: `schedule` runs the nodes of
+/// `dag` as job 0, released at 0.
+ValidationReport ValidateSingleJob(const Schedule& schedule, const Dag& dag);
 
 }  // namespace otsched

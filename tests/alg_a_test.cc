@@ -114,6 +114,34 @@ TEST(AlgAPlanner, AlphaMustDivideM) {
   EXPECT_DEATH(AlgAPlanner(10, 4, 3), "divide");
 }
 
+// The release-order check still sees a batch that plan_slot has retired:
+// job 0's batch (release 2) finishes at slot 4 and is popped at slot 5,
+// after which an older batch (release 0) must abort.
+TEST(AlgAPlanner, ReleaseOrderOutlivesRetiredBatches) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  class Probe : public Scheduler {
+   public:
+    std::string name() const override { return "probe"; }
+    bool requires_clairvoyance() const override { return true; }
+    void pick(const SchedulerView& view, std::vector<SubjobRef>& out) override {
+      const Time t = view.slot();
+      planner_.plan_slot(t, out);
+      const JobId job = t == 1 ? 0 : 1;
+      if (t == 1 || t == 5) {
+        planner_.add_batch(view, {&job, 1}, t == 1 ? 2 : 0);
+      }
+    }
+
+   private:
+    AlgAPlanner planner_{4, 4, 2};
+  };
+  Instance instance;
+  instance.add_job(Job(MakeChain(2), 0));
+  instance.add_job(Job(MakeChain(2), 4));
+  Probe probe;
+  EXPECT_DEATH(Simulate(instance, 4, probe), "release order");
+}
+
 TEST(AlgASemiBatched, PerJobWidthNeverExceedsMOverAlpha) {
   // Structural signature of Algorithm A: both the LPF head replay and the
   // MC tail grants cap every batch at m/alpha processors per slot, so no

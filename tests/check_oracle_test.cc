@@ -37,8 +37,8 @@ struct Artifacts {
   Schedule schedule{1};
   Time max_flow = 0;
   Time opt = 0;  // exact: single job at release 0 => SingleBatchOpt
-  JobSchedule lpf;      // LPF[m]
-  JobSchedule reduced;  // LPF[ceil(m/alpha)]
+  Schedule lpf{1};      // LPF[m]
+  Schedule reduced{1};  // LPF[ceil(m/alpha)]
   McReplayLog log;      // MC replay of `reduced`'s packed tail
 };
 
@@ -59,7 +59,7 @@ Artifacts MakeArtifacts(std::uint64_t seed, int m, NodeId nodes = 26) {
   // Lemma 5.5's busy guarantee needs every replayed slot except the last
   // to be full; by Lemma 5.2 that holds for the tail past OPT[m], so the
   // head is pre-executed — exactly Algorithm A's usage.
-  const Time prefix = std::min<Time>(a.opt, a.reduced.length());
+  const Time prefix = std::min<Time>(a.opt, a.reduced.horizon());
   const std::array<int, 3> budgets = {p, 1, std::max(1, p - 1)};
   a.log = RunMostChildrenLog(a.dag, a.reduced, budgets, prefix);
   return a;
@@ -104,22 +104,27 @@ void ExpectOnly(const std::vector<OracleResult>& results, OracleId intended,
   }
 }
 
-JobSchedule CopyWithNodeMoved(const JobSchedule& source, Time from,
-                              NodeId node, Time to) {
-  JobSchedule copy = source;
-  auto& src = copy.slots[static_cast<std::size_t>(from - 1)];
-  src.erase(std::find(src.begin(), src.end(), node));
-  if (to > copy.length()) copy.slots.resize(static_cast<std::size_t>(to));
-  copy.slots[static_cast<std::size_t>(to - 1)].push_back(node);
-  copy.slot_of[static_cast<std::size_t>(node)] = to;
+/// Copies `source` onto `m` processors, moving `node` from slot `from` to
+/// the end of slot `to` (kNoTime drops it).  Pass from = kNoTime to move
+/// nothing.
+Schedule CopyWithNodeMoved(const Schedule& source, int m, Time from,
+                           NodeId node, Time to) {
+  Schedule copy(m);
+  const SubjobRef moved{0, node};
+  for (Time t = 1; t <= std::max(source.horizon(), to); ++t) {
+    for (const SubjobRef& ref : source.at(t)) {
+      if (t != from || ref != moved) copy.place(t, ref);
+    }
+    if (t == to) copy.place(t, moved);
+  }
   return copy;
 }
 
 /// A leaf scheduled in the given slot (moving a leaf later never breaks
 /// precedence), or -1.
-NodeId LeafIn(const Dag& dag, const JobSchedule& schedule, Time slot) {
-  for (NodeId v : schedule.at(slot)) {
-    if (dag.children(v).empty()) return v;
+NodeId LeafIn(const Dag& dag, const Schedule& schedule, Time slot) {
+  for (const SubjobRef& ref : schedule.at(slot)) {
+    if (dag.children(ref.node).empty()) return ref.node;
   }
   return -1;
 }
@@ -176,20 +181,20 @@ TEST_P(OracleMutationTest, StretchedLpfFiresLpfValueOnly) {
   Artifacts a = MakeArtifacts(seed(), 3);
   // Move a leaf from the final slot into a fresh extra slot: still a
   // feasible single-job schedule, but one slot longer than Corollary 5.4.
-  const NodeId leaf = LeafIn(a.dag, a.lpf, a.lpf.length());
+  const Time last = a.lpf.horizon();
+  const NodeId leaf = LeafIn(a.dag, a.lpf, last);
   ASSERT_GE(leaf, 0);
-  a.lpf = CopyWithNodeMoved(a.lpf, a.lpf.length(), leaf, a.lpf.length() + 1);
+  a.lpf = CopyWithNodeMoved(a.lpf, a.m, last, leaf, last + 1);
   ExpectOnly(RunAllOracles(a), OracleId::kLpfValue, "stretched LPF[m]");
 }
 
 TEST_P(OracleMutationTest, IncompleteLpfFiresLpfValueOnly) {
   Artifacts a = MakeArtifacts(seed(), 4);
-  // Erase a leaf from its slot entirely: total() < node_count.
-  const NodeId leaf = LeafIn(a.dag, a.lpf, a.lpf.length());
+  // Erase a leaf from its slot entirely: total_placed() < node_count.
+  const Time last = a.lpf.horizon();
+  const NodeId leaf = LeafIn(a.dag, a.lpf, last);
   ASSERT_GE(leaf, 0);
-  auto& slot = a.lpf.slots.back();
-  slot.erase(std::find(slot.begin(), slot.end(), leaf));
-  a.lpf.slot_of[static_cast<std::size_t>(leaf)] = kNoTime;
+  a.lpf = CopyWithNodeMoved(a.lpf, a.m, last, leaf, kNoTime);
   ExpectOnly(RunAllOracles(a), OracleId::kLpfValue, "incomplete LPF[m]");
 }
 
@@ -197,10 +202,10 @@ TEST_P(OracleMutationTest, DentedTailFiresHeadTailOnly) {
   // Use m = 8 so p = 2 and the packed tail is non-trivial; carving a leaf
   // out of a full tail slot dents the Figure 2 rectangle.
   Artifacts a = MakeTailArtifacts(seed(), 8);
-  const int p = a.reduced.p;
+  const int p = a.reduced.m();
   Time full_tail_slot = kNoTime;
   NodeId leaf = -1;
-  for (Time t = a.reduced.length() - 1; t > a.opt; --t) {
+  for (Time t = a.reduced.horizon() - 1; t > a.opt; --t) {
     if (a.reduced.load(t) == p) {
       const NodeId candidate = LeafIn(a.dag, a.reduced, t);
       if (candidate >= 0) {
@@ -213,8 +218,8 @@ TEST_P(OracleMutationTest, DentedTailFiresHeadTailOnly) {
   if (full_tail_slot == kNoTime) {
     GTEST_SKIP() << "no full tail slot with a movable leaf for this seed";
   }
-  a.reduced = CopyWithNodeMoved(a.reduced, full_tail_slot, leaf,
-                                a.reduced.length() + 1);
+  a.reduced = CopyWithNodeMoved(a.reduced, p, full_tail_slot, leaf,
+                                a.reduced.horizon() + 1);
   // The MC oracle only reads the head slots (all < full_tail_slot) out of
   // the schedule, so the pre-recorded log stays valid: exactly one
   // artifact is corrupted.
@@ -223,7 +228,9 @@ TEST_P(OracleMutationTest, DentedTailFiresHeadTailOnly) {
 
 TEST_P(OracleMutationTest, WrongBudgetFiresHeadTailOnly) {
   Artifacts a = MakeArtifacts(seed(), 8);
-  a.reduced.p += 1;  // claims ceil(m/alpha)+1 processors
+  // Claims ceil(m/alpha)+1 processors.
+  a.reduced = CopyWithNodeMoved(a.reduced, a.reduced.m() + 1, kNoTime, -1,
+                                kNoTime);
   ExpectOnly(RunAllOracles(a), OracleId::kHeadTail, "wrong reduced budget");
 }
 

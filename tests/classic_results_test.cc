@@ -61,7 +61,7 @@ TEST(HuInForests, LpfMatchesBruteForceOnInForests) {
     instance.add_job(Job(Dag(in_forest), 0));
     for (int m : {1, 2, 3}) {
       const Time exact = BruteForceOpt(instance, m);
-      const Time lpf = BuildLpfSchedule(in_forest, m).length();
+      const Time lpf = BuildLpfSchedule(in_forest, m).horizon();
       EXPECT_EQ(lpf, exact) << "seed " << seed << " m " << m;
     }
   }

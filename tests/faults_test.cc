@@ -276,10 +276,10 @@ TEST(McNoWasteUnderFaults, HoldsOnOverOneThousandFuzzedBudgetTraces) {
     const Dag dag = MakeTree(static_cast<TreeFamily>(i % 4), nodes, rng);
     const int m = 4 + static_cast<int>(i % 7);
     const int p = (m + kAlpha - 1) / kAlpha;
-    const JobSchedule reduced = BuildLpfSchedule(dag, p);
+    const Schedule reduced = BuildLpfSchedule(dag, p);
     const Time prefix =
-        std::min<Time>(SingleBatchOpt(dag, m), reduced.length());
-    if (reduced.length() <= prefix) continue;  // Job done within the head.
+        std::min<Time>(SingleBatchOpt(dag, m), reduced.horizon());
+    if (reduced.horizon() <= prefix) continue;  // Job done within the head.
 
     BudgetTrace trace_storage;
     const FaultSpec faults = FuzzSpec(i, &trace_storage, p);

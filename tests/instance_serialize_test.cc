@@ -195,9 +195,10 @@ TEST(InstanceGrammar, TabsAndCrlf) {
   EXPECT_EQ(loaded.job(0).name(), "j0");
   EXPECT_EQ(loaded.job(0).dag().edge_count(), 1);
   EXPECT_EQ(loaded.job(1).release(), 4);
-  // The name keeps the rest of its line verbatim past the leading
-  // spaces, the carriage return included.
-  EXPECT_EQ(loaded.name(), "demo\r");
+  // The name keeps the rest of its line past the leading spaces, less
+  // the line's carriage return, so writing it back reads the same.
+  EXPECT_EQ(loaded.name(), "demo");
+  EXPECT_EQ(InstanceFromText(InstanceToText(loaded)).name(), "demo");
 }
 
 TEST(InstanceGrammar, TrailingTokensAreIgnored) {

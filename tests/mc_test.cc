@@ -6,19 +6,20 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "core/lpf.h"
 #include "core/most_children.h"
 #include "dag/builders.h"
 #include "gen/random_trees.h"
 #include "opt/single_batch.h"
 #include "sim/faults.h"
+#include "sim/validator.h"
 
 namespace otsched {
 namespace {
 
 /// Replays MC to completion under a budget stream and checks feasibility
 /// of the produced order against the DAG (parents strictly earlier).
-void ReplayAndCheck(const Dag& dag, const JobSchedule& lpf,
-                    MostChildrenReplayer& mc,
+void ReplayAndCheck(const Dag& dag, MostChildrenReplayer& mc,
                     const std::function<int(Time)>& budget_at) {
   std::vector<Time> done_at(static_cast<std::size_t>(dag.node_count()),
                             kNoTime);
@@ -41,14 +42,13 @@ void ReplayAndCheck(const Dag& dag, const JobSchedule& lpf,
       }
     }
   }
-  (void)lpf;
 }
 
 TEST(MostChildren, CompletesChainUnderUnitBudget) {
   const Dag chain = MakeChain(5);
-  const JobSchedule lpf = BuildLpfSchedule(chain, 1);
+  const Schedule lpf = BuildLpfSchedule(chain, 1);
   MostChildrenReplayer mc(chain, lpf);
-  ReplayAndCheck(chain, lpf, mc, [](Time) { return 1; });
+  ReplayAndCheck(chain, mc, [](Time) { return 1; });
   EXPECT_EQ(mc.busy_violations(), 0);
   EXPECT_EQ(mc.now(), 5);
 }
@@ -71,7 +71,7 @@ TEST(MostChildren, MidReplayOutageStallsWithoutViolations) {
   Rng rng(3);
   const Dag tree = MakeTree(TreeFamily::kMixed, 24, rng);
   const int p = 3;
-  const JobSchedule lpf = BuildLpfSchedule(tree, p);
+  const Schedule lpf = BuildLpfSchedule(tree, p);
   BudgetTrace trace;
   trace.set(3, 0);
   trace.set(4, 0);
@@ -110,7 +110,7 @@ TEST(MostChildren, CapacitySpikeBackToFullBudgetIsUsed) {
   // the no-waste property does not relax after a degraded stretch.
   const int p = 4;
   const Dag star = MakeStar(13);  // root then 12 independent leaves
-  const JobSchedule lpf = BuildLpfSchedule(star, p);
+  const Schedule lpf = BuildLpfSchedule(star, p);
   BudgetTrace trace;
   trace.set(1, 1);
   trace.set(2, 1);
@@ -147,7 +147,7 @@ TEST(MostChildren, TraceShorterThanReplayMeansTheMachineRecovers) {
   Rng rng(7);
   const Dag tree = MakeTree(TreeFamily::kBranchy, 30, rng);
   const int p = 2;
-  const JobSchedule lpf = BuildLpfSchedule(tree, p);
+  const Schedule lpf = BuildLpfSchedule(tree, p);
   BudgetTrace trace;
   trace.set(1, 1);
   trace.set(2, 0);
@@ -171,12 +171,12 @@ TEST(MostChildren, TraceShorterThanReplayMeansTheMachineRecovers) {
   EXPECT_EQ(mc.remaining(), 0);
   // Recovery is fast: the degraded prefix (one slot at capacity 1, one
   // outage) can cost at most two extra slots over the all-healthy replay.
-  EXPECT_LE(mc.now(), lpf.length() + 2);
+  EXPECT_LE(mc.now(), lpf.horizon() + 2);
 }
 
 TEST(MostChildren, PrefixMarkingSkipsHead) {
   const Dag chain = MakeChain(6);
-  const JobSchedule lpf = BuildLpfSchedule(chain, 1);
+  const Schedule lpf = BuildLpfSchedule(chain, 1);
   MostChildrenReplayer mc(chain, lpf);
   mc.mark_prefix_executed(4);
   EXPECT_EQ(mc.remaining(), 2);
@@ -201,10 +201,8 @@ TEST(MostChildren, PrefersNodesWithMoreNextLevelChildren) {
   builder.add_edge(0, 3);
   const Dag dag = std::move(builder).build();
   // Hand-build the schedule: slot 1 = {0, 1}, slot 2 = {2, 3}.
-  JobSchedule s;
-  s.p = 2;
-  s.slots = {{0, 1}, {2, 3}};
-  s.slot_of = {1, 1, 2, 2};
+  Schedule s(2);
+  for (NodeId v = 0; v < 4; ++v) s.place(1 + v / 2, SubjobRef{0, v});
 
   MostChildrenReplayer mc(dag, s);
   std::vector<NodeId> nodes;
@@ -228,7 +226,7 @@ TEST_P(MostChildrenBusyTest, Lemma55BusyProperty) {
   Rng rng(static_cast<std::uint64_t>(seed) * 6007 + p);
   const auto family = static_cast<TreeFamily>(family_index);
   const Dag tree = MakeTree(family, 180, rng);
-  const JobSchedule lpf = BuildLpfSchedule(tree, p);
+  const Schedule lpf = BuildLpfSchedule(tree, p);
   // Lemma 5.5 requires an input schedule whose only underfull slot is the
   // last one; LPF guarantees that only AFTER the head.  Mark the head as
   // pre-executed like Algorithm A does.
@@ -283,40 +281,12 @@ TEST(MostChildren, FeasibleOnNonLpfInputSchedules) {
   const Dag tree = MakeTree(TreeFamily::kBranchy, 120, rng);
   const DagMetrics metrics = ComputeMetrics(tree);
 
-  // Build a "worst practice" schedule greedily by LOWEST height.
-  JobSchedule anti;
-  anti.p = 4;
-  anti.slot_of.assign(static_cast<std::size_t>(tree.node_count()), kNoTime);
-  std::vector<NodeId> pending(static_cast<std::size_t>(tree.node_count()));
-  std::vector<NodeId> ready;
-  for (NodeId v = 0; v < tree.node_count(); ++v) {
-    pending[static_cast<std::size_t>(v)] = tree.in_degree(v);
-    if (pending[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
-  }
-  std::int64_t done = 0;
-  while (done < tree.node_count()) {
-    std::sort(ready.begin(), ready.end(), [&](NodeId a, NodeId b) {
-      return metrics.height[static_cast<std::size_t>(a)] <
-             metrics.height[static_cast<std::size_t>(b)];
-    });
-    std::vector<NodeId> slot;
-    for (int k = 0; k < anti.p && !ready.empty(); ++k) {
-      slot.push_back(ready.front());
-      ready.erase(ready.begin());
-    }
-    anti.slots.push_back(slot);
-    for (NodeId v : slot) {
-      anti.slot_of[static_cast<std::size_t>(v)] = anti.length();
-      ++done;
-      for (NodeId c : tree.children(v)) {
-        if (--pending[static_cast<std::size_t>(c)] == 0) ready.push_back(c);
-      }
-    }
-  }
-  ASSERT_TRUE(CheckJobSchedule(tree, anti).empty());
+  // A "worst practice" schedule: greedily by LOWEST height.
+  const Schedule anti = BuildLowestHeightFirstSchedule(tree, metrics, 4);
+  ASSERT_TRUE(ValidateSingleJob(anti, tree));
 
   MostChildrenReplayer mc(tree, anti);
-  ReplayAndCheck(tree, anti, mc, [](Time t) { return t % 2 == 0 ? 4 : 2; });
+  ReplayAndCheck(tree, mc, [](Time t) { return t % 2 == 0 ? 4 : 2; });
   EXPECT_TRUE(mc.done());
   // busy_violations() may be nonzero here — that is the point.
 }
@@ -324,9 +294,9 @@ TEST(MostChildren, FeasibleOnNonLpfInputSchedules) {
 TEST(MostChildren, FullReplayMatchesScheduleWork) {
   Rng rng(404);
   const Dag tree = MakeTree(TreeFamily::kMixed, 100, rng);
-  const JobSchedule lpf = BuildLpfSchedule(tree, 4);
+  const Schedule lpf = BuildLpfSchedule(tree, 4);
   MostChildrenReplayer mc(tree, lpf);
-  ReplayAndCheck(tree, lpf, mc, [](Time t) { return t % 3 == 0 ? 4 : 2; });
+  ReplayAndCheck(tree, mc, [](Time t) { return t % 3 == 0 ? 4 : 2; });
   EXPECT_EQ(mc.remaining(), 0);
 }
 

@@ -233,7 +233,7 @@ TEST(LpfInvariance, ValueIsStableUnderRelabelling) {
   // id order; verify by relabelling nodes randomly and re-running.
   Rng rng(77);
   const Dag tree = MakeTree(TreeFamily::kMixed, 80, rng);
-  const Time baseline = BuildLpfSchedule(tree, 4).length();
+  const Time baseline = BuildLpfSchedule(tree, 4).horizon();
   EXPECT_EQ(baseline, SingleBatchOpt(tree, 4));
 
   for (int trial = 0; trial < 10; ++trial) {
@@ -250,7 +250,7 @@ TEST(LpfInvariance, ValueIsStableUnderRelabelling) {
       }
     }
     const Dag shuffled = std::move(builder).build();
-    EXPECT_EQ(BuildLpfSchedule(shuffled, 4).length(), baseline)
+    EXPECT_EQ(BuildLpfSchedule(shuffled, 4).horizon(), baseline)
         << "trial " << trial;
   }
 }

@@ -17,7 +17,7 @@ TEST(Umbrella, OneSymbolPerSubsystem) {
   const SimResult result = Simulate(instance, 2, fifo);  // sim
   EXPECT_TRUE(ValidateSchedule(result.full_schedule(), instance).feasible);
   EXPECT_GE(MaxFlowLowerBound(instance, 2), 1);          // opt
-  EXPECT_EQ(BuildLpfSchedule(tree, 2).total(), 20);      // core
+  EXPECT_EQ(BuildLpfSchedule(tree, 2).total_placed(), 20);  // core
   EXPECT_GE(ComputeFlowStats(result.flows).max, 1);      // analysis
   const EventTrace trace =                               // trace
       DeriveTrace(result.full_schedule(), instance);

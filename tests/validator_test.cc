@@ -136,8 +136,8 @@ TEST(Validator, PrecedenceAppliesToLastRuns) {
 
 // ---- one checker, four schedule forms ----
 //
-// An engine Schedule, a single-job JobSchedule, a job-fault rollback trace
-// and a Most-Children replay log all reach ValidateSchedule, so the same
+// An engine Schedule, a single-job packing, a job-fault rollback trace and
+// a Most-Children replay log all reach ValidateSchedule, so the same
 // defect gets the same axiom tag in every form.  The job is a root 0 with
 // children 1, 2, 3 on two processors; a defect is written once as a
 // list of slots and turned into each form.
@@ -147,14 +147,12 @@ constexpr int kP = 2;
 
 Dag Star() { return MakeStar(3); }
 
-JobSchedule AsJobSchedule(const Slots& slots) {
-  JobSchedule schedule;
-  schedule.p = kP;
-  schedule.slots = slots;
-  schedule.slot_of.assign(4, kNoTime);
+// The slots of job 0 on kP processors, starting at slot `first`.
+Schedule AsSchedule(const Slots& slots, Time first = 1) {
+  Schedule schedule(kP);
   for (std::size_t s = 0; s < slots.size(); ++s) {
     for (NodeId v : slots[s]) {
-      schedule.slot_of[static_cast<std::size_t>(v)] = static_cast<Time>(s) + 1;
+      schedule.place(first + static_cast<Time>(s), {0, v});
     }
   }
   return schedule;
@@ -164,13 +162,7 @@ JobSchedule AsJobSchedule(const Slots& slots) {
 std::string EngineForm(const Slots& slots, Time release, Time first) {
   Instance instance;
   instance.add_job(Job(Star(), release));
-  Schedule schedule(kP);
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    for (NodeId v : slots[s]) {
-      schedule.place(first + static_cast<Time>(s), {0, v});
-    }
-  }
-  return ValidateSchedule(schedule, instance).violation;
+  return ValidateSchedule(AsSchedule(slots, first), instance).violation;
 }
 
 std::string TraceForm(const Slots& slots, Time release, Time first) {
@@ -188,8 +180,8 @@ std::string TraceForm(const Slots& slots, Time release, Time first) {
       .detail;
 }
 
-std::string JobScheduleForm(const Slots& slots) {
-  return CheckJobSchedule(Star(), AsJobSchedule(slots));
+std::string SingleJobForm(const Slots& slots) {
+  return ValidateSingleJob(AsSchedule(slots), Star()).violation;
 }
 
 // S-slot 1 is the pre-executed prefix; every later slot is an MC step
@@ -200,7 +192,7 @@ std::string McLogForm(const Slots& slots) {
   for (std::size_t s = 1; s < slots.size(); ++s) {
     log.steps.push_back({kP, slots[s]});
   }
-  return CheckMcBusyOracle(Star(), AsJobSchedule(slots), log).detail;
+  return CheckMcBusyOracle(Star(), AsSchedule(slots), log).detail;
 }
 
 struct Defect {
@@ -213,7 +205,7 @@ TEST(ValidatorForms, EveryFormReportsTheSameAxiom) {
   const Slots good = {{0}, {1, 2}, {3}};
   EXPECT_EQ(EngineForm(good, 1, 2), "");
   EXPECT_EQ(TraceForm(good, 1, 2), "");
-  EXPECT_EQ(JobScheduleForm(good), "");
+  EXPECT_EQ(SingleJobForm(good), "");
   EXPECT_EQ(McLogForm(good), "");
 
   const std::vector<Defect> defects = {
@@ -227,7 +219,7 @@ TEST(ValidatorForms, EveryFormReportsTheSameAxiom) {
          std::vector<std::pair<const char*, std::string>>{
              {"engine", EngineForm(defect.slots, 1, 2)},
              {"trace", TraceForm(defect.slots, 1, 2)},
-             {"job-schedule", JobScheduleForm(defect.slots)},
+             {"single-job", SingleJobForm(defect.slots)},
              {"mc-log", McLogForm(defect.slots)}}) {
       EXPECT_NE(verdict.find(defect.tag), std::string::npos)
           << defect.name << " in the " << form << " form: " << verdict;

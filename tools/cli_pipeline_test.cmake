@@ -333,6 +333,17 @@ expect_instance_hash(${EXAMPLES_DIR}/general_dag.inst 2 131bc40c7ec83dc6)
 run_step(${CLI} gen trees 200 16 2 7 ${WORKDIR}/cli_fingerprint.inst)
 expect_instance_hash(${WORKDIR}/cli_fingerprint.inst 8 d19b2be6b338d19e)
 
+# A CRLF file's name loses its line's carriage return: the manifest names
+# the instance "demo", not "demo\r".
+file(WRITE ${WORKDIR}/cli_crlf.inst
+     "otsched-instance-v1\r\nname demo\r\njob 0 2\r\n0 1\r\nend\r\n")
+run_step(${CLI} run ${WORKDIR}/cli_crlf.inst 2 fifo/first-ready --record flow
+         --manifest ${WORKDIR}/cli_crlf.json)
+file(READ ${WORKDIR}/cli_crlf.json crlf_manifest)
+if(NOT crlf_manifest MATCHES "\"instance\": \"demo\"")
+  message(FATAL_ERROR "CRLF instance is not named demo:\n${crlf_manifest}")
+endif()
+
 # ---- certified lower bounds (--certify) ----
 
 # `bounds --certify` on the checked-in GENERAL DAG example (not an
