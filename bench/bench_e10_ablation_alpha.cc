@@ -14,7 +14,7 @@
 #include "analysis/sweep.h"
 #include "common/csv.h"
 #include "common/table.h"
-#include "core/alg_a.h"
+#include "core/alg_a_full.h"
 #include "gen/certified.h"
 
 using namespace otsched;
@@ -41,10 +41,10 @@ int main() {
       {
         CertifiedInstance cert =
             MakePipelinedSemiBatchedInstance(m, delta, 10, rng);
-        AlgASemiBatchedScheduler::Options options;
+        AlgAScheduler::Options options;
         options.alpha = alpha;
         options.known_opt = cert.opt;
-        AlgASemiBatchedScheduler scheduler(options);
+        AlgAScheduler scheduler(options);
         const RatioMeasurement r =
             MeasureRatio(cert.instance, m, scheduler, cert.opt);
         row.pipelined_ratio = std::max(row.pipelined_ratio, r.ratio);
@@ -52,10 +52,10 @@ int main() {
       {
         CertifiedInstance cert =
             MakeSpacedSaturatedInstance(m, delta, 10, rng);
-        AlgASemiBatchedScheduler::Options options;
+        AlgAScheduler::Options options;
         options.alpha = alpha;
         options.known_opt = 2 * cert.opt;
-        AlgASemiBatchedScheduler scheduler(options);
+        AlgAScheduler scheduler(options);
         const RatioMeasurement r =
             MeasureRatio(cert.instance, m, scheduler, cert.opt);
         row.spaced_ratio = std::max(row.spaced_ratio, r.ratio);

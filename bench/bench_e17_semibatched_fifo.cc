@@ -21,7 +21,6 @@
 #include "common/table.h"
 #include "gen/certified.h"
 #include "gen/tetris.h"
-#include "job/transforms.h"
 #include "sched/fifo.h"
 
 using namespace otsched;

@@ -17,7 +17,7 @@
 #include "analysis/sweep.h"
 #include "common/csv.h"
 #include "common/table.h"
-#include "core/alg_a.h"
+#include "core/alg_a_full.h"
 #include "gen/fifo_adversary.h"
 #include "sched/fifo.h"
 #include "sim/validator.h"
@@ -49,9 +49,9 @@ int main() {
     row.fifo_ratio = static_cast<double>(adv.fifo_run.max_flow) / opt_upper;
 
     {
-      AlgASemiBatchedScheduler::Options a_options;
+      AlgAScheduler::Options a_options;
       a_options.known_opt = 2 * (m + 1);
-      AlgASemiBatchedScheduler alg_a(a_options);
+      AlgAScheduler alg_a(a_options);
       const SimResult result = Simulate(adv.instance, m, alg_a);
       row.alg_a_ratio =
           static_cast<double>(result.flows.max_flow) / opt_upper;

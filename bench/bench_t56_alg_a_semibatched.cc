@@ -16,7 +16,7 @@
 #include "analysis/sweep.h"
 #include "common/csv.h"
 #include "common/table.h"
-#include "core/alg_a.h"
+#include "core/alg_a_full.h"
 #include "gen/certified.h"
 
 using namespace otsched;
@@ -45,16 +45,16 @@ int main() {
       {
         CertifiedInstance cert =
             MakePipelinedSemiBatchedInstance(m, delta, 10, rng);
-        AlgASemiBatchedScheduler::Options options;
+        AlgAScheduler::Options options;
         options.known_opt = cert.opt;
-        AlgASemiBatchedScheduler scheduler(options);
+        AlgAScheduler scheduler(options);
         const RatioMeasurement r =
             MeasureRatio(cert.instance, m, scheduler, cert.opt);
         row.pipelined_ratio = std::max(row.pipelined_ratio, r.ratio);
         row.mc_violations += scheduler.mc_busy_violations();
         // Re-run full-record to obtain the schedule: the Section 5
         // structural audit walks the materialized slot shape.
-        AlgASemiBatchedScheduler again(options);
+        AlgAScheduler again(options);
         const SimResult sim = Simulate(cert.instance, m, again);
         const Section5Report structure = CheckSection5Structure(
             sim.full_schedule(), cert.instance, m, options.alpha, cert.opt / 2);
@@ -62,9 +62,9 @@ int main() {
       }
       {
         CertifiedInstance cert = MakeSpacedSaturatedInstance(m, delta, 10, rng);
-        AlgASemiBatchedScheduler::Options options;
+        AlgAScheduler::Options options;
         options.known_opt = 2 * cert.opt;  // releases are multiples of OPT
-        AlgASemiBatchedScheduler scheduler(options);
+        AlgAScheduler scheduler(options);
         const RatioMeasurement r =
             MeasureRatio(cert.instance, m, scheduler, cert.opt);
         row.spaced_ratio = std::max(row.spaced_ratio, r.ratio);

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/alg_a.h"
+#include "core/alg_a_full.h"
 #include "gen/fifo_adversary.h"
 #include "sched/fifo.h"
 #include "sim/renderer.h"
@@ -57,9 +57,9 @@ int main(int argc, char** argv) {
                   static_cast<double>(run.certified_opt_upper));
 
   // Algorithm A (semi-batched: releases are multiples of m+1).
-  AlgASemiBatchedScheduler::Options a_options;
+  AlgAScheduler::Options a_options;
   a_options.known_opt = 2 * (m + 1);
-  AlgASemiBatchedScheduler alg_a(a_options);
+  AlgAScheduler alg_a(a_options);
   const SimResult a_result = Simulate(adv.instance, m, alg_a);
   std::printf("Algorithm A (Section 5, alpha=4, known OPT):\n");
   std::printf("  max flow           : %lld  (%.2f x OPT-upper)\n\n",

@@ -12,7 +12,7 @@
 #include "analysis/ratio.h"
 #include "common/csv.h"
 #include "common/table.h"
-#include "core/alg_a.h"
+#include "core/alg_a_full.h"
 #include "gen/certified.h"
 #include "sched/fifo.h"
 
@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
   table.row(fifo_run.scheduler, fifo_run.max_flow, fifo_run.ratio,
             fifo_run.flow_stats.mean);
 
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = 2 * cert.opt;  // releases are multiples of OPT = OPT'/2
-  AlgASemiBatchedScheduler alg_a(options);
+  AlgAScheduler alg_a(options);
   const RatioMeasurement a_run =
       MeasureRatio(cert.instance, m, alg_a, cert.opt);
   table.row(a_run.scheduler, a_run.max_flow, a_run.ratio,

@@ -82,15 +82,13 @@ void AlgAPlanner::replay_head_slot(PlanJob& job, Time lpf_slot,
   }
 }
 
-void AlgAPlanner::plan_slot(Time t, std::vector<SubjobRef>& out) {
+int AlgAPlanner::plan_slot(Time t, std::vector<SubjobRef>& out) {
   int used = 0;
+  int busy_violations = 0;
 
   // Retire finished front batches, so long streams do not accumulate
   // cost or memory.
   while (!batches_.empty() && batches_.front().finished()) {
-    if (batches_.front().mc) {
-      mc_busy_violations_ += batches_.front().mc->busy_violations();
-    }
     batches_.pop_front();
   }
 
@@ -132,23 +130,21 @@ void AlgAPlanner::plan_slot(Time t, std::vector<SubjobRef>& out) {
     }
     batch.remaining -= scheduled;
     used += scheduled;
+    // Lemma 5.5 counts a grant left idle while the batch is unfinished;
+    // this is MC's own rule, as batch.remaining == mc->remaining().
+    if (scheduled < grant && !batch.finished()) ++busy_violations;
   }
   OTSCHED_CHECK(used <= m_, "planner over-committed: " << used << " > " << m_);
+  return busy_violations;
 }
 
-// Retired batches are finished, and their MC violations are already
-// folded into mc_busy_violations_, so the queries below read batches_.
+// Retired batches are finished, so the queries below read batches_.
 
 std::optional<Time> AlgAPlanner::oldest_unfinished_age(Time t) const {
   for (const PlanJob& batch : batches_) {
     if (!batch.finished()) return t - batch.visible_release;
   }
   return std::nullopt;
-}
-
-bool AlgAPlanner::all_finished() const {
-  return std::all_of(batches_.begin(), batches_.end(),
-                     [](const PlanJob& b) { return b.finished(); });
 }
 
 std::vector<JobId> AlgAPlanner::unfinished_members() const {
@@ -160,56 +156,6 @@ std::vector<JobId> AlgAPlanner::unfinished_members() const {
     }
   }
   return result;
-}
-
-std::int64_t AlgAPlanner::mc_busy_violations() const {
-  std::int64_t total = mc_busy_violations_;
-  for (const PlanJob& batch : batches_) {
-    if (batch.mc) total += batch.mc->busy_violations();
-  }
-  return total;
-}
-
-// --- Semi-batched scheduler -------------------------------------------
-
-AlgASemiBatchedScheduler::AlgASemiBatchedScheduler(Options options)
-    : options_(options) {
-  OTSCHED_CHECK(options_.known_opt >= 2 && options_.known_opt % 2 == 0,
-                "known_opt must be an even value >= 2 so that W = OPT/2 "
-                "is a positive integer; got "
-                    << options_.known_opt);
-}
-
-void AlgASemiBatchedScheduler::reset(int m, JobId job_count) {
-  (void)job_count;
-  planner_ = std::make_unique<AlgAPlanner>(m, options_.alpha,
-                                           options_.known_opt / 2,
-                                           options_.allow_general_dags);
-  pending_.clear();
-  pending_release_ = -1;
-}
-
-void AlgASemiBatchedScheduler::on_arrival(JobId id,
-                                          const SchedulerView& view) {
-  const Time release = view.release(id);
-  OTSCHED_CHECK(release % planner_->window() == 0,
-                "semi-batched instance required: job "
-                    << id << " released at " << release
-                    << " which is not a multiple of OPT/2 = "
-                    << planner_->window());
-  OTSCHED_CHECK(pending_.empty() || pending_release_ == release,
-                "arrivals for a previous batch were never planned");
-  pending_release_ = release;
-  pending_.push_back(id);
-}
-
-void AlgASemiBatchedScheduler::pick(const SchedulerView& view,
-                                    std::vector<SubjobRef>& out) {
-  if (!pending_.empty()) {
-    planner_->add_batch(view, pending_, pending_release_);
-    pending_.clear();
-  }
-  planner_->plan_slot(view.slot(), out);
 }
 
 }  // namespace otsched

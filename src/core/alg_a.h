@@ -1,6 +1,5 @@
-// Algorithm A (Section 5.3): the clairvoyant O(1)-competitive scheduler
-// for out-forest jobs on semi-batched instances, given the optimal
-// maximum flow OPT.
+// Algorithm A's window planner (Section 5.3), for out-forest jobs on
+// semi-batched instances.
 //
 // Structure per window of W = OPT/2 slots (with p = m/alpha processors):
 //   phase 1 — the newest batch replays its LPF[p] schedule, slots 1..W;
@@ -12,14 +11,13 @@
 // by Lemma 5.2 the remainder (the *tail*) is a fully-packed p-wide
 // rectangle — exactly the precondition MC needs for Lemma 5.5.
 //
-// The AlgAPlanner below is the window/phase machinery shared by the
-// semi-batched scheduler here and the general scheduler in alg_a_full.h
-// (which adds the Section 5.4 reductions: release rounding and
-// guess-and-double).
+// The scheduler is AlgAScheduler (alg_a_full.h): with a known OPT it runs
+// this planner on windows of OPT/2 (Theorem 5.6); otherwise it wraps it in
+// the Section 5.4 reductions, release rounding and guess-and-double
+// (Theorem 5.7).
 #pragma once
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -31,7 +29,7 @@ namespace otsched {
 
 /// The paper's processor reduction factor alpha (Section 5): batches plan
 /// on p = m / alpha processors, so alpha must divide m.  The default of
-/// both Algorithm A schedulers and the registry's precondition gate.
+/// both Algorithm A modes and the registry's precondition gate.
 inline constexpr int kAlgAAlpha = 4;
 
 /// Window/phase planner.  One instance manages the set of materialized
@@ -63,20 +61,17 @@ class AlgAPlanner {
                  Time visible_release);
 
   /// Emits the picks for engine slot t (head replays + MC tails).
-  void plan_slot(Time t, std::vector<SubjobRef>& out);
+  /// Returns the slot's Lemma 5.5 busy violations: MC grants that left a
+  /// processor idle while their batch was unfinished (0 on out-forests).
+  int plan_slot(Time t, std::vector<SubjobRef>& out);
 
   /// Age (t - visible_release) of the oldest unfinished batch, or
   /// nullopt if everything planned so far is finished.
   std::optional<Time> oldest_unfinished_age(Time t) const;
 
-  bool all_finished() const;
-
   /// Engine jobs belonging to unfinished batches (used by the restart in
   /// the guess-and-double wrapper).
   std::vector<JobId> unfinished_members() const;
-
-  /// Total Lemma 5.5 busy violations across all MC replayers (0 expected).
-  std::int64_t mc_busy_violations() const;
 
  private:
   struct PlanJob {
@@ -103,45 +98,6 @@ class AlgAPlanner {
   /// front, so it stays O(active batches) over long streams.
   std::deque<PlanJob> batches_;
   std::optional<Time> newest_release_;  // of every batch ever added
-  std::int64_t mc_busy_violations_ = 0;
-};
-
-/// The super-clairvoyant semi-batched Algorithm A (Theorem 5.6): requires
-/// all releases to be multiples of known_opt / 2 and knows known_opt.
-class AlgASemiBatchedScheduler : public Scheduler {
- public:
-  struct Options {
-    int alpha = kAlgAAlpha;
-    /// The known (or assumed) optimal maximum flow; must be even and >= 2
-    /// so that W = known_opt / 2 is a positive integer.
-    Time known_opt = 2;
-    /// Heuristic extension beyond the paper: accept arbitrary DAG jobs
-    /// (no O(1) guarantee; see AlgAPlanner).
-    bool allow_general_dags = false;
-  };
-
-  explicit AlgASemiBatchedScheduler(Options options);
-
-  std::string name() const override { return "alg-a/semi-batched"; }
-  bool requires_clairvoyance() const override { return true; }
-  // Window plans precompute per-slot assignments for a fixed m; a
-  // capacity dip would silently break the Theorem 5.6/5.7 invariants,
-  // so the engine must refuse the combination outright.
-  bool supports_fluctuating_capacity() const override { return false; }
-  void reset(int m, JobId job_count) override;
-  void on_arrival(JobId id, const SchedulerView& view) override;
-  void pick(const SchedulerView& view, std::vector<SubjobRef>& out) override;
-
-  std::int64_t mc_busy_violations() const {
-    return planner_ ? planner_->mc_busy_violations() : 0;
-  }
-
- private:
-  Options options_;
-  std::unique_ptr<AlgAPlanner> planner_;
-  // Arrivals of the current slot, grouped into one batch at pick time.
-  std::vector<JobId> pending_;
-  Time pending_release_ = -1;
 };
 
 }  // namespace otsched

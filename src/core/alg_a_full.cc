@@ -7,14 +7,20 @@ namespace otsched {
 AlgAScheduler::AlgAScheduler(Options options) : options_(options) {
   OTSCHED_CHECK(options_.beta >= 1);
   OTSCHED_CHECK(options_.initial_guess >= 1);
+  OTSCHED_CHECK(options_.known_opt == 0 ||
+                    (options_.known_opt >= 2 && options_.known_opt % 2 == 0),
+                "known_opt must be an even value >= 2 so that W = OPT/2 "
+                "is a positive integer; got "
+                    << options_.known_opt);
 }
 
 void AlgAScheduler::reset(int m, JobId job_count) {
   (void)job_count;
   m_ = m;
-  guess_ = options_.initial_guess;
+  guess_ = options_.known_opt > 0 ? options_.known_opt / 2
+                                  : options_.initial_guess;
   restarts_ = 0;
-  carried_mc_violations_ = 0;
+  mc_busy_violations_ = 0;
   planner_ = std::make_unique<AlgAPlanner>(m, options_.alpha, guess_,
                                            options_.allow_general_dags);
   held_.clear();
@@ -25,9 +31,14 @@ Time AlgAScheduler::round_up_to_guess(Time t) const {
 }
 
 void AlgAScheduler::on_arrival(JobId id, const SchedulerView& view) {
+  const Time release = view.release(id);
+  OTSCHED_CHECK(options_.known_opt == 0 || release % guess_ == 0,
+                "semi-batched instance required: job "
+                    << id << " released at " << release
+                    << " which is not a multiple of OPT/2 = " << guess_);
   // Section 5.4: a job released at r is ignored until the next multiple
   // of the (current) guess.
-  held_[round_up_to_guess(view.release(id))].push_back(id);
+  held_[round_up_to_guess(release)].push_back(id);
 }
 
 void AlgAScheduler::materialize_visible(const SchedulerView& view,
@@ -51,7 +62,6 @@ void AlgAScheduler::restart(const SchedulerView& view) {
   }
   held_.clear();
 
-  carried_mc_violations_ += planner_->mc_busy_violations();
   planner_ = std::make_unique<AlgAPlanner>(m_, options_.alpha, guess_,
                                            options_.allow_general_dags);
 
@@ -68,15 +78,17 @@ void AlgAScheduler::pick(const SchedulerView& view,
 
   // Guess-and-double trigger: a visible batch older than beta * G means
   // the assumed optimum 2G is too small (Theorem 5.6 would have finished
-  // it by now).
-  const auto age = planner_->oldest_unfinished_age(slot);
-  if (age.has_value() &&
-      *age > static_cast<Time>(options_.beta) * guess_) {
-    restart(view);
+  // it by now).  A known OPT fixes the guess.
+  if (options_.known_opt == 0) {
+    const auto age = planner_->oldest_unfinished_age(slot);
+    if (age.has_value() &&
+        *age > static_cast<Time>(options_.beta) * guess_) {
+      restart(view);
+    }
   }
 
   materialize_visible(view, slot);
-  planner_->plan_slot(slot, out);
+  mc_busy_violations_ += planner_->plan_slot(slot, out);
 }
 
 }  // namespace otsched

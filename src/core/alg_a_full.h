@@ -1,7 +1,8 @@
-// The general clairvoyant Algorithm A (Section 5.4, Theorem 5.7):
-// arbitrary release times, OPT unknown.
+// The clairvoyant Algorithm A (Section 5): one scheduler over the
+// AlgAPlanner window machinery (core/alg_a.h), in two modes.
 //
-// Two reductions wrap the semi-batched planner:
+// OPT unknown (Theorem 5.7, `known_opt == 0`, "alg-a/general"): two
+// reductions wrap the semi-batched planner.
 //
 //  * Release rounding (factor 2): with current guess G, a job released at
 //    r is held and becomes visible at the next multiple of G.  The
@@ -15,6 +16,11 @@
 //    unfinished job's UNEXECUTED sub-forest re-enters as a fresh arrival
 //    at the next multiple of the new G.  Executed prefixes of out-forests
 //    leave out-forests, so the planner precondition is preserved.
+//
+// Known OPT (Theorem 5.6, `known_opt > 0`, "alg-a/semi-batched"): the
+// guess is fixed at OPT/2 and never doubles, and every release must lie on
+// that grid, so rounding leaves it in place and the jobs released together
+// form one batch.
 //
 // Flows are always measured by the engine against ORIGINAL releases, so
 // the holding and restart delays are fully charged to the algorithm.
@@ -35,6 +41,11 @@ class AlgAScheduler : public Scheduler {
     /// beta * G (= beta * OPT'/2 for the assumed optimum OPT' = 2G).
     int beta = 258;
     Time initial_guess = 1;
+    /// The known optimal maximum flow (Theorem 5.6), or 0 when OPT is
+    /// unknown.  When set it must be even and >= 2, so that the fixed
+    /// guess W = known_opt / 2 is a positive integer; beta and
+    /// initial_guess are then unused.
+    Time known_opt = 0;
     /// Heuristic extension beyond the paper: accept arbitrary DAG jobs
     /// (no O(1) guarantee; see AlgAPlanner).
     bool allow_general_dags = false;
@@ -43,7 +54,9 @@ class AlgAScheduler : public Scheduler {
   AlgAScheduler() : AlgAScheduler(Options{}) {}
   explicit AlgAScheduler(Options options);
 
-  std::string name() const override { return "alg-a/general"; }
+  std::string name() const override {
+    return options_.known_opt > 0 ? "alg-a/semi-batched" : "alg-a/general";
+  }
   bool requires_clairvoyance() const override { return true; }
   // Window plans precompute per-slot assignments for a fixed m; a
   // capacity dip would silently break the Theorem 5.6/5.7 invariants,
@@ -56,10 +69,8 @@ class AlgAScheduler : public Scheduler {
   /// Introspection for experiments.
   Time guess() const { return guess_; }
   int restarts() const { return restarts_; }
-  std::int64_t mc_busy_violations() const {
-    return carried_mc_violations_ +
-           (planner_ ? planner_->mc_busy_violations() : 0);
-  }
+  /// Lemma 5.5 busy violations over the whole run (0 on out-forests).
+  std::int64_t mc_busy_violations() const { return mc_busy_violations_; }
 
  private:
   void restart(const SchedulerView& view);
@@ -70,7 +81,7 @@ class AlgAScheduler : public Scheduler {
   int m_ = 0;
   Time guess_ = 1;
   int restarts_ = 0;
-  std::int64_t carried_mc_violations_ = 0;
+  std::int64_t mc_busy_violations_ = 0;
   std::unique_ptr<AlgAPlanner> planner_;
   /// Held arrivals: visible_release -> engine jobs (grouped into one batch
   /// when their visibility slot is reached).

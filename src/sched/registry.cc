@@ -95,9 +95,9 @@ std::vector<PolicySpec> BuildRegistry() {
       {.name = "alg-a/semi-batched",
        .description = "Algorithm A with known OPT (Thm 5.6; pass --opt)",
        .factory = [](std::uint64_t, Time known_opt) -> Made {
-         AlgASemiBatchedScheduler::Options options;
+         AlgAScheduler::Options options;
          options.known_opt = known_opt;
-         return std::make_unique<AlgASemiBatchedScheduler>(options);
+         return std::make_unique<AlgAScheduler>(options);
        },
        .alpha = kAlgAAlpha,
        .needs_known_opt = true,

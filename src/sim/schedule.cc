@@ -42,14 +42,12 @@ std::int64_t Schedule::idle_processor_slots() const {
   return processor_slots - total_placed_;
 }
 
-std::vector<Time> Schedule::idle_slots(Time from, Time to,
-                                       std::optional<int> capacity) const {
-  const int cap = capacity.value_or(m_);
+std::vector<Time> Schedule::idle_slots(Time from, Time to) const {
   std::vector<Time> result;
   from = std::max<Time>(from, 1);
   to = std::min<Time>(to, horizon());
   for (Time t = from; t <= to; ++t) {
-    if (load(t) < cap) result.push_back(t);
+    if (load(t) < m_) result.push_back(t);
   }
   return result;
 }

@@ -16,7 +16,6 @@
 // plain append and per-slot call order is storage order.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -52,12 +51,10 @@ class Schedule {
   /// Count of (slot, processor) pairs left idle over [1, horizon].
   std::int64_t idle_processor_slots() const;
 
-  /// Slots in [from, to] with load strictly less than `capacity`
-  /// (nullopt = m): the underfull slots that CheckLemma52 and
-  /// AnalyzeHeadTail read for the Lemma 5.2 / Figure 2 shape.
-  std::vector<Time> idle_slots(Time from, Time to,
-                               std::optional<int> capacity = std::nullopt)
-      const;
+  /// Slots in [from, to] with load strictly less than m: the underfull
+  /// slots that CheckLemma52 and AnalyzeHeadTail read for the Lemma 5.2 /
+  /// Figure 2 shape.
+  std::vector<Time> idle_slots(Time from, Time to) const;
 
  private:
   int m_;

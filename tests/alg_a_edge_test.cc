@@ -1,7 +1,6 @@
 // Edge cases of the Algorithm A window machinery.
 #include <gtest/gtest.h>
 
-#include "core/alg_a.h"
 #include "core/alg_a_full.h"
 #include "dag/builders.h"
 #include "gen/random_trees.h"
@@ -17,9 +16,9 @@ TEST(AlgAEdge, MissingBatchesLeaveEmptyWindows) {
   Rng rng(1);
   instance.add_job(Job(MakeTree(TreeFamily::kMixed, 30, rng), 0));
   instance.add_job(Job(MakeTree(TreeFamily::kMixed, 30, rng), 5 * 4));
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = 8;  // W = 4
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   const SimResult result = Simulate(instance, 8, scheduler);
   ASSERT_TRUE(ValidateSchedule(result.full_schedule(), instance).feasible);
   EXPECT_TRUE(result.flows.all_completed);
@@ -30,9 +29,9 @@ TEST(AlgAEdge, TinyJobFinishesInsideItsHead) {
   // MC, finished before phase 3 would ever touch it.
   Instance instance;
   instance.add_job(Job(MakeChain(2), 0));
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = 8;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   const SimResult result = Simulate(instance, 8, scheduler);
   EXPECT_EQ(result.flows.max_flow, 2);  // LPF replay, no delay
   EXPECT_EQ(scheduler.mc_busy_violations(), 0);
@@ -45,9 +44,9 @@ TEST(AlgAEdge, WindowOfOneSlot) {
   for (int i = 0; i < 5; ++i) {
     instance.add_job(Job(MakeTree(TreeFamily::kBushy, 12, rng), i));
   }
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = 2;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   const SimResult result = Simulate(instance, 8, scheduler);
   ASSERT_TRUE(ValidateSchedule(result.full_schedule(), instance).feasible);
   EXPECT_TRUE(result.flows.all_completed);
@@ -62,10 +61,10 @@ TEST(AlgAEdge, AlphaTwoSplitsTheMachineInHalf) {
   for (int i = 0; i < 4; ++i) {
     instance.add_job(Job(MakeTree(TreeFamily::kMixed, 40, rng), 4 * i));
   }
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.alpha = 2;
   options.known_opt = 8;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   const SimResult result = Simulate(instance, 8, scheduler);
   ASSERT_TRUE(ValidateSchedule(result.full_schedule(), instance).feasible);
 }

@@ -2,7 +2,6 @@
 // guarantees beyond feasibility, but feasibility must be ironclad.
 #include "gtest_compat.h"
 
-#include "core/alg_a.h"
 #include "core/alg_a_full.h"
 #include "dag/builders.h"
 #include "gen/arrivals.h"
@@ -32,10 +31,10 @@ TEST(AlgAGeneralDag, SemiBatchedModeAcceptsDiamonds) {
   Instance instance;
   instance.add_job(Job(MakeForkJoin(6), 0));
   instance.add_job(Job(MakeForkJoin(4), 4));
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = 8;
   options.allow_general_dags = true;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   const SimResult result = Simulate(instance, 8, scheduler);
   EXPECT_TRUE(ValidateSchedule(result.full_schedule(), instance).feasible);
 }

@@ -1,10 +1,19 @@
-// Tests for core/alg_a.h: the semi-batched super-clairvoyant Algorithm A
-// (Theorem 5.6).
+// Tests for core/alg_a.h, the window planner, run through AlgAScheduler:
+// the known-OPT semi-batched mode (Theorem 5.6), and golden schedules of
+// both modes.
+#include <string>
+
 #include "gtest_compat.h"
 
+#include "common/fnv.h"
 #include "core/alg_a.h"
+#include "core/alg_a_full.h"
 #include "dag/builders.h"
+#include "gen/arrivals.h"
 #include "gen/certified.h"
+#include "gen/numerics.h"
+#include "gen/random_trees.h"
+#include "gen/recursive.h"
 #include "sim/validator.h"
 
 namespace otsched {
@@ -14,9 +23,9 @@ TEST(AlgASemiBatched, SingleBatchRunsLikeLpf) {
   Rng rng(11);
   const int m = 8;
   CertifiedInstance cert = MakeSpacedSaturatedInstance(m, 6, 1, rng);
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = cert.opt % 2 == 0 ? cert.opt : cert.opt + 1;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   const SimResult result = Simulate(cert.instance, m, scheduler);
   const auto report = ValidateSchedule(result.full_schedule(), cert.instance);
   EXPECT_TRUE(report.feasible) << report.violation;
@@ -37,10 +46,10 @@ TEST_P(AlgASemiBatchedSweep, FeasibleAndWithinTheorem56Bound) {
   ASSERT_EQ(cert.opt, 2 * delta);
   ASSERT_TRUE(cert.instance.is_batched(cert.opt / 2));
 
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.alpha = 4;
   options.known_opt = cert.opt;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   const SimResult result = Simulate(cert.instance, m, scheduler);
 
   const auto report = ValidateSchedule(result.full_schedule(), cert.instance);
@@ -70,9 +79,9 @@ TEST(AlgASemiBatched, SaturatedBatchesStayConstantCompetitive) {
     CertifiedInstance cert = MakeSpacedSaturatedInstance(m, delta, 6, rng);
     // Releases are multiples of delta = OPT; that is also semi-batched
     // for known_opt = 2 * delta.
-    AlgASemiBatchedScheduler::Options options;
+    AlgAScheduler::Options options;
     options.known_opt = 2 * delta;
-    AlgASemiBatchedScheduler scheduler(options);
+    AlgAScheduler scheduler(options);
     const SimResult result = Simulate(cert.instance, m, scheduler);
     ASSERT_TRUE(ValidateSchedule(result.full_schedule(), cert.instance).feasible);
     const double ratio = static_cast<double>(result.flows.max_flow) /
@@ -83,9 +92,9 @@ TEST(AlgASemiBatched, SaturatedBatchesStayConstantCompetitive) {
 
 TEST(AlgASemiBatchedDeath, RejectsOddOpt) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = 7;
-  EXPECT_DEATH(AlgASemiBatchedScheduler{options}, "even");
+  EXPECT_DEATH(AlgAScheduler{options}, "even");
 }
 
 TEST(AlgASemiBatchedDeath, RejectsNonSemiBatchedInstance) {
@@ -93,9 +102,9 @@ TEST(AlgASemiBatchedDeath, RejectsNonSemiBatchedInstance) {
   Instance instance;
   instance.add_job(Job(MakeChain(2), 0));
   instance.add_job(Job(MakeChain(2), 3));  // not a multiple of OPT/2 = 2
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = 4;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   EXPECT_DEATH(Simulate(instance, 4, scheduler), "semi-batched");
 }
 
@@ -103,9 +112,9 @@ TEST(AlgASemiBatchedDeath, RejectsGeneralDagJobs) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   Instance instance;
   instance.add_job(Job(MakeForkJoin(3), 0));
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = 4;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   EXPECT_DEATH(Simulate(instance, 4, scheduler), "out-forest");
 }
 
@@ -149,9 +158,9 @@ TEST(AlgASemiBatched, PerJobWidthNeverExceedsMOverAlpha) {
   Rng rng(21);
   const int m = 16;
   CertifiedInstance cert = MakePipelinedSemiBatchedInstance(m, 4, 6, rng);
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = cert.opt;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   const SimResult result = Simulate(cert.instance, m, scheduler);
 
   for (Time t = 1; t <= result.full_schedule().horizon(); ++t) {
@@ -179,12 +188,153 @@ TEST(AlgASemiBatched, MultipleJobsPerBatchAreUnioned) {
           Job(MakeTree(TreeFamily::kMixed, 10, rng), b * (opt / 2)));
     }
   }
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = opt;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   const SimResult result = Simulate(instance, m, scheduler);
   ASSERT_TRUE(ValidateSchedule(result.full_schedule(), instance).feasible);
   EXPECT_LE(result.flows.max_flow, 129 * opt);
+}
+
+// ---- Golden schedules: Algorithm A's picks, slot by slot ----
+
+// FNV-1a over every slot's (job, node) refs in placement order, with a
+// separator after each slot, so any change to which subjobs share a slot
+// or to their order within it changes the hash.
+std::uint64_t ScheduleHash(const Schedule& s) {
+  std::uint64_t h = kFnvOffset;
+  for (Time t = 1; t <= s.horizon(); ++t) {
+    for (const SubjobRef& ref : s.at(t)) {
+      h = Fnv1a(h, static_cast<std::uint64_t>(ref.job));
+      h = Fnv1a(h, static_cast<std::uint64_t>(ref.node));
+    }
+    h = Fnv1a(h, ~std::uint64_t{0});
+  }
+  return h;
+}
+
+Instance BurstyTrees(int seed) {
+  Rng rng(static_cast<std::uint64_t>(seed));
+  return MakeBurstyArrivals(
+      6, 4, 9,
+      [](std::int64_t, Rng& r) { return MakeTree(TreeFamily::kMixed, 40, r); },
+      rng);
+}
+
+Instance BurstyPipelines() {
+  Rng rng(6);
+  return MakeBurstyArrivals(
+      4, 3, 7,
+      [](std::int64_t, Rng& r) { return MakeMapReducePipeline(5, 16, r); },
+      rng);
+}
+
+// Tiled Cholesky DAGs on the OPT/2 = 4 grid.
+Instance GridCholesky() {
+  Instance instance;
+  for (int k = 0; k < 6; ++k) {
+    instance.add_job(Job(MakeTiledCholeskyDag(3 + k % 2), 4 * (k / 2)));
+  }
+  return instance;
+}
+
+CertifiedInstance CertifiedFamily(bool pipelined, int m, int alpha) {
+  Rng rng(static_cast<std::uint64_t>(m) * 131 + alpha);
+  return pipelined ? MakePipelinedSemiBatchedInstance(m, 8, 10, rng)
+                   : MakeSpacedSaturatedInstance(m, 8, 10, rng);
+}
+
+struct Golden {
+  std::uint64_t hash;
+  int restarts;
+  Time guess;
+  std::int64_t mc_busy_violations;
+};
+
+void ExpectGolden(const Instance& instance, int m,
+                  const AlgAScheduler::Options& options, const Golden& want,
+                  const std::string& label) {
+  AlgAScheduler scheduler(options);
+  const SimResult result = Simulate(instance, m, scheduler);
+  const auto report = ValidateSchedule(result.full_schedule(), instance);
+  EXPECT_TRUE(report.feasible) << label << ": " << report.violation;
+  const std::uint64_t hash = ScheduleHash(result.full_schedule());
+  EXPECT_EQ(hash, want.hash) << label << std::hex << " hash 0x" << hash;
+  EXPECT_EQ(scheduler.restarts(), want.restarts) << label;
+  EXPECT_EQ(scheduler.guess(), want.guess) << label;
+  EXPECT_EQ(scheduler.mc_busy_violations(), want.mc_busy_violations)
+      << label;
+}
+
+// The certified families of the Theorem 5.6 and alpha-ablation benches:
+// pipelined (OPT = 2 delta, known_opt = OPT) and spaced saturated
+// (OPT = delta, releases on multiples of OPT, known_opt = 2 OPT).
+TEST(AlgAGolden, SemiBatchedCertifiedFamilies) {
+  struct Case {
+    bool pipelined;
+    int m;
+    int alpha;
+    Golden want;
+  };
+  const Case kCases[] = {
+      {true, 8, 2, {0xe8fb6e6d95adaca5ull, 0, 8, 0}},
+      {true, 8, 4, {0xa3547a707776b115ull, 0, 8, 0}},
+      {true, 16, 2, {0xfa86b1c8edc34465ull, 0, 8, 0}},
+      {true, 16, 4, {0x6e34dfc7aee4b3a5ull, 0, 8, 0}},
+      {false, 8, 2, {0x709eb590dec83935ull, 0, 8, 0}},
+      {false, 8, 4, {0x27ecb734e807f915ull, 0, 8, 0}},
+      {false, 16, 2, {0x776286a9849641a5ull, 0, 8, 0}},
+      {false, 16, 4, {0xa38e04d661773405ull, 0, 8, 0}},
+  };
+  for (const Case& c : kCases) {
+    const CertifiedInstance cert = CertifiedFamily(c.pipelined, c.m, c.alpha);
+    AlgAScheduler::Options options;
+    options.alpha = c.alpha;
+    options.known_opt = c.pipelined ? cert.opt : 2 * cert.opt;
+    ExpectGolden(cert.instance, c.m, options, c.want,
+                 (c.pipelined ? "pipelined m=" : "spaced m=") +
+                     std::to_string(c.m) + " alpha=" +
+                     std::to_string(c.alpha));
+  }
+}
+
+// Bursts that outgrow the initial guess, so every run restarts.
+TEST(AlgAGolden, GeneralBurstyStreams) {
+  struct Case {
+    int beta;
+    int m;
+    Golden want;
+  };
+  const Case kCases[] = {
+      {4, 8, {0x3f1fda11d62e15e5ull, 6, 64, 0}},
+      {4, 16, {0xbbe7e50468962595ull, 5, 32, 0}},
+      {8, 8, {0x0e020d4acd5e46e5ull, 5, 32, 0}},
+      {8, 16, {0x46c81c9d88c8f5a5ull, 4, 16, 0}},
+      {16, 8, {0xf061182540150b2dull, 4, 16, 0}},
+      {16, 16, {0x0a5c6ee830ff663dull, 3, 8, 0}},
+  };
+  for (const Case& c : kCases) {
+    AlgAScheduler::Options options;
+    options.beta = c.beta;
+    ExpectGolden(BurstyTrees(c.beta + c.m), c.m, options, c.want,
+                 "beta=" + std::to_string(c.beta) +
+                     " m=" + std::to_string(c.m));
+  }
+}
+
+// General DAGs break Lemma 5.5, so these pin nonzero busy violations,
+// counted across the general mode's restarts.
+TEST(AlgAGolden, GeneralDags) {
+  AlgAScheduler::Options general;
+  general.beta = 8;
+  general.allow_general_dags = true;
+  ExpectGolden(BurstyPipelines(), 16, general,
+               {0xa2abc83348887ef4ull, 4, 16, 4}, "general");
+  AlgAScheduler::Options known;
+  known.known_opt = 8;
+  known.allow_general_dags = true;
+  ExpectGolden(GridCholesky(), 16, known, {0xe30bfc1628bae444ull, 0, 4, 3},
+               "known opt");
 }
 
 }  // namespace

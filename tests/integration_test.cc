@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "core/alg_a.h"
 #include "core/alg_a_full.h"
 #include "core/lpf.h"
 #include "dag/builders.h"
@@ -95,9 +94,9 @@ TEST(Integration, AlgAIsConstantCompetitiveOnTheAdversary) {
 
     // Semi-batched Algorithm A: releases are multiples of (m+1), so
     // known_opt = 2(m+1) makes the instance semi-batched for it.
-    AlgASemiBatchedScheduler::Options a_options;
+    AlgAScheduler::Options a_options;
     a_options.known_opt = 2 * (m + 1);
-    AlgASemiBatchedScheduler alg_a(a_options);
+    AlgAScheduler alg_a(a_options);
     const SimResult a_result = Simulate(adv.instance, m, alg_a);
     ASSERT_TRUE(ValidateSchedule(a_result.full_schedule(), adv.instance).feasible);
 

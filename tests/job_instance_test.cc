@@ -1,9 +1,8 @@
-// Tests for job/job.h, job/instance.h, job/transforms.h.
+// Tests for job/job.h and job/instance.h.
 #include <gtest/gtest.h>
 
 #include "dag/builders.h"
 #include "job/instance.h"
-#include "job/transforms.h"
 
 namespace otsched {
 namespace {
@@ -59,56 +58,6 @@ TEST(Instance, BatchedPredicate) {
   EXPECT_TRUE(instance.is_batched(6));
   EXPECT_TRUE(instance.is_batched(3));
   EXPECT_FALSE(instance.is_batched(5));
-}
-
-TEST(Transforms, RoundReleasesUp) {
-  Instance instance;
-  instance.add_job(Job(MakeChain(1), 0));
-  instance.add_job(Job(MakeChain(1), 1));
-  instance.add_job(Job(MakeChain(1), 5));
-  instance.add_job(Job(MakeChain(1), 6));
-  const Instance rounded = RoundReleasesUp(instance, 5);
-  EXPECT_EQ(rounded.job(0).release(), 0);
-  EXPECT_EQ(rounded.job(1).release(), 5);
-  EXPECT_EQ(rounded.job(2).release(), 5);
-  EXPECT_EQ(rounded.job(3).release(), 10);
-  EXPECT_TRUE(rounded.is_batched(5));
-}
-
-TEST(Transforms, UnionPerReleaseMergesAndMaps) {
-  Instance instance;
-  instance.add_job(Job(MakeChain(2), 0, "a"));
-  instance.add_job(Job(MakeStar(1), 0, "b"));
-  instance.add_job(Job(MakeChain(3), 4, "c"));
-
-  UnionMapping mapping;
-  const Instance merged = UnionPerRelease(instance, &mapping);
-  ASSERT_EQ(merged.job_count(), 2);
-  EXPECT_EQ(merged.job(0).release(), 0);
-  EXPECT_EQ(merged.job(0).work(), 4);  // chain(2) + star(1)
-  EXPECT_EQ(merged.job(1).work(), 3);
-
-  ASSERT_EQ(mapping.original_refs.size(), 2u);
-  // The first two merged nodes map back to job 0 (the chain).
-  EXPECT_EQ(mapping.original_refs[0][0], (SubjobRef{0, 0}));
-  EXPECT_EQ(mapping.original_refs[0][2], (SubjobRef{1, 0}));
-}
-
-TEST(Transforms, ShiftReleases) {
-  Instance instance;
-  instance.add_job(Job(MakeChain(1), 3));
-  const Instance shifted = ShiftReleases(instance, 4);
-  EXPECT_EQ(shifted.job(0).release(), 7);
-}
-
-TEST(Transforms, RoundTripPreservesWork) {
-  Instance instance;
-  for (Time r : {0, 1, 2, 7, 8, 9}) {
-    instance.add_job(Job(MakeChain(2), r));
-  }
-  const Instance rounded = RoundReleasesUp(instance, 4);
-  EXPECT_EQ(rounded.total_work(), instance.total_work());
-  EXPECT_EQ(rounded.job_count(), instance.job_count());
 }
 
 }  // namespace

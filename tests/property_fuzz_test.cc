@@ -1,6 +1,5 @@
 // Randomized property and fuzz tests across module boundaries:
 //  * the validator detects random corruptions of known-good schedules,
-//  * instance transforms preserve the invariants they claim,
 //  * the adversary co-simulation matches a hand-derived golden trace,
 //  * LPF's value is invariant to tie-breaking (node relabelling),
 //  * the src/check oracles agree with the validator and hold on every
@@ -16,7 +15,6 @@
 #include "dag/metrics.h"
 #include "gen/arrivals.h"
 #include "gen/random_trees.h"
-#include "job/transforms.h"
 #include "lbsim/lbsim.h"
 #include "opt/single_batch.h"
 #include "sched/fifo.h"
@@ -136,64 +134,6 @@ TEST_P(ValidatorFuzzTest, DetectsRandomCorruptions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ValidatorFuzzTest,
                          ::testing::Range(1, 9));
-
-class TransformPropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(TransformPropertyTest, RoundReleasesUpProperties) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  const Instance instance = RandomInstance(seed, 10);
-  for (Time quantum : {1, 3, 7}) {
-    const Instance rounded = RoundReleasesUp(instance, quantum);
-    // Batched, work preserved, releases moved by less than quantum,
-    // idempotent.
-    EXPECT_TRUE(rounded.is_batched(quantum));
-    EXPECT_EQ(rounded.total_work(), instance.total_work());
-    for (JobId i = 0; i < instance.job_count(); ++i) {
-      const Time delta =
-          rounded.job(i).release() - instance.job(i).release();
-      EXPECT_GE(delta, 0);
-      EXPECT_LT(delta, quantum);
-    }
-    const Instance twice = RoundReleasesUp(rounded, quantum);
-    for (JobId i = 0; i < instance.job_count(); ++i) {
-      EXPECT_EQ(twice.job(i).release(), rounded.job(i).release());
-    }
-  }
-}
-
-TEST_P(TransformPropertyTest, UnionPerReleasePreservesProfiles) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  const Instance instance = RandomInstance(seed, 8);
-  UnionMapping mapping;
-  const Instance merged = UnionPerRelease(instance, &mapping);
-
-  EXPECT_EQ(merged.total_work(), instance.total_work());
-  EXPECT_EQ(merged.max_span(), instance.max_span());
-  // One merged job per distinct release; refs cover every original node
-  // exactly once.
-  std::int64_t mapped = 0;
-  for (const auto& refs : mapping.original_refs) {
-    mapped += static_cast<std::int64_t>(refs.size());
-  }
-  EXPECT_EQ(mapped, instance.total_work());
-  // The merged W(d) profile is the sum of the members' profiles.
-  for (JobId k = 0; k < merged.job_count(); ++k) {
-    const Time release = merged.job(k).release();
-    for (std::int64_t d = 0; d <= merged.job(k).span(); ++d) {
-      std::int64_t expected = 0;
-      for (JobId i = 0; i < instance.job_count(); ++i) {
-        if (instance.job(i).release() == release) {
-          expected += instance.job(i).metrics().w_deeper(d);
-        }
-      }
-      EXPECT_EQ(merged.job(k).metrics().w_deeper(d), expected)
-          << "release " << release << " d " << d;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TransformPropertyTest,
-                         ::testing::Range(1, 7));
 
 TEST(GoldenAdversary, HandDerivedSmallTrace) {
   // m = 2, one job, 2 layers.  Hand derivation:

@@ -44,8 +44,6 @@ TEST(Schedule, IdleSlotsRange) {
   schedule.place(3, {1, 0});
   const auto idle = schedule.idle_slots(1, 3);
   EXPECT_EQ(idle, (std::vector<Time>{2, 3}));
-  // Against a capacity of 1, only empty slots count.
-  EXPECT_TRUE(schedule.idle_slots(1, 3, 1).empty());
 }
 
 TEST(Schedule, SameSlotPlacementsKeepCallOrder) {
@@ -88,13 +86,6 @@ TEST(Schedule, IdleSlotsBeyondHorizonAreClamped) {
   // not reported (callers reason about the schedule's extent only).
   EXPECT_EQ(schedule.idle_slots(1, 100), (std::vector<Time>{1}));
   EXPECT_TRUE(schedule.idle_slots(3, 100).empty());
-}
-
-TEST(Schedule, IdleSlotsZeroCapacity) {
-  Schedule schedule(2);
-  schedule.place(1, {0, 0});
-  // No load is ever strictly below zero capacity.
-  EXPECT_TRUE(schedule.idle_slots(1, 1, 0).empty());
 }
 
 TEST(Flows, CompletionAndFlow) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/section5.h"
-#include "core/alg_a.h"
+#include "core/alg_a_full.h"
 #include "gen/series_parallel.h"
 #include "dag/builders.h"
 #include "gen/certified.h"
@@ -22,9 +22,9 @@ TEST_P(Section5SweepTest, HoldsOnAlgARuns) {
   CertifiedInstance cert =
       MakePipelinedSemiBatchedInstance(m, delta, 8, rng);
 
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = cert.opt;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   const SimResult result = Simulate(cert.instance, m, scheduler);
 
   const Section5Report report = CheckSection5Structure(
@@ -80,10 +80,10 @@ TEST(Section5, WidthCapSurvivesGeneralDagMode) {
     sp.size = 40;
     instance.add_job(Job(MakeSeriesParallelDag(sp, rng), b * 4));
   }
-  AlgASemiBatchedScheduler::Options options;
+  AlgAScheduler::Options options;
   options.known_opt = 8;
   options.allow_general_dags = true;
-  AlgASemiBatchedScheduler scheduler(options);
+  AlgAScheduler scheduler(options);
   const SimResult result = Simulate(instance, 8, scheduler);
   const Section5Report report =
       CheckSection5Structure(result.full_schedule(), instance, 8, 4, 4);
