@@ -184,8 +184,8 @@ OracleResult CheckCommittedFeasibilityOracle(const EventTrace& trace,
                                              const SimStats& stats) {
   const OracleId id = OracleId::kCommittedFeasibility;
   Schedule executed(m);
-  for (const TraceEvent& event : trace.events()) {
-    if (event.kind == TraceEventKind::kExecute) {
+  for (const SlotEvent& event : trace.events()) {
+    if (event.kind == SlotEvent::Kind::kExecute) {
       executed.place(event.slot, SubjobRef{event.job, event.node});
     }
   }
@@ -197,10 +197,10 @@ OracleResult CheckCommittedFeasibilityOracle(const EventTrace& trace,
   const std::size_t jobs = static_cast<std::size_t>(instance.job_count());
   std::vector<Time> last_execute(jobs, kNoTime);
   std::vector<Time> completion(jobs, kNoTime);
-  for (const TraceEvent& event : trace.events()) {
+  for (const SlotEvent& event : trace.events()) {
     const std::size_t j = static_cast<std::size_t>(event.job);
-    if (event.kind == TraceEventKind::kExecute) last_execute[j] = event.slot;
-    if (event.kind == TraceEventKind::kComplete) completion[j] = event.slot;
+    if (event.kind == SlotEvent::Kind::kExecute) last_execute[j] = event.slot;
+    if (event.kind == SlotEvent::Kind::kComplete) completion[j] = event.slot;
   }
   for (std::size_t j = 0; j < completion.size(); ++j) {
     if (completion[j] != last_execute[j]) {

@@ -82,38 +82,6 @@ Dag MakeForkJoin(NodeId width) {
   return std::move(builder).build();
 }
 
-namespace {
-
-Dag ComposeImpl(const Dag& first, const Dag& second, bool series) {
-  std::vector<Dag> parts;
-  parts.push_back(first);   // copies; builders are cold-path
-  parts.push_back(second);
-  std::vector<NodeId> offsets;
-  Dag merged = DisjointUnion(parts, &offsets);
-  if (!series) return merged;
-
-  Dag::Builder builder(merged.node_count());
-  for (NodeId v = 0; v < merged.node_count(); ++v) {
-    for (NodeId c : merged.children(v)) builder.add_edge(v, c);
-  }
-  for (NodeId sink : first.leaves()) {
-    for (NodeId source : second.roots()) {
-      builder.add_edge(offsets[0] + sink, offsets[1] + source);
-    }
-  }
-  return std::move(builder).build();
-}
-
-}  // namespace
-
-Dag SeriesCompose(const Dag& first, const Dag& second) {
-  return ComposeImpl(first, second, /*series=*/true);
-}
-
-Dag ParallelCompose(const Dag& first, const Dag& second) {
-  return ComposeImpl(first, second, /*series=*/false);
-}
-
 Dag MakeSpineWithBursts(NodeId spine_len, int burst_levels) {
   OTSCHED_CHECK(spine_len >= 1);
   OTSCHED_CHECK(burst_levels >= 0);

@@ -39,13 +39,6 @@ Dag MakeLayeredKeyForest(std::span<const NodeId> layer_sizes,
 /// series-parallel DAG, NOT an out-tree (sink has in-degree = width).
 Dag MakeForkJoin(NodeId width);
 
-/// Series composition: every leaf/sink of `first` gains an edge to every
-/// root/source of `second`.  Preserves series-parallel-ness.
-Dag SeriesCompose(const Dag& first, const Dag& second);
-
-/// Parallel composition: disjoint union.
-Dag ParallelCompose(const Dag& first, const Dag& second);
-
 /// An out-tree shaped like a divide-and-conquer with a tail-recursive
 /// spine: a spine of `spine_len` nodes, where spine node i additionally
 /// spawns a complete binary subtree of `burst_levels` levels.  This is the

@@ -15,29 +15,30 @@ DagMetrics ComputeMetrics(const Dag& dag) {
     return m;
   }
 
-  // Kahn's algorithm for the topological order.
+  // Kahn's algorithm with `topo_order` as its queue.  Nothing is popped,
+  // so once drained it is a topological order: every parent precedes its
+  // children.
   std::vector<NodeId> indegree(static_cast<std::size_t>(n));
-  std::vector<NodeId> queue;
-  queue.reserve(static_cast<std::size_t>(n));
+  std::vector<NodeId> topo_order;
+  topo_order.reserve(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
     indegree[static_cast<std::size_t>(v)] = dag.in_degree(v);
-    if (indegree[static_cast<std::size_t>(v)] == 0) queue.push_back(v);
+    if (indegree[static_cast<std::size_t>(v)] == 0) topo_order.push_back(v);
   }
-  m.topo_order.reserve(static_cast<std::size_t>(n));
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId v = queue[head];
-    m.topo_order.push_back(v);
-    for (NodeId c : dag.children(v)) {
-      if (--indegree[static_cast<std::size_t>(c)] == 0) queue.push_back(c);
+  for (std::size_t head = 0; head < topo_order.size(); ++head) {
+    for (NodeId c : dag.children(topo_order[head])) {
+      if (--indegree[static_cast<std::size_t>(c)] == 0) {
+        topo_order.push_back(c);
+      }
     }
   }
-  OTSCHED_CHECK(m.topo_order.size() == static_cast<std::size_t>(n),
+  OTSCHED_CHECK(topo_order.size() == static_cast<std::size_t>(n),
                 "DAG has a cycle: topological order covers "
-                    << m.topo_order.size() << " of " << n << " nodes");
+                    << topo_order.size() << " of " << n << " nodes");
 
   // Depth: forward pass in topo order.
   m.depth.assign(static_cast<std::size_t>(n), 1);
-  for (NodeId v : m.topo_order) {
+  for (NodeId v : topo_order) {
     const std::int32_t dv = m.depth[static_cast<std::size_t>(v)];
     for (NodeId c : dag.children(v)) {
       auto& dc = m.depth[static_cast<std::size_t>(c)];
@@ -47,7 +48,7 @@ DagMetrics ComputeMetrics(const Dag& dag) {
 
   // Height: backward pass.
   m.height.assign(static_cast<std::size_t>(n), 1);
-  for (auto it = m.topo_order.rbegin(); it != m.topo_order.rend(); ++it) {
+  for (auto it = topo_order.rbegin(); it != topo_order.rend(); ++it) {
     const NodeId v = *it;
     std::int32_t best = 0;
     for (NodeId c : dag.children(v)) {

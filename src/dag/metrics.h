@@ -23,9 +23,6 @@ struct DagMetrics {
   std::int64_t work = 0;
   std::int64_t span = 0;
 
-  /// Topological order: every parent precedes its children.
-  std::vector<NodeId> topo_order;
-
   /// height[v] in [1, span]; leaf = 1.
   std::vector<std::int32_t> height;
 

@@ -255,13 +255,6 @@ std::optional<Instance> TryInstanceFromText(const std::string& text,
   return instance;
 }
 
-Instance InstanceFromText(const std::string& text) {
-  std::string error;
-  std::optional<Instance> instance = TryInstanceFromText(text, &error);
-  OTSCHED_CHECK(instance.has_value(), error);
-  return *std::move(instance);
-}
-
 void SaveInstance(const Instance& instance, const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "wb");
   OTSCHED_CHECK(out != nullptr, "cannot open " << path << " for writing");
@@ -284,13 +277,6 @@ std::optional<Instance> TryLoadInstance(const std::string& path,
     *error = path + ": " + *error;
   }
   return instance;
-}
-
-Instance LoadInstance(const std::string& path) {
-  std::string error;
-  std::optional<Instance> instance = TryLoadInstance(path, &error);
-  OTSCHED_CHECK(instance.has_value(), error);
-  return *std::move(instance);
 }
 
 }  // namespace otsched

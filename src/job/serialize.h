@@ -53,17 +53,12 @@ std::string InstanceToText(const Instance& instance);
 std::optional<Instance> TryInstanceFromText(const std::string& text,
                                             std::string* error);
 
-/// TryInstanceFromText that aborts with the diagnostic on malformed
-/// input — for callers whose input is trusted (tests, generators).
-Instance InstanceFromText(const std::string& text);
-
 /// File wrapper around TryInstanceFromText; unreadable files report
 /// through `error` the same way.
 std::optional<Instance> TryLoadInstance(const std::string& path,
                                         std::string* error);
 
-/// Convenience file wrappers (abort on I/O and parse errors).
+/// Writes InstanceToText to `path`; aborts on I/O errors.
 void SaveInstance(const Instance& instance, const std::string& path);
-Instance LoadInstance(const std::string& path);
 
 }  // namespace otsched

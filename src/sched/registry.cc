@@ -130,13 +130,6 @@ std::unique_ptr<Scheduler> MakePolicy(std::string_view name,
   return spec == nullptr ? nullptr : spec->make(seed, known_opt);
 }
 
-std::vector<std::string> ListPolicyNames() {
-  std::vector<std::string> names;
-  names.reserve(AllPolicies().size());
-  for (const PolicySpec& spec : AllPolicies()) names.push_back(spec.name);
-  return names;
-}
-
 std::string PolicyError(const PolicySpec& spec, int m, Time known_opt) {
   if (spec.alpha > 0 && m % spec.alpha != 0) {
     return "policy '" + spec.name + "' needs alpha = " +

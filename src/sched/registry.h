@@ -73,9 +73,6 @@ std::unique_ptr<Scheduler> MakePolicy(std::string_view name,
                                       std::uint64_t seed = 0,
                                       Time known_opt = 0);
 
-/// Registry names in registration order (the order AllPolicies returns).
-std::vector<std::string> ListPolicyNames();
-
 /// The precondition gate: "" when `spec` can run on m processors with the
 /// assumed optimum `known_opt` (as in make), else a one-line reason.
 std::string PolicyError(const PolicySpec& spec, int m, Time known_opt = 0);

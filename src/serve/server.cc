@@ -31,12 +31,6 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-SimOptions FlowOnlyStreamOptions() {
-  SimOptions options;
-  options.record = RecordMode::kFlowOnly;
-  return options;
-}
-
 }  // namespace
 
 bool InstallStopSignalHandlers(volatile std::sig_atomic_t* flag) {
@@ -53,7 +47,7 @@ ScheduleServer::ScheduleServer(ServeOptions options,
                                std::unique_ptr<Scheduler> scheduler)
     : options_(std::move(options)),
       scheduler_(std::move(scheduler)),
-      driver_(options_.m, *scheduler_, RunContext(FlowOnlyStreamOptions())) {
+      driver_(options_.m, *scheduler_, RunContext(FlowOnlyOptions())) {
   OTSCHED_CHECK(scheduler_ != nullptr, "serve: null scheduler");
   OTSCHED_CHECK(options_.chunk_slots >= 1);
 }

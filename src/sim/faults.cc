@@ -102,13 +102,6 @@ std::optional<BudgetTrace> BudgetTrace::try_from_csv(const std::string& text,
   return trace;
 }
 
-BudgetTrace BudgetTrace::from_csv(const std::string& text) {
-  std::string error;
-  std::optional<BudgetTrace> trace = try_from_csv(text, &error);
-  OTSCHED_CHECK(trace.has_value(), error);
-  return *std::move(trace);
-}
-
 std::string BudgetTrace::to_csv() const {
   std::ostringstream out;
   out << "slot,capacity\n";

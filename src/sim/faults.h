@@ -53,13 +53,10 @@ class BudgetTrace {
   /// strictly increasing and >= 1, capacities >= 0; blank lines and
   /// `#`-comments are skipped, and an optional `slot,capacity` header row
   /// is accepted.  On failure returns nullopt and writes a per-line
-  /// diagnostic ("budget csv line N: ...") to `error`, mirroring
-  /// EventTrace::try_from_text.
+  /// diagnostic ("budget csv line N: ...") to `error`, like
+  /// TryInstanceFromText.
   static std::optional<BudgetTrace> try_from_csv(const std::string& text,
                                                  std::string* error);
-
-  /// try_from_csv that aborts with the diagnostic on malformed input.
-  static BudgetTrace from_csv(const std::string& text);
 
   /// Serializes back to the CSV format (with header row).
   std::string to_csv() const;

@@ -139,6 +139,8 @@ struct SlotEvent {
   Time slot = 0;
   std::int64_t width = 0;
   double seconds = 0.0;
+
+  friend bool operator==(const SlotEvent&, const SlotEvent&) = default;
 };
 
 /// Default size of the per-run event ring (RunContext::batch_capacity).

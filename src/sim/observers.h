@@ -6,9 +6,10 @@
 // flow-time histograms, per-pick wall time — the quantities the paper
 // reasons about (idle slots in the Lemma 5.2 head/tail shape, backlog
 // growth in the Theorem 4.2 adversary; see docs/OBSERVABILITY.md for the
-// full map).  StreamingTraceObserver emits, online, the exact EventTrace
-// that DeriveTrace reconstructs post-hoc; the fuzz harness cross-checks
-// the two as an oracle.
+// full map).  StreamingTraceObserver keeps the stream's arrive/exec/done
+// records as an EventTrace, online; DeriveTrace rebuilds the same records
+// post-hoc from a Schedule, and the fuzz harness cross-checks the two as
+// an oracle.
 #pragma once
 
 #include <cstdint>
@@ -134,8 +135,8 @@ class MetricsObserver final : public RunObserver {
   bool pending_frontier_valid_ = false;
 };
 
-/// Appends arrive/exec/done events to a borrowed EventTrace as the run
-/// executes.  The result is byte-identical to
+/// Appends the engine's kArrival/kExecute/kComplete records, unchanged,
+/// to a borrowed EventTrace as the run executes.  The result equals
 /// DeriveTrace(result.full_schedule(), instance) for every engine, and
 /// it keeps working under RecordMode::kFlowOnly (the stream still flows
 /// even when no schedule is materialized).
@@ -143,30 +144,18 @@ class StreamingTraceObserver final : public RunObserver {
  public:
   explicit StreamingTraceObserver(EventTrace& out) : out_(out) {}
 
-  /// Arrivals/executes/completes appear in the stream in exactly the
-  /// order DeriveTrace emits them, so one pass suffices.
+  /// The stream carries the three kinds in exactly the order DeriveTrace
+  /// emits them, so a kind filter is the whole sink.
   void on_slot_batch(const EngineBackend& engine,
                      std::span<const SlotEvent> events) override {
     (void)engine;
     for (const SlotEvent& event : events) {
-      switch (event.kind) {
-        case SlotEvent::Kind::kArrival:
-          out_.add(TraceEvent{event.slot, TraceEventKind::kArrival,
-                              event.job, kInvalidNode});
-          break;
-        case SlotEvent::Kind::kExecute:
-          out_.add(TraceEvent{event.slot, TraceEventKind::kExecute,
-                              event.job, event.node});
-          break;
-        case SlotEvent::Kind::kComplete:
-          out_.add(TraceEvent{event.slot, TraceEventKind::kComplete,
-                              event.job, kInvalidNode});
-          break;
-        default:
-          break;
-      }
+      if (EventTrace::keeps(event.kind)) out_.add(event);
     }
   }
+
+  /// A trace never carries kPickBegin's wall time.
+  bool wants_pick_timing() const override { return false; }
 
  private:
   EventTrace& out_;

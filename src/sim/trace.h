@@ -1,83 +1,57 @@
 // Event traces: a linear record of everything that happened in a run.
 //
 // Where a Schedule answers "what ran when", a trace also captures
-// arrivals and completions in order, which is what debugging a policy,
-// diffing two runs, or replay-checking a simulation needs.  Traces
-// serialize to a line format stable enough for golden tests.
+// arrivals and completions in order, which is what debugging a policy or
+// diffing two runs needs.  A trace holds the engine's own SlotEvent
+// records (sim/observer.h) of three kinds — kArrival, kExecute and
+// kComplete — and is write-only: it serializes to a line format stable
+// enough for golden tests, and nothing parses that format back.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/types.h"
 #include "job/instance.h"
+#include "sim/observer.h"
 #include "sim/schedule.h"
 
 namespace otsched {
 
-enum class TraceEventKind : std::uint8_t {
-  kArrival,   // job became schedulable (slot = release + 1)
-  kExecute,   // subjob ran in this slot
-  kComplete,  // job finished (its last subjob ran this slot)
-};
-
-struct TraceEvent {
-  Time slot = 0;
-  TraceEventKind kind = TraceEventKind::kExecute;
-  JobId job = kInvalidJob;
-  NodeId node = kInvalidNode;  // kExecute only
-
-  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
-};
-
 class EventTrace {
  public:
-  void add(TraceEvent event);
+  /// The SlotEvent kinds a trace carries: kArrival, kExecute, kComplete.
+  static bool keeps(SlotEvent::Kind kind) {
+    return kind == SlotEvent::Kind::kArrival ||
+           kind == SlotEvent::Kind::kExecute ||
+           kind == SlotEvent::Kind::kComplete;
+  }
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  /// Appends one record; aborts unless keeps(event.kind).
+  void add(const SlotEvent& event);
+
+  const std::vector<SlotEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
-
-  /// Events of one kind, in order.
-  std::vector<TraceEvent> of_kind(TraceEventKind kind) const;
 
   /// One line per event: "<slot> arrive|exec|done <job> [<node>]".
   std::string to_text() const;
 
-  /// Strict parser for the to_text format.  Blank / whitespace-only lines
-  /// are skipped; anything else malformed (non-numeric or non-positive
-  /// slot, unknown kind token, missing node on exec, negative ids,
-  /// trailing tokens) yields nullopt with a diagnostic naming the line.
-  static std::optional<EventTrace> try_from_text(const std::string& text,
-                                                 std::string* error = nullptr);
-
-  /// try_from_text that aborts (OTSCHED_CHECK) on malformed input.
-  static EventTrace from_text(const std::string& text);
-
-  /// File-level counterpart of try_from_text (symmetric with to_file):
-  /// reads `path` and parses it.  An unreadable file or a malformed line
-  /// yields nullopt with a diagnostic prefixed by the path, so CLI users
-  /// see "<path>: trace line N: ..." for parse errors.
-  static std::optional<EventTrace> try_from_file(const std::string& path,
-                                                 std::string* error = nullptr);
-
   /// Writes to_text() to `path`.  Returns false (with a diagnostic in
-  /// `error`) on I/O failure; a successful write round-trips through
-  /// try_from_file to an equal trace.
+  /// `error`) on I/O failure.
   bool to_file(const std::string& path, std::string* error = nullptr) const;
 
   friend bool operator==(const EventTrace&, const EventTrace&) = default;
 
  private:
-  std::vector<TraceEvent> events_;
+  std::vector<SlotEvent> events_;
 };
 
 /// Derives the canonical trace of a finished schedule against its
 /// instance: arrivals in (release, id) order at release+1, executions in
 /// slot order (within a slot, in schedule placement order), completions
-/// when a job's last subjob runs.  Two runs are behaviourally identical
-/// iff their derived traces are equal.
+/// when a job's last subjob runs.  The records are the ones the engine
+/// emits (value, width and seconds are 0), so two runs are behaviourally
+/// identical iff their derived traces are equal.
 EventTrace DeriveTrace(const Schedule& schedule, const Instance& instance);
 
 /// First index where the traces differ, or -1 if equal (for diagnostics).

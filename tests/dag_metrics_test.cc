@@ -68,15 +68,12 @@ TEST(Metrics, TopoOrderRespectsEdges) {
   Rng rng(5);
   const Dag tree = MakeAttachmentTree(64, 0.4, rng);
   const DagMetrics m = ComputeMetrics(tree);
-  std::vector<int> position(64, -1);
-  for (std::size_t i = 0; i < m.topo_order.size(); ++i) {
-    position[static_cast<std::size_t>(m.topo_order[i])] =
-        static_cast<int>(i);
-  }
-  for (NodeId v = 0; v < tree.node_count(); ++v) {
-    for (NodeId c : tree.children(v)) {
-      EXPECT_LT(position[static_cast<std::size_t>(v)],
-                position[static_cast<std::size_t>(c)]);
+  for (NodeId u = 0; u < tree.node_count(); ++u) {
+    for (NodeId v : tree.children(u)) {
+      EXPECT_GT(m.depth[static_cast<std::size_t>(v)],
+                m.depth[static_cast<std::size_t>(u)]);
+      EXPECT_GT(m.height[static_cast<std::size_t>(u)],
+                m.height[static_cast<std::size_t>(v)]);
     }
   }
 }

@@ -157,21 +157,6 @@ TEST(Builders, ForkJoinIsNotATree) {
   EXPECT_EQ(diamond.in_degree(4), 3);  // the sink
 }
 
-TEST(Builders, SeriesComposeConnectsSinksToSources) {
-  Dag series = SeriesCompose(MakeChain(2), MakeStar(2));
-  // chain(2) has one leaf (node 1); star root is first node of part 2.
-  EXPECT_EQ(series.node_count(), 5);
-  EXPECT_EQ(series.out_degree(1), 1);  // leaf of the chain now points on
-  EXPECT_EQ(series.in_degree(2), 1);   // star root gained a parent
-}
-
-TEST(Builders, ParallelComposeIsDisjoint) {
-  Dag par = ParallelCompose(MakeChain(2), MakeChain(3));
-  EXPECT_EQ(par.node_count(), 5);
-  EXPECT_EQ(par.edge_count(), 3);
-  EXPECT_EQ(par.roots().size(), 2u);
-}
-
 TEST(Builders, SpineWithBursts) {
   Dag dag = MakeSpineWithBursts(3, 1);  // spine of 3, each spawning 2 leaves
   EXPECT_EQ(dag.node_count(), 9);

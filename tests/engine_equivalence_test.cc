@@ -458,10 +458,13 @@ TEST(EngineEquivalence, SerializedCorpusRoundTrip) {
                         static_cast<NodeId>(6 + r.next_below(10)), r);
       },
       rng);
-  const Instance replayed = InstanceFromText(InstanceToText(original));
-  ASSERT_EQ(replayed.job_count(), original.job_count());
+  std::string error;
+  const std::optional<Instance> replayed =
+      TryInstanceFromText(InstanceToText(original), &error);
+  ASSERT_TRUE(replayed.has_value()) << error;
+  ASSERT_EQ(replayed->job_count(), original.job_count());
   for (int m : {2, 3}) {
-    CheckAllPolicies(replayed, m, /*known_opt=*/0, "serialized-roundtrip");
+    CheckAllPolicies(*replayed, m, /*known_opt=*/0, "serialized-roundtrip");
   }
 }
 

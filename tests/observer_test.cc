@@ -258,6 +258,11 @@ TEST(ObserverList, FansOutInOrderAndSkipsNull) {
   list.add(&second);
   EXPECT_FALSE(list.empty());
   EXPECT_FALSE(list.wants_pick_timing());  // no member wants it
+  EventTrace trace;
+  StreamingTraceObserver tracer(trace);
+  ObserverList tracer_only;
+  tracer_only.add(&tracer);
+  EXPECT_FALSE(tracer_only.wants_pick_timing());  // a trace has no pick time
 
   Instance instance;
   instance.add_job(Job(MakeChain(3), 0));

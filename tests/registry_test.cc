@@ -15,10 +15,9 @@ namespace otsched {
 namespace {
 
 TEST(Registry, NamesAreUniqueAndListed) {
-  const std::vector<std::string> names = ListPolicyNames();
-  EXPECT_EQ(names.size(), AllPolicies().size());
-  const std::set<std::string> unique(names.begin(), names.end());
-  EXPECT_EQ(unique.size(), names.size());
+  std::set<std::string> unique;
+  for (const PolicySpec& spec : AllPolicies()) unique.insert(spec.name);
+  EXPECT_EQ(unique.size(), AllPolicies().size());
   EXPECT_TRUE(unique.count("fifo/first-ready"));
   EXPECT_TRUE(unique.count("alg-a/general"));
   EXPECT_TRUE(unique.count("alg-a/semi-batched"));

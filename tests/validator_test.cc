@@ -172,10 +172,13 @@ std::string TraceForm(const Slots& slots, Time release, Time first) {
   const Time last = first + static_cast<Time>(slots.size()) - 1;
   for (std::size_t s = 0; s < slots.size(); ++s) {
     for (NodeId v : slots[s]) {
-      trace.add({first + static_cast<Time>(s), TraceEventKind::kExecute, 0, v});
+      trace.add({.kind = SlotEvent::Kind::kExecute,
+                 .job = 0,
+                 .node = v,
+                 .slot = first + static_cast<Time>(s)});
     }
   }
-  trace.add({last, TraceEventKind::kComplete, 0, kInvalidNode});
+  trace.add({.kind = SlotEvent::Kind::kComplete, .job = 0, .slot = last});
   return CheckCommittedFeasibilityOracle(trace, instance, kP, SimStats{})
       .detail;
 }

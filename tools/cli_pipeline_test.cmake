@@ -21,6 +21,14 @@ function(expect_diagnostic pattern)
   endif()
 endfunction()
 
+# Pins a written file's bytes by their SHA-256.
+function(expect_sha256 path digest)
+  file(SHA256 ${path} actual)
+  if(NOT actual STREQUAL digest)
+    message(FATAL_ERROR "${path}: sha256 ${actual}, expected ${digest}")
+  endif()
+endfunction()
+
 set(INST ${WORKDIR}/cli_smoke.inst)
 run_step(${CLI} gen saturated 8 4 3 11 ${INST})
 run_step(${CLI} describe ${INST} 8)
@@ -36,6 +44,8 @@ foreach(artifact cli_smoke.svg cli_smoke.trace cli_smoke.csv)
     message(FATAL_ERROR "missing artifact ${artifact}")
   endif()
 endforeach()
+expect_sha256(${WORKDIR}/cli_smoke.trace
+              010f8697590be39bc4f9307dbbf3a88b85caf947bc04204a0100b562fa43eee6)
 
 # Registry surface: list-policies must print every canonical name, and
 # `run --policy <name>` accepts canonical names ONLY — old spellings
@@ -105,6 +115,8 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(NOT code EQUAL 0)
   message(FATAL_ERROR "`trace` output differs from `run --trace`")
 endif()
+expect_sha256(${WORKDIR}/cli_run.trace
+              5b7d4be446fce2c03d43fc949d847efd2ea6855a3ea1d181e79b661cbef6a312)
 run_step(${CLI} sweep ${INST} fifo/first-ready --m 2,8 --seeds 2 --workers 1
          --metrics ${WORKDIR}/cli_sweep.json --csv ${WORKDIR}/cli_sweep.csv)
 foreach(artifact cli_metrics.json cli_metrics.csv cli_manifest.json
@@ -206,10 +218,16 @@ foreach(name random-crash periodic-crash adversarial-loss on-completion
 endforeach()
 
 # A faulted run defaults to flow-only recording, reports the rollback
-# line, and stamps the model into manifest and metrics.
+# line, stamps the model into manifest and metrics, and traces every
+# execution.
 run_step(${CLI} run ${INST} 8 fifo/first-ready
          --job-faults random-crash:7:0.1 --checkpoint-policy every-slots:4
-         --metrics ${WORKDIR}/cli_job_faulted_metrics.json)
+         --metrics ${WORKDIR}/cli_job_faulted_metrics.json
+         --trace ${WORKDIR}/cli_job_faulted.trace)
+# A re-executed subjob appears once per execution: 120 exec lines, work
+# 96 plus 24 wasted slots.
+expect_sha256(${WORKDIR}/cli_job_faulted.trace
+              3a818d759f5e2164c141e182ff24d1f514cd36768a4865e7f847b4c018c50f66)
 file(READ ${WORKDIR}/cli_job_faulted_metrics.json job_faulted_json)
 foreach(key job_faults random-crash:7:0.1 checkpoint_policy every-slots:4
         faults.rollbacks faults.checkpoints work.wasted_slots
